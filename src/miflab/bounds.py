@@ -66,6 +66,16 @@ def improved_upper(k: int) -> int:
     return tuza_nk_upper(k) - half_central_binomial(k)
 
 
+def proven_point_cap(k: int) -> int:
+    """A proven upper bound on the point count of a maximal intersecting
+    family of k-sets, for capping an exhaustive search: the sharpened bound,
+    or Tuza's bound where the sharpened expansion is invalid (k=2)."""
+    cap = improved_upper(k)
+    if cap < el_lower(k):
+        cap = tuza_nk_upper(k)
+    return cap
+
+
 def bollobas_pair_bound(k: int, t: int) -> int:
     """Maximum number of pairs in a set-pair system with sides (k, t)."""
     if k < 0 or t < 0:

@@ -5,21 +5,34 @@ block list obtainable by relabeling its used points with 0..v-1.  Two
 families have equal canonical forms iff a point bijection maps one's
 blocks onto the other's, which is what "up to isomorphism" means here.
 
-The minimization builds the output list entry by entry.  A partial
-relabeling assigns new labels 0..j-1; the smallest next entry any
-completion can produce is the minimum, over unemitted blocks, of the
-block's assigned labels padded with the next free labels.  Branching over
-the blocks (and the orderings of their fresh points) that achieve that
-minimum, with pruning against the best complete list found so far,
-explores exactly the tie tree of the optimum - cheap for asymmetric
-families and proportional to the automorphism group for symmetric ones.
+The minimization builds the output list entry by entry and hands labels
+out in cells.  A cell is a set of points that share the label interval
+[start, start + size) in an order not yet fixed; at first all v used
+points form the one cell [0, v).  The key of a block is the lowest
+|b & C| labels of each cell C it meets: per block, the componentwise (and
+so lexicographic) minimum over every labeling that refines the cells.
+The next entry of the output is the least key over the unemitted blocks.
+Emitting a block splits every cell C it meets into b & C followed by
+C - b, so the block takes exactly its key's labels under every refinement.
+
+Why the result is still the exact least list.  Splitting only narrows the
+refinements, so keys never fall, and every refinement of a branch's cells
+yields a list that starts with the entries the branch emitted.  Take a
+least labeling; it refines the starting cell.  If it refines the cells of
+a branch that emitted the first j entries of its list, the block it maps
+to entry j has a key no larger than that entry, which is the least
+possible next entry, so the block ties at the least key, and emitting it
+leaves cells the least labeling still refines.  Branching over the blocks
+that tie at the least key, with pruning against the best complete list
+found so far, therefore reaches the least list, and never branches over
+the orderings of the points inside a cell.  The branches live on an
+explicit stack, so deep inputs do not grow the Python stack.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Sequence
 
 
@@ -29,84 +42,94 @@ class CanonicalForm:
     digest: int
 
 
-class _Beaten(Exception):
-    """Raised in test mode when a strictly smaller relabeling is found."""
-
-
 def _digest(blocks: tuple[tuple[int, ...], ...]) -> int:
     payload = ";".join(",".join(map(str, b)) for b in blocks).encode()
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
+def _split(order: list[int], cell: list[int], size: list[int], block: tuple[int, ...]) -> None:
+    """Split every cell the block meets into its part in the block followed
+    by the rest, in place."""
+    parts: dict[int, list[int]] = {}
+    for p in block:
+        parts.setdefault(cell[p], []).append(p)
+    for start, inside in parts.items():
+        n_in, total = len(inside), size[start]
+        if n_in == total:
+            continue
+        rest = [p for p in order[start:start + total] if p not in inside]
+        order[start:start + total] = inside + rest
+        size[start] = n_in
+        size[start + n_in] = total - n_in
+        for p in rest:
+            cell[p] = start + n_in
+
+
 def _minimize(blocks: Sequence[Sequence[int]], test_only: bool) -> tuple[tuple[int, ...], ...] | bool:
     ident = tuple(sorted({tuple(sorted(b)) for b in blocks}))
-    n = len(ident)
-    if n == 0:
+    if not ident:
         return True if test_only else ()
+    points = sorted({p for b in ident for p in b})
+    index = {p: i for i, p in enumerate(points)}
+    members = tuple(tuple(index[p] for p in b) for b in ident)
+    v = len(points)
 
-    label: dict[int, int] = {}
     out: list[tuple[int, ...]] = []
-    remaining = set(range(n))
     best = list(ident)
-
-    def prefix_cmp(m: tuple[int, ...]) -> int:
-        # compare out + [m] against the same-length prefix of best
-        for got, want in zip(out, best):
-            if got != want:
-                return -1 if got < want else 1
-        want = best[len(out)]
-        if m != want:
-            return -1 if m < want else 1
-        return 0
-
-    def dfs() -> None:
-        nonlocal best
+    # The branch being explored: order lists the points by label position,
+    # cell[p] is the start of p's cell, size[start] that cell's size, and
+    # remaining holds the blocks not yet emitted.  It is a list, not a
+    # tuple: CPython keeps up to 2000 freed tuples of each length below 20,
+    # which raised the peak memory of a run of many calls by 3.6 MB.
+    order, cell, size = list(range(v)), [0] * v, [v] + [0] * (v - 1)
+    remaining = list(range(len(ident)))
+    # One level per entry of out: the branch state before that entry was
+    # emitted and the tied blocks not yet tried there, last tried first.
+    levels: list[list] = []
+    while True:
         if not remaining:
-            if not test_only and out < best:
-                best = list(out)
-            return
-        nf = len(label)
-        m = None
-        cands: list[int] = []
-        for bi in remaining:
-            b = ident[bi]
-            known = sorted(label[p] for p in b if p in label)
-            key = tuple(known) + tuple(range(nf, nf + len(b) - len(known)))
-            if m is None or key < m:
-                m = key
-                cands = [bi]
-            elif key == m:
-                cands.append(bi)
-        cmp = prefix_cmp(m)
-        if cmp > 0:
-            return
-        if cmp < 0 and test_only:
-            raise _Beaten
-        out.append(m)
-        for bi in sorted(cands):
-            b = ident[bi]
-            fresh = [p for p in b if p not in label]
-            remaining.discard(bi)
-            if fresh:
-                for order in permutations(fresh):
-                    for i, p in enumerate(order):
-                        label[p] = nf + i
-                    dfs()
-                    for p in order:
-                        del label[p]
+            if out < best:
+                best = out[:]
+        else:
+            # Blocks are ranked by the sorted cell starts of their points,
+            # which orders them as their keys do; only the least is turned
+            # into labels.
+            least = None
+            cands: list[int] = []
+            start_of = cell.__getitem__
+            for bi in remaining:
+                starts = sorted(map(start_of, members[bi]))
+                if least is None or starts < least:
+                    least = starts
+                    cands = [bi]
+                elif starts == least:
+                    cands.append(bi)
+            for i in range(1, len(least)):
+                if least[i] <= least[i - 1]:  # the next label of the same cell
+                    least[i] = least[i - 1] + 1
+            out.append(tuple(least))
+            bound = best[:len(out)]
+            if out > bound:
+                out.pop()
+            elif test_only and out < bound:
+                return False
             else:
-                dfs()
-            remaining.add(bi)
-        out.pop()
-
-    if test_only:
-        try:
-            dfs()
-        except _Beaten:
-            return False
-        return True
-    dfs()
-    return tuple(best)
+                cands.reverse()
+                levels.append([order, cell, size, remaining, cands])
+        while levels and not levels[-1][4]:
+            levels.pop()
+            out.pop()
+        if not levels:
+            return True if test_only else tuple(best)
+        level = levels[-1]
+        order, cell, size, remaining, untried = level
+        emit = untried.pop()
+        if untried:
+            order, cell, size = order[:], cell[:], size[:]
+        else:
+            level[:4] = None, None, None, None  # the last branch takes the lists over
+        _split(order, cell, size, members[emit])
+        remaining = [bi for bi in remaining if bi != emit]
 
 
 def least_block_list(blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

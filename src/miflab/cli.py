@@ -63,7 +63,10 @@ def _default_budget(args) -> int | None:
         return args.budget
     env = os.environ.get("MIFLAB_BUDGET")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise MiflabError(f"MIFLAB_BUDGET must be an integer, got {env!r}") from None
     return DEFAULT_SEARCH_BUDGET
 
 
@@ -236,9 +239,7 @@ def cmd_search(args) -> int:
     if args.what == "mif":
         p_max = args.max_points
         if p_max is None:
-            p_max = bounds_mod.improved_upper(args.k)
-            if p_max < bounds_mod.el_lower(args.k):
-                p_max = bounds_mod.tuza_nk_upper(args.k)
+            p_max = bounds_mod.proven_point_cap(args.k)
         result = enumerate_mifs(args.k, p_max, budget=budget,
                                 checkpoint_path=args.checkpoint,
                                 resume_path=args.resume, workers=args.workers)

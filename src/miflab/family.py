@@ -156,7 +156,9 @@ class Family:
         if "universe" not in obj or "blocks" not in obj:
             raise FormatError('family JSON needs "universe" and "blocks" keys')
         universe = obj["universe"]
-        if not isinstance(universe, int):
+        # type() and not isinstance(): bool is an int subclass, and JSON true
+        # is no integer
+        if type(universe) is not int:
             raise FormatError('"universe" must be an integer')
         if max_universe is not None and universe > max_universe:
             raise UniverseOverflowError(
@@ -165,7 +167,7 @@ class Family:
         if not isinstance(blocks, list):
             raise FormatError('"blocks" must be a list of point lists')
         for b in blocks:
-            if not isinstance(b, list) or not all(isinstance(p, int) for p in b):
+            if not isinstance(b, list) or not all(type(p) is int for p in b):
                 raise FormatError(f"bad block {b!r}: expected a list of integers")
         labels = obj.get("labels")
         if labels is not None and (not isinstance(labels, list)

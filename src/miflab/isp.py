@@ -63,17 +63,19 @@ class SetPairSystem:
 
     @classmethod
     def from_json_obj(cls, obj) -> "SetPairSystem":
-        if not isinstance(obj, dict) or "pairs" not in obj:
-            raise FormatError('ISP JSON must be an object with a "pairs" key')
+        if not isinstance(obj, dict) or not isinstance(obj.get("pairs"), list):
+            raise FormatError('ISP JSON must be an object with a "pairs" list')
         pairs = []
         for i, entry in enumerate(obj["pairs"]):
-            if (not isinstance(entry, dict) or "A" not in entry or "B" not in entry
-                    or not all(isinstance(p, int) for p in entry["A"] + entry["B"])):
+            # type() and not isinstance(): JSON true is no integer
+            if not (isinstance(entry, dict)
+                    and all(isinstance(entry.get(side), list)
+                            and all(type(p) is int for p in entry[side]) for side in "AB")):
                 raise FormatError(f'pair {i} must be {{"A": [ints], "B": [ints]}}')
             pairs.append((entry["A"], entry["B"]))
         k = obj.get("k")
         t = obj.get("t")
-        if not all(v is None or isinstance(v, int) for v in (k, t)):
+        if not all(v is None or type(v) is int for v in (k, t)):
             raise FormatError('"k" and "t" must be integers when present')
         return cls(pairs, k=k, t=t)
 

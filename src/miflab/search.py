@@ -24,13 +24,14 @@ scale.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .bounds import el_lower, improved_upper, tuza_nk_upper
+from .bounds import proven_point_cap
 from .canonical import CanonicalForm, _digest, is_least_labeling
 from .errors import (BudgetExceededError, FormatError, ParameterOutOfRangeError,
                      UnsupportedKError, UnsupportedParamsError)
@@ -161,13 +162,23 @@ def _record_to_blocks(record: str) -> Blocks:
 
 def write_checkpoint(path, k: int, p_max: int, nodes: int,
                      pending: list[Blocks], found: list[Blocks]) -> None:
+    """Write the checkpoint to a temporary file beside path, sync it, then
+    rename it over path, so a crash mid-write leaves the previous one."""
     header = {"k": k, "p_max": p_max, "nodes": nodes}
-    with open(path, "w") as fh:
-        fh.write(f"{CHECKPOINT_MAGIC} {json.dumps(header, separators=(',', ':'))}\n")
-        for blocks in pending:
-            fh.write("F " + _blocks_to_record(blocks) + "\n")
-        for blocks in found:
-            fh.write("M " + _blocks_to_record(blocks) + "\n")
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(f"{CHECKPOINT_MAGIC} {json.dumps(header, separators=(',', ':'))}\n")
+            for blocks in pending:
+                fh.write("F " + _blocks_to_record(blocks) + "\n")
+            for blocks in found:
+                fh.write("M " + _blocks_to_record(blocks) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed before the rename
+            os.unlink(tmp)
 
 
 def read_checkpoint(path, k: int, p_max: int):
@@ -179,9 +190,14 @@ def read_checkpoint(path, k: int, p_max: int):
         header = json.loads(lines[0][len(CHECKPOINT_MAGIC) + 1:])
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad checkpoint header: {exc.msg}") from exc
-    if header.get("k") != k or header.get("p_max") != p_max:
+    if not isinstance(header, dict):
+        raise FormatError("bad checkpoint header: expected a JSON object")
+    for field in ("k", "p_max", "nodes"):
+        if type(header.get(field)) is not int:  # JSON true is no integer
+            raise FormatError(f"bad checkpoint header: {field!r} is missing or not an integer")
+    if header["k"] != k or header["p_max"] != p_max:
         raise FormatError(
-            f"checkpoint is for k={header.get('k')}, p_max={header.get('p_max')}; "
+            f"checkpoint is for k={header['k']}, p_max={header['p_max']}; "
             f"requested k={k}, p_max={p_max}")
     pending: list[Blocks] = []
     found: list[Blocks] = []
@@ -195,7 +211,7 @@ def read_checkpoint(path, k: int, p_max: int):
             found.append(_record_to_blocks(rest))
         else:
             raise FormatError(f"line {lineno}: unknown checkpoint tag {tag!r}")
-    return int(header["nodes"]), pending, found
+    return header["nodes"], pending, found
 
 
 def enumerate_mifs(k: int, p_max: int, *, budget: int | None = None,
@@ -283,11 +299,7 @@ def compute_N(k: int, *, workers: int = 1, budget: int | None = None) -> int:
     recomputed by exhaustive search under a proven point cap."""
     if k not in (2, 3):
         raise UnsupportedKError(f"exhaustive recomputation supports k in {{2, 3}}, got {k}")
-    cap = improved_upper(k)
-    if cap < el_lower(k):
-        # the sharpened expansion is invalid at k=2; fall back to the coarser bound
-        cap = tuza_nk_upper(k)
-    result = enumerate_mifs(k, cap, workers=workers, budget=budget)
+    result = enumerate_mifs(k, proven_point_cap(k), workers=workers, budget=budget)
     return result.max_points
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from miflab.bounds import (binom, bollobas_pair_bound, central_binomial_sum,
                            conjectured_N, el_lower, eval_bounds, half_central_binomial,
-                           improved_upper, tuza_conjecture_value, tuza_nk_upper,
-                           tuza_nkt_upper, TUZA_NKT_BOUNDARY_CASES)
+                           improved_upper, proven_point_cap, tuza_conjecture_value,
+                           tuza_nk_upper, tuza_nkt_upper, TUZA_NKT_BOUNDARY_CASES)
 from miflab.errors import ParameterOutOfRangeError
 
 
@@ -121,3 +121,12 @@ def test_improved_upper_matches_main_result_for_k3():
     # to the same number as the expanded form
     table = eval_bounds(3)
     assert table.half_central_binomial + 6 == table.improved_upper == 9
+
+
+def test_proven_point_cap():
+    # the sharpened bound is invalid at k=2 (2 < 3 points of the triangle)
+    assert proven_point_cap(2) == tuza_nk_upper(2) == 3
+    for k in range(3, 9):
+        assert proven_point_cap(k) == improved_upper(k) >= el_lower(k)
+    with pytest.raises(ParameterOutOfRangeError):
+        proven_point_cap(1)

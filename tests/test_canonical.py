@@ -1,8 +1,8 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 from miflab.canonical import canonicalize, is_least_labeling, least_block_list
-from miflab.constructions import complete_family, projective_plane, triangle
+from miflab.constructions import bg_family, complete_family, projective_plane, triangle
 from miflab.family import Family
 
 
@@ -16,6 +16,114 @@ def brute_least(blocks):
         if best is None or cand < best:
             best = cand
     return best
+
+
+class _Beaten(Exception):
+    """Raised in test mode when a strictly smaller relabeling is found."""
+
+
+def tie_tree_minimize(blocks, test_only):
+    """Reference: the tie-tree lex-least search that the cell-based
+    canonicaliser replaced.  It branches over the blocks tied at the least
+    key and over every ordering of their fresh points, so its cost grows
+    with the automorphism group; it recurses once per block."""
+    ident = tuple(sorted({tuple(sorted(b)) for b in blocks}))
+    n = len(ident)
+    if n == 0:
+        return True if test_only else ()
+
+    label = {}
+    out = []
+    remaining = set(range(n))
+    best = list(ident)
+
+    def prefix_cmp(m):
+        # compare out + [m] against the same-length prefix of best
+        for got, want in zip(out, best):
+            if got != want:
+                return -1 if got < want else 1
+        want = best[len(out)]
+        if m != want:
+            return -1 if m < want else 1
+        return 0
+
+    def dfs():
+        nonlocal best
+        if not remaining:
+            if not test_only and out < best:
+                best = list(out)
+            return
+        nf = len(label)
+        m = None
+        cands = []
+        for bi in remaining:
+            b = ident[bi]
+            known = sorted(label[p] for p in b if p in label)
+            key = tuple(known) + tuple(range(nf, nf + len(b) - len(known)))
+            if m is None or key < m:
+                m = key
+                cands = [bi]
+            elif key == m:
+                cands.append(bi)
+        cmp = prefix_cmp(m)
+        if cmp > 0:
+            return
+        if cmp < 0 and test_only:
+            raise _Beaten
+        out.append(m)
+        for bi in sorted(cands):
+            b = ident[bi]
+            fresh = [p for p in b if p not in label]
+            remaining.discard(bi)
+            if fresh:
+                for order in permutations(fresh):
+                    for i, p in enumerate(order):
+                        label[p] = nf + i
+                    dfs()
+                    for p in order:
+                        del label[p]
+            else:
+                dfs()
+            remaining.add(bi)
+        out.pop()
+
+    if test_only:
+        try:
+            dfs()
+        except _Beaten:
+            return False
+        return True
+    dfs()
+    return tuple(best)
+
+
+def relabel(rng, blocks):
+    """The blocks under a seeded bijection of their points onto a shuffled
+    range that is wider than needed, so the labels have gaps."""
+    points = sorted({p for b in blocks for p in b})
+    image = rng.sample(range(len(points) + 3), len(points))
+    to = dict(zip(points, image))
+    return [tuple(to[p] for p in b) for b in blocks]
+
+
+def random_intersecting(rng, k, v, n_blocks):
+    """Up to n_blocks random k-subsets of range(v) that pairwise meet."""
+    cands = list(combinations(range(v), k))
+    rng.shuffle(cands)
+    chosen = []
+    for cand in cands:
+        if all(set(cand) & set(b) for b in chosen):
+            chosen.append(cand)
+            if len(chosen) == n_blocks:
+                break
+    return chosen
+
+
+def assert_matches_oracle(blocks):
+    least = least_block_list(blocks)
+    assert least == tie_tree_minimize(blocks, False), blocks
+    assert is_least_labeling(blocks) == tie_tree_minimize(blocks, True), blocks
+    assert is_least_labeling(least)
 
 
 def apply_permutation(fam, perm):
@@ -100,3 +208,46 @@ def test_digest_is_stable():
     form = canonicalize(triangle())
     assert form.canonical_block_list == ((0, 1), (0, 2), (1, 2))
     assert canonicalize(triangle()).digest == form.digest
+
+
+def test_differential_random_nonuniform():
+    rng = random.Random(2014)
+    for _ in range(400):
+        v = rng.randint(1, 8)
+        blocks = [tuple(rng.sample(range(v), rng.randint(0, v)))
+                  for _ in range(rng.randint(1, 9))]
+        assert_matches_oracle(blocks)
+
+
+def test_differential_random_intersecting_4_uniform():
+    rng = random.Random(7158)
+    for v, n_blocks in ((8, 10), (9, 12), (10, 14), (11, 16)):
+        base = random_intersecting(rng, 4, v, n_blocks)
+        for _ in range(6):
+            assert_matches_oracle(relabel(rng, base))
+
+
+def test_differential_symmetric():
+    rng = random.Random(27)
+    plane = list(projective_plane(3).blocks)
+    k4 = list(complete_family(4).blocks)
+    inputs = [list(projective_plane(2).blocks),
+              list(bg_family(4, 2).expected_transversals.blocks),
+              rng.sample(k4, len(k4) - 8)]
+    inputs += [rng.sample(plane, len(plane) - removed) for removed in (6, 7, 8)]
+    for blocks in inputs:
+        for _ in range(2):
+            assert_matches_oracle(relabel(rng, blocks))
+
+
+def test_deep_input_has_no_recursion_limit():
+    # a path of 1200 blocks: one branch of 1200 levels, beyond the default
+    # recursion limit of a per-block recursive search
+    path = [(0,)] + [(i, i + 1) for i in range(1199)]
+    perm = list(range(1200))
+    random.Random(1200).shuffle(perm)
+    shuffled = [tuple(perm[p] for p in b) for b in path]
+    least = tuple(sorted(path))
+    assert least_block_list(shuffled) == least
+    assert not is_least_labeling(shuffled)
+    assert is_least_labeling(least)

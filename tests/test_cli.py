@@ -192,6 +192,19 @@ def test_search_env_budget(capsys, monkeypatch):
     assert code == 3
 
 
+def test_search_bad_env_budget_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("MIFLAB_BUDGET", "abc")
+    code, _, err = run(capsys, "search", "mif", "--k", "3")
+    assert code == 2 and "MIFLAB_BUDGET" in err
+
+
+def test_bool_point_id_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"universe": 3, "blocks": [[0, true], [1, 2]]}')
+    code, _, err = run(capsys, "tau", str(path))
+    assert code == 2 and "error" in err
+
+
 def test_search_isp(capsys):
     code, out, _ = run(capsys, "search", "isp", "--k", "3", "--t", "1",
                        "--format", "json")

@@ -160,6 +160,14 @@ def test_json_parse_errors_carry_position():
         Family.from_json('{"universe": 3, "blocks": [[0, "x"]]}')
 
 
+def test_json_rejects_bool_as_integer():
+    # JSON true is a Python bool, which is an int subclass; it is no point id
+    with pytest.raises(FormatError):
+        Family.from_json('{"universe": 3, "blocks": [[0, true]]}')
+    with pytest.raises(FormatError):
+        Family.from_json('{"universe": true, "blocks": [[0]]}')
+
+
 def test_universe_cap():
     big = json.dumps({"universe": 200, "blocks": [[0, 1]]})
     with pytest.raises(UniverseOverflowError):

@@ -129,3 +129,18 @@ def test_json_rejects_malformed():
         SetPairSystem.from_json('{"pairs": [{"A": [0]}]}')
     with pytest.raises(FormatError, match="line"):
         SetPairSystem.from_json('{"pairs": [')
+    with pytest.raises(FormatError):
+        SetPairSystem.from_json('{"pairs": [{"A": 0, "B": [1]}]}')
+    with pytest.raises(FormatError):
+        SetPairSystem.from_json('{"pairs": 3}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"pairs": [{"A": [true], "B": [2]}]}',
+    '{"pairs": [{"A": [0], "B": [false]}]}',
+    '{"pairs": [{"A": [0], "B": [1]}], "k": true}',
+    '{"pairs": [{"A": [0], "B": [1]}], "t": false}',
+])
+def test_json_rejects_bool_as_integer(text):
+    with pytest.raises(FormatError):
+        SetPairSystem.from_json(text)

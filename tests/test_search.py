@@ -172,6 +172,37 @@ def test_checkpoint_format_round_trip(tmp_path):
         read_checkpoint(path, 3, 9)
 
 
+@pytest.mark.parametrize("header", [
+    '{"k":3,"p_max":9}',
+    '{"k":3,"p_max":9,"nodes":"12"}',
+    '{"k":3,"p_max":9,"nodes":true}',
+    '{"p_max":9,"nodes":12}',
+    '{"k":3,"p_max":9.0,"nodes":12}',
+    '[3,9,12]',
+])
+def test_checkpoint_bad_header_is_format_error(tmp_path, header):
+    path = tmp_path / "ck.log"
+    path.write_text(f"mifsearch-v1 {header}\nF 0,1,2\n")
+    with pytest.raises(FormatError):
+        read_checkpoint(path, 3, 9)
+
+
+def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
+    path = tmp_path / "ck.log"
+    write_checkpoint(path, 3, 9, 7, [((0, 1, 2),)], [])
+    before = path.read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("miflab.search.os.fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        write_checkpoint(path, 3, 9, 99, [((0, 1, 2), (0, 3, 4))], [])
+    assert path.read_bytes() == before
+    assert read_checkpoint(path, 3, 9) == (7, [((0, 1, 2),)], [])
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.log"]
+
+
 def test_parallel_refuses_checkpointing(tmp_path):
     with pytest.raises(ParameterOutOfRangeError):
         enumerate_mifs(3, 9, workers=2, checkpoint_path=tmp_path / "x.log")
