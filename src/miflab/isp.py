@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 
 from .errors import (EmptyBlockError, EmptyFamilyError, FormatError, InvalidIspError,
                      NotUniformError, VerificationError)
-from .family import Family, mask_of
-from .transversal import tau, transversal_family
+from .family import Family, bits_of, mask_of
+from .transversal import _hitting_sets, transversal_family
 
 
 class SetPairSystem:
@@ -169,19 +169,18 @@ def extract_isp(family: Family) -> SetPairSystem:
         raise NotUniformError("set-pair extraction needs a uniform family")
     full_report = transversal_family(family)
     t = full_report.tau
-    current = list(family.blocks)
-    for b in family.blocks:
-        trial = [x for x in current if x != b]
-        if tau(Family(trial, family.universe_size)) == t:
+    current = list(family.masks)
+    for m in family.masks:
+        trial = [x for x in current if x != m]
+        if _hitting_sets(trial, False, t - 1)[0] == t:
             current = trial
     pairs = []
-    for b in current:
-        rest = Family([x for x in current if x != b], family.universe_size)
-        rep = transversal_family(rest)
-        if rep.tau != t - 1:
+    for m in current:
+        rest_tau, found, _ = _hitting_sets([x for x in current if x != m], True, t - 1)
+        if rest_tau != t - 1:
             raise VerificationError(
-                f"minimal subfamily violated: dropping a block gave tau {rep.tau}, want {t - 1}")
-        pairs.append((b, rep.transversals.blocks[0]))
+                f"minimal subfamily violated: dropping a block gave tau {rest_tau}, want {t - 1}")
+        pairs.append((bits_of(m), min(bits_of(x) for x in found)))
     system = SetPairSystem(pairs, k=k, t=t - 1)
     verdict = validate_isp(system)
     if not verdict:

@@ -153,11 +153,22 @@ def _blocks_to_record(blocks: Blocks) -> str:
     return "|".join(",".join(map(str, b)) for b in blocks)
 
 
-def _record_to_blocks(record: str) -> Blocks:
+def _record_to_blocks(record: str, k: int, p_max: int) -> Blocks:
+    """Parse a record of a node or a result of the search: strictly
+    increasing k-sets of points below p_max, in strictly increasing order,
+    the first one being the root block (0, ..., k-1)."""
     try:
-        return tuple(tuple(int(x) for x in part.split(",")) for part in record.split("|"))
+        blocks = tuple(tuple(int(x) for x in part.split(",")) for part in record.split("|"))
     except ValueError as exc:
         raise FormatError(f"bad checkpoint record {record!r}") from exc
+    if not (blocks[0] == tuple(range(k))
+            and all(len(b) == k and 0 <= b[0] and b[-1] < p_max
+                    and all(x < y for x, y in zip(b, b[1:])) for b in blocks)
+            and all(a < b for a, b in zip(blocks, blocks[1:]))):
+        raise FormatError(
+            f"bad checkpoint record {record!r}: want increasing {k}-sets of points "
+            f"below {p_max} in increasing order, starting with {list(range(k))}")
+    return blocks
 
 
 def write_checkpoint(path, k: int, p_max: int, nodes: int,
@@ -206,9 +217,9 @@ def read_checkpoint(path, k: int, p_max: int):
             continue
         tag, _, rest = line.partition(" ")
         if tag == "F":
-            pending.append(_record_to_blocks(rest))
+            pending.append(_record_to_blocks(rest, k, p_max))
         elif tag == "M":
-            found.append(_record_to_blocks(rest))
+            found.append(_record_to_blocks(rest, k, p_max))
         else:
             raise FormatError(f"line {lineno}: unknown checkpoint tag {tag!r}")
     return header["nodes"], pending, found

@@ -1,10 +1,26 @@
 """Exact minimum blocking sets and their complete enumeration.
 
-The optimizer is a branch-and-bound: at every node some block is disjoint
-from the partial hitting set (otherwise the partial set already blocks),
-and branching on that block's points covers every extension.  A second
-bounded DFS at exactly the optimal depth then collects all minimum
-blocking sets; a subset-scan oracle double-checks both at small scale.
+One iterative branch-and-bound, ``_hitting_sets``, serves ``tau``,
+``transversal_family`` and set-pair extraction.  A node is a partial set
+of chosen points plus a set of forbidden points.  Its uncovered blocks are
+kept with the forbidden points cleared; a block left with no point kills
+the node, and a node with no uncovered block is a hitting set.  Otherwise
+the node branches on its smallest uncovered block ``p1..pr``: child ``i``
+takes ``pi`` and forbids ``p1..p(i-1)``.  A hitting set that extends the
+node contains a least ``pi`` and matches child ``i`` only, so the children
+partition the hitting sets below their parent.  Each minimum hitting set
+is therefore reached exactly once, at the leaf where its last point is
+chosen, and no memo of visited sets is needed.  A child's uncovered list
+is its parent's, filtered by the new point.
+
+The lower bound is a greedy packing of pairwise-disjoint uncovered blocks,
+each of which needs its own point.  Points are tried in order of how many
+uncovered blocks they hit, so the first dive finds a good incumbent.  The
+two prune modes differ only in ties: the ``tau`` path looks for a strictly
+smaller set (prune when ``depth + bound >= best``), while the collecting
+path keeps ties (prune when ``depth + bound > best``) and so gathers every
+minimum set in the same pass.  A subset-scan oracle double-checks both at
+small scale.
 """
 
 from __future__ import annotations
@@ -28,22 +44,6 @@ class TransversalReport:
     nodes: int
 
 
-def _greedy_upper_bound(masks: tuple[int, ...]) -> int:
-    """Deterministic greedy cover size; a valid upper bound for tau."""
-    uncovered = list(masks)
-    size = 0
-    while uncovered:
-        points: dict[int, int] = {}
-        for m in uncovered:
-            for p in bits_of(m):
-                points[p] = points.get(p, 0) + 1
-        best_p = min(points, key=lambda p: (-points[p], p))
-        bit = 1 << best_p
-        uncovered = [m for m in uncovered if not m & bit]
-        size += 1
-    return size
-
-
 def _disjoint_lower_bound(uncovered: list[int]) -> int:
     """Count of pairwise-disjoint uncovered blocks; each needs its own point."""
     union = 0
@@ -55,65 +55,51 @@ def _disjoint_lower_bound(uncovered: list[int]) -> int:
     return count
 
 
-def _pick_branch_block(uncovered: list[int]) -> int:
-    """Smallest uncovered block, ties by position in the family order."""
-    best = uncovered[0]
-    best_size = best.bit_count()
-    for m in uncovered[1:]:
-        s = m.bit_count()
-        if s < best_size:
-            best, best_size = m, s
-    return best
+def _hitting_sets(masks, collect: bool,
+                  limit: int | None = None) -> tuple[int, list[int], int]:
+    """Minimum hitting-set size, the masks of the hitting sets found at that
+    size, and the node count.
 
-
-def _min_hitting_size(masks: tuple[int, ...], counter: list[int]) -> int:
-    best = _greedy_upper_bound(masks)
-    seen: set[int] = set()
-
-    def dfs(chosen: int, depth: int) -> None:
-        nonlocal best
-        counter[0] += 1
-        uncovered = [m for m in masks if not m & chosen]
+    Only sets of at most ``limit`` points are sought (by default every block
+    count will do); when none exists the size reported is ``limit + 1``.
+    With ``collect`` every minimum set is returned, otherwise the first one
+    that reached the optimum.  Blocks must be non-empty."""
+    top = len(masks) if limit is None else limit
+    best = top if collect else top + 1
+    slack = 0 if collect else 1     # collect keeps ties with the incumbent
+    found: list[int] = []
+    nodes = 0
+    # (chosen points, their count, the parent's uncovered blocks with its
+    # forbidden points cleared, the point taken, the points now forbidden)
+    stack = [(0, 0, list(masks), 0, 0)]
+    while stack:
+        chosen, depth, parent, bit, forbid = stack.pop()
+        nodes += 1
+        if depth + slack > best:
+            continue
+        keep = ~forbid
+        uncovered = [m & keep for m in parent if not m & bit]
+        if 0 in uncovered:      # a block lost its last point to the forbidden ones
+            continue
         if not uncovered:
             if depth < best:
-                best = depth
-            return
-        if depth + _disjoint_lower_bound(uncovered) >= best:
-            return
-        if chosen in seen:
-            return
-        seen.add(chosen)
-        for p in bits_of(_pick_branch_block(uncovered)):
-            dfs(chosen | (1 << p), depth + 1)
-
-    dfs(0, 0)
-    return best
-
-
-def _enumerate_hitting(masks: tuple[int, ...], size: int, counter: list[int]) -> list[int]:
-    found: set[int] = set()
-    seen: set[int] = set()
-
-    def dfs(chosen: int, depth: int) -> None:
-        counter[0] += 1
-        uncovered = [m for m in masks if not m & chosen]
-        if depth == size:
-            if not uncovered:
-                found.add(chosen)
-            return
-        if not uncovered:
-            # cannot happen when size is the true minimum
-            raise VerificationError("blocking set below the computed minimum size")
-        if _disjoint_lower_bound(uncovered) > size - depth:
-            return
-        if chosen in seen:
-            return
-        seen.add(chosen)
-        for p in bits_of(_pick_branch_block(uncovered)):
-            dfs(chosen | (1 << p), depth + 1)
-
-    dfs(0, 0)
-    return sorted(found)
+                best, found = depth, [chosen]
+            else:
+                found.append(chosen)
+            continue
+        if depth + _disjoint_lower_bound(uncovered) + slack > best:
+            continue
+        block = min(uncovered, key=int.bit_count)
+        # most uncovered blocks hit first; sum(...) >> p counts them
+        points = sorted(bits_of(block),
+                        key=lambda p: -(sum(map((1 << p).__and__, uncovered)) >> p))
+        excluded = 0
+        children = []
+        for p in points:
+            children.append((chosen | 1 << p, depth + 1, uncovered, 1 << p, excluded))
+            excluded |= 1 << p
+        stack.extend(reversed(children))
+    return (best if found else top + 1), found, nodes
 
 
 def tau(family: Family) -> int | float:
@@ -127,8 +113,8 @@ def tau_with_nodes(family: Family) -> tuple[int | float, int]:
         return 0, 0
     if family.has_empty_block():
         return INFINITE_TAU, 0
-    counter = [0]
-    return _min_hitting_size(family.masks, counter), counter[0]
+    t, _, nodes = _hitting_sets(family.masks, False)
+    return t, nodes
 
 
 def _empty_family_report(family: Family) -> TransversalReport:
@@ -142,16 +128,14 @@ def transversal_family(family: Family) -> TransversalReport:
         raise EmptyBlockError("family contains the empty block; no blocking set exists")
     if not family.blocks:
         return _empty_family_report(family)
-    counter = [0]
-    t = _min_hitting_size(family.masks, counter)
-    solutions = _enumerate_hitting(family.masks, t, counter)
+    t, solutions, nodes = _hitting_sets(family.masks, True)
     k = family.uniform_block_size()
     if k is not None and len(solutions) > k ** t:
         raise VerificationError(
             f"{len(solutions)} transversals exceed the bound {k}^{t}")
     transversals = Family([bits_of(m) for m in solutions], family.universe_size,
                           family.labels)
-    return TransversalReport(t, transversals, counter[0])
+    return TransversalReport(t, transversals, nodes)
 
 
 def brute_force_transversals(family: Family) -> TransversalReport:

@@ -186,6 +186,15 @@ def test_search_mif_budget_exit(capsys, tmp_path):
     assert code == 0 and json.loads(out)["max_points"] == 7
 
 
+def test_search_mif_bad_checkpoint_record_exit(capsys, tmp_path):
+    ck = tmp_path / "ck.log"
+    run(capsys, "search", "mif", "--k", "3", "--budget", "10", "--checkpoint", str(ck))
+    header = ck.read_text().splitlines()[0]
+    ck.write_text(header + "\nF 0,1\n")
+    code, _, err = run(capsys, "search", "mif", "--k", "3", "--resume", str(ck))
+    assert code == 2 and "checkpoint record" in err
+
+
 def test_search_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("MIFLAB_BUDGET", "5")
     code, _, err = run(capsys, "search", "mif", "--k", "3")

@@ -1,15 +1,17 @@
 import json
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from miflab.constructions import bg_family, projective_plane
+from miflab.constructions import bg_family, complete_family, projective_plane
 from miflab.errors import (EmptyBlockError, EmptyFamilyError, FormatError,
                            InvalidIspError, NotUniformError)
 from miflab.family import Family
 from miflab.isp import SetPairSystem, bollobas_sum, extract_isp, validate_isp
-from miflab.transversal import tau, transversal_family
+from miflab.transversal import brute_force_transversals, tau, transversal_family
+from miflab.verify import random_uniform_family
 
 
 def test_validate_tight_pair_system():
@@ -144,3 +146,35 @@ def test_json_rejects_malformed():
 def test_json_rejects_bool_as_integer(text):
     with pytest.raises(FormatError):
         SetPairSystem.from_json(text)
+
+
+def reference_extract_isp(family: Family) -> SetPairSystem:
+    """The greedy deletion and pairing of extract_isp, spelled out on
+    Family objects and the subset-scan oracle (at most 20 points)."""
+    def oracle(blocks):
+        return brute_force_transversals(Family(blocks, family.universe_size))
+
+    t = oracle(family.blocks).tau
+    current = list(family.blocks)
+    for b in family.blocks:
+        trial = [x for x in current if x != b]
+        if oracle(trial).tau == t:
+            current = trial
+    pairs = []
+    for b in current:
+        rep = oracle([x for x in current if x != b])
+        assert rep.tau == t - 1
+        pairs.append((b, rep.transversals.blocks[0]))
+    return SetPairSystem(pairs, k=len(family.blocks[0]), t=t - 1)
+
+
+def test_extract_matches_reference():
+    # bg(5,3) and bg(5,4) have 21 and 42 points, beyond the oracle's guard
+    families = [complete_family(k) for k in (3, 4, 5)]
+    families += [projective_plane(2), projective_plane(3)]
+    families += [bg_family(k, t).family for k, t in ((3, 2), (4, 2), (4, 3), (5, 2))]
+    rng = random.Random(4242)
+    families += [random_uniform_family(rng, (2, 3, 4)[i % 3], max_points=10)
+                 for i in range(100)]
+    for fam in families:
+        assert extract_isp(fam).to_json() == reference_extract_isp(fam).to_json()

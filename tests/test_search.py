@@ -187,6 +187,22 @@ def test_checkpoint_bad_header_is_format_error(tmp_path, header):
         read_checkpoint(path, 3, 9)
 
 
+@pytest.mark.parametrize("record", [
+    "F 0,1",            # a block that is no 3-set: resumed as 1 node, 0 families
+    "F 0,1,2|0,1,99",   # a point beyond p_max: resumed as 0 families
+    "M 5,4,3",          # an unsorted block: reported as a family on 3 points
+    "F 0,1,2|0,1,2",    # blocks not strictly increasing
+    "F 0,1,3",          # first block is not the root block
+    "M 0,1,2|0,-1,3",   # a negative point
+    "F 0,1,2|0,3,3",    # a repeated point
+])
+def test_checkpoint_bad_record_is_format_error(tmp_path, record):
+    path = tmp_path / "ck.log"
+    path.write_text('mifsearch-v1 {"k":3,"p_max":9,"nodes":0}\n' + record + "\n")
+    with pytest.raises(FormatError):
+        enumerate_mifs(3, 9, resume_path=path)
+
+
 def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
     path = tmp_path / "ck.log"
     write_checkpoint(path, 3, 9, 7, [((0, 1, 2),)], [])

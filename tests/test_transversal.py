@@ -92,6 +92,7 @@ def test_differential_against_oracle():
         fast = transversal_family(fam)
         slow = brute_force_transversals(fam)
         assert fast.tau == slow.tau
+        assert tau(fam) == slow.tau
         assert fast.transversals.blocks == slow.transversals.blocks
         assert len(fast.transversals) <= k ** fast.tau
 
@@ -148,4 +149,14 @@ def test_differential_non_uniform_families():
         fast = transversal_family(fam)
         slow = brute_force_transversals(fam)
         assert fast.tau == slow.tau
+        assert tau(fam) == slow.tau
         assert fast.transversals.blocks == slow.transversals.blocks
+
+
+def test_deep_input_has_no_recursion_limit():
+    # one branching level per block: 1100 levels, beyond the default recursion limit
+    fam = Family([(i,) for i in range(1100)], 1100)
+    assert tau(fam) == 1100
+    rep = transversal_family(fam)
+    assert rep.tau == 1100
+    assert rep.transversals.blocks == (tuple(range(1100)),)
