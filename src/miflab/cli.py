@@ -188,49 +188,44 @@ def cmd_isp_extract(args) -> int:
     return EXIT_OK
 
 
-def _bounds_text(args) -> str:
-    table = bounds_mod.eval_bounds(args.k)
-    rows = [("el_lower", table.el_lower),
-            ("tuza_Nk_upper", table.tuza_nk_upper),
-            ("improved_upper", table.improved_upper),
-            ("half_central_binomial", table.half_central_binomial),
-            ("conjectured_N", table.conjectured_N),
-            ("main_upper", table.main_upper_expr)]
-    lines = [f"k = {table.k}"]
-    lines += [f"  {name:<24} {value}" for name, value in rows]
-    if args.t is not None:
-        k, t = args.k, args.t
-        lines.append(f"t = {t}")
-        lines.append(f"  {'bollobas_pair_bound':<24} {bounds_mod.bollobas_pair_bound(k, t)}")
-        if k >= t >= 1:
-            lines.append(f"  {'tuza_nkt_upper':<24} {bounds_mod.tuza_nkt_upper(k, t)}")
-        if k >= t + 2:
-            lines.append(f"  {'tuza_conjecture':<24} {bounds_mod.tuza_conjecture_value(k, t)}")
-        known = bounds_mod.TUZA_NKT_BOUNDARY_CASES.get((k, t))
-        if known is not None:
-            lines.append(f"  note: an explicit system with {known} points exists at "
-                         f"({k},{t}); the simplified sum is below it at this boundary")
+def _t_section(k: int, t: int) -> dict:
+    sub: dict = {"t": t, "bollobas_pair_bound": bounds_mod.bollobas_pair_bound(k, t)}
+    if k >= t >= 1:
+        sub["tuza_nkt_upper"] = bounds_mod.tuza_nkt_upper(k, t)
+    if k >= t + 2:
+        sub["tuza_conjecture"] = bounds_mod.tuza_conjecture_value(k, t)
+    known = bounds_mod.TUZA_NKT_BOUNDARY_CASES.get((k, t))
+    if known is not None:
+        sub["boundary_witness_points"] = known
+    return sub
+
+
+def _bounds_text(obj: dict) -> str:
+    lines = [f"k = {obj['k']}"]
+    lines += [f"  {name:<24} {obj[name]}" for name in
+              ("el_lower", "tuza_Nk_upper", "improved_upper",
+               "half_central_binomial", "conjectured_N")]
+    lines.append(f"  {'main_upper':<24} {obj['main_upper']['expr']}")
+    sub = obj.get("t_section")
+    if sub is not None:
+        lines.append(f"t = {sub['t']}")
+        lines += [f"  {name:<24} {sub[name]}" for name in
+                  ("bollobas_pair_bound", "tuza_nkt_upper", "tuza_conjecture") if name in sub]
+        if "boundary_witness_points" in sub:
+            lines.append(f"  note: an explicit system with {sub['boundary_witness_points']} "
+                         f"points exists at ({obj['k']},{sub['t']}); the simplified sum "
+                         f"is below it at this boundary")
     return "\n".join(lines) + "\n"
 
 
 def cmd_bounds(args) -> int:
-    if args.json or args.format == "json":
-        table = bounds_mod.eval_bounds(args.k)
-        obj = table.to_json_obj()
-        if args.t is not None:
-            k, t = args.k, args.t
-            sub: dict = {"t": t, "bollobas_pair_bound": bounds_mod.bollobas_pair_bound(k, t)}
-            if k >= t >= 1:
-                sub["tuza_nkt_upper"] = bounds_mod.tuza_nkt_upper(k, t)
-            if k >= t + 2:
-                sub["tuza_conjecture"] = bounds_mod.tuza_conjecture_value(k, t)
-            known = bounds_mod.TUZA_NKT_BOUNDARY_CASES.get((k, t))
-            if known is not None:
-                sub["boundary_witness_points"] = known
-            obj["t_section"] = sub
+    obj = bounds_mod.eval_bounds(args.k).to_json_obj()
+    if args.t is not None:
+        obj["t_section"] = _t_section(args.k, args.t)
+    if args.format == "json":
         print(json.dumps(obj, separators=(",", ":")))
     else:
-        sys.stdout.write(_bounds_text(args))
+        sys.stdout.write(_bounds_text(obj))
     return EXIT_OK
 
 
@@ -341,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="exact bound and conjecture values")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int)
-    p.add_argument("--json", action="store_true", help="emit the table as JSON")
     p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--json", dest="format", action="store_const", const="json",
+                   help="same as --format json")
     p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("search", help="exhaustive searches")

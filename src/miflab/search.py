@@ -32,14 +32,15 @@ from itertools import combinations
 from math import comb
 
 from .bounds import proven_point_cap
-from .canonical import CanonicalForm, _digest, is_least_labeling
+from .canonical import is_least_labeling
 from .errors import (BudgetExceededError, FormatError, ParameterOutOfRangeError,
                      UnsupportedKError, UnsupportedParamsError)
 from .family import Family, mask_of
 from .isp import SetPairSystem
 
 CHECKPOINT_MAGIC = "mifsearch-v1"
-_FRONTIER_TARGET = 64  # fixed so results and node counts ignore worker count
+_FRONTIER_TARGET = 16  # stack size at the parallel split; fixed so results
+                       # and node counts ignore the worker count
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -50,10 +51,11 @@ def _subsets(v: int, size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((c, mask_of(c)) for c in combinations(range(v), size))
 
 
-def _node_step(blocks: Blocks, masks: tuple[int, ...], v: int, k: int,
-               p_max: int) -> tuple[bool, list[Blocks]]:
+def _node_step(blocks: Blocks, k: int, p_max: int) -> tuple[bool, list[Blocks]]:
     """Classify one canonical node: (is maximal, canonical children)."""
     last = blocks[-1]
+    masks = tuple(mask_of(b) for b in blocks)
+    v = max(b[-1] for b in blocks) + 1
     block_masks = set(masks)
 
     # hitting subsets of the used points, by size
@@ -73,51 +75,61 @@ def _node_step(blocks: Blocks, masks: tuple[int, ...], v: int, k: int,
     if not small_hitter and not missing_k_hitter:
         return True, []  # maximal; and no extension of it can be
 
-    if threats:
-        escapes = [dm for cand, dm in _subsets(p_max, k)
-                   if cand > last and all(dm & bm for bm in masks)]
-        for tm in threats:
-            if not any(dm & tm == 0 for dm in escapes):
-                return False, []
+    # the blocks any descendant may still add, in ascending order
+    addable = [(cand, dm) for cand, dm in _subsets(p_max, k)
+               if cand > last and all(dm & bm for bm in masks)]
+    for tm in threats:
+        if not any(dm & tm == 0 for _, dm in addable):
+            return False, []
 
     children: list[Blocks] = []
-    for fresh in range(k + 1):
-        if v + fresh > p_max:
-            break
-        tail = tuple(range(v, v + fresh))
-        for old, om in _subsets(v, k - fresh):
-            cand = old + tail
-            if cand <= last:
-                continue
-            cm = om | mask_of(tail)
-            if all(cm & bm for bm in masks):
-                child = blocks + (cand,)
-                if is_least_labeling(child):
-                    children.append(child)
-    children.sort()
+    for cand, dm in addable:
+        fresh = dm >> v
+        if fresh & (fresh + 1) == 0:  # its new points are the next unused ids
+            child = blocks + (cand,)
+            if is_least_labeling(child):
+                children.append(child)
     return False, children
 
 
-def _run_subtree(args) -> tuple[list[Blocks], int]:
-    """Exhaust one subtree; returns (maximal families found, nodes)."""
-    root, k, p_max, budget = args
-    stack: list[Blocks] = [root]
-    found: list[Blocks] = []
-    nodes = 0
-    while stack:
+def _walk(stack: list[Blocks], found: list[Blocks], nodes: int, k: int, p_max: int,
+          budget: int | None, checkpoint_path=None, checkpoint_every: int = 0,
+          split: int | None = None) -> int:
+    """Expand the nodes on stack depth-first, appending the maximal
+    families to found; returns the node count, starting from nodes.
+
+    The budget is checked before each node: a stop writes the untouched
+    stack as the checkpoint and raises BudgetExceededError with the node
+    count, which is the budget unless the walk started beyond it.  With a
+    checkpoint path the stack and results are also written every
+    checkpoint_every nodes.  With split, the walk returns once the stack
+    holds that many nodes and leaves them on it."""
+    since_checkpoint = 0
+    while stack and (split is None or len(stack) < split):
+        if budget is not None and nodes >= budget:
+            if checkpoint_path:
+                write_checkpoint(checkpoint_path, k, p_max, nodes, stack, found)
+            raise BudgetExceededError(f"node budget {budget} exhausted", nodes=nodes,
+                                      checkpoint_path=checkpoint_path)
         blocks = stack.pop()
         nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(
-                f"subtree exceeded the node budget {budget}", nodes=nodes)
-        masks = tuple(mask_of(b) for b in blocks)
-        v = max(b[-1] for b in blocks) + 1
-        full, children = _node_step(blocks, masks, v, k, p_max)
+        full, children = _node_step(blocks, k, p_max)
         if full:
             found.append(blocks)
         else:
             stack.extend(reversed(children))
-    return found, nodes
+        since_checkpoint += 1
+        if checkpoint_path and since_checkpoint >= checkpoint_every:
+            write_checkpoint(checkpoint_path, k, p_max, nodes, stack, found)
+            since_checkpoint = 0
+    return nodes
+
+
+def _run_subtree(args) -> tuple[list[Blocks], int]:
+    """Pool task: exhaust one subtree; returns (maximal families, nodes)."""
+    root, k, p_max, budget = args
+    found: list[Blocks] = []
+    return found, _walk([root], found, 0, k, p_max, budget)
 
 
 @dataclass(frozen=True)
@@ -128,11 +140,6 @@ class SearchResult:
     max_points: int
     counts_by_point_count: dict[int, int]
     nodes: int
-
-    @property
-    def canonical_mifs(self) -> tuple[CanonicalForm, ...]:
-        # emitted families are already least-labeled
-        return tuple(CanonicalForm(f.blocks, _digest(f.blocks)) for f in self.families)
 
     def to_json_obj(self) -> dict:
         return {
@@ -231,13 +238,16 @@ def enumerate_mifs(k: int, p_max: int, *, budget: int | None = None,
     """All maximal intersecting k-uniform families on at most p_max points,
     one representative per isomorphism class.
 
-    Budget counts visited tree nodes.  With a checkpoint path the pending
-    stack and results are written every checkpoint_every nodes and on
-    budget exhaustion; a resume path continues such a run.  With
-    workers > 1 fixed top subtrees are solved in a process pool and merged
-    into sorted order, so the result and node count do not depend on the
-    worker count; checkpointing is serial-only and the budget then caps
-    each subtree rather than the whole run."""
+    Budget counts visited tree nodes, and a stop reports exactly the
+    budget.  With a checkpoint path the pending stack and results are
+    written every checkpoint_every nodes and on budget exhaustion; a
+    resume path continues such a run.  With workers > 1 the depth-first
+    walk splits once its stack holds a fixed number of nodes, and the
+    subtrees of those nodes are solved in a process pool and merged into
+    sorted order, so the result and node count do not depend on the
+    worker count.  Checkpointing is serial-only.  The nodes visited before
+    the split count against the budget, and each subtree then gets the
+    full budget of its own."""
     if k not in (2, 3):
         raise UnsupportedKError(f"exhaustive search supports k in {{2, 3}}, got {k}")
     if p_max < 2 * k - 1:
@@ -253,48 +263,15 @@ def enumerate_mifs(k: int, p_max: int, *, budget: int | None = None,
     else:
         nodes, stack, found = 0, [root], []
 
-    if workers <= 1:
-        since_checkpoint = 0
-        while stack:
-            blocks = stack.pop()
-            nodes += 1
-            since_checkpoint += 1
-            if budget is not None and nodes > budget:
-                if checkpoint_path:
-                    write_checkpoint(checkpoint_path, k, p_max, nodes - 1,
-                                     stack + [blocks], found)
-                raise BudgetExceededError(
-                    f"node budget {budget} exhausted", nodes=nodes - 1,
-                    checkpoint_path=checkpoint_path)
-            masks = tuple(mask_of(b) for b in blocks)
-            v = max(b[-1] for b in blocks) + 1
-            full, children = _node_step(blocks, masks, v, k, p_max)
-            if full:
-                found.append(blocks)
-            else:
-                stack.extend(reversed(children))
-            if checkpoint_path and since_checkpoint >= checkpoint_every:
-                write_checkpoint(checkpoint_path, k, p_max, nodes, stack, found)
-                since_checkpoint = 0
-    else:
-        # expand a fixed frontier, then farm out subtrees
-        frontier = list(stack)
-        while frontier and len(frontier) < _FRONTIER_TARGET:
-            blocks = frontier.pop(0)
-            nodes += 1
-            masks = tuple(mask_of(b) for b in blocks)
-            v = max(b[-1] for b in blocks) + 1
-            full, children = _node_step(blocks, masks, v, k, p_max)
-            if full:
-                found.append(blocks)
-            else:
-                frontier.extend(children)
-        if frontier:
-            tasks = [(blocks, k, p_max, budget) for blocks in frontier]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for sub_found, sub_nodes in pool.map(_run_subtree, tasks):
-                    found.extend(sub_found)
-                    nodes += sub_nodes
+    split = _FRONTIER_TARGET if workers > 1 else None
+    nodes = _walk(stack, found, nodes, k, p_max, budget,
+                  checkpoint_path, checkpoint_every, split)
+    if stack:  # a split: the pending subtrees go to the pool
+        tasks = [(blocks, k, p_max, budget) for blocks in stack]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for sub_found, sub_nodes in pool.map(_run_subtree, tasks):
+                found.extend(sub_found)
+                nodes += sub_nodes
 
     families = sorted((Family(b, p_max) for b in set(found)),
                       key=lambda f: (f.point_count(), f.blocks))
@@ -305,13 +282,12 @@ def enumerate_mifs(k: int, p_max: int, *, budget: int | None = None,
     return SearchResult(k, p_max, tuple(families), max_points, counts, nodes)
 
 
-def compute_N(k: int, *, workers: int = 1, budget: int | None = None) -> int:
+def compute_N(k: int) -> int:
     """Maximum point count of a maximal intersecting family of k-sets,
     recomputed by exhaustive search under a proven point cap."""
     if k not in (2, 3):
         raise UnsupportedKError(f"exhaustive recomputation supports k in {{2, 3}}, got {k}")
-    result = enumerate_mifs(k, proven_point_cap(k), workers=workers, budget=budget)
-    return result.max_points
+    return enumerate_mifs(k, proven_point_cap(k)).max_points
 
 
 # -- set-pair system search ----------------------------------------------
@@ -393,8 +369,7 @@ def search_isp(k: int, t: int, *, budget: int | None = _ISP_DEFAULT_BUDGET) -> I
     return IspSearchResult(k, t, best[0], witness, nodes[0])
 
 
-def compute_n(k: int, t: int, *, force: bool = False,
-              budget: int | None = _ISP_DEFAULT_BUDGET) -> int:
+def compute_n(k: int, t: int, *, force: bool = False) -> int:
     """Maximum point count of a set-pair system with sides (k, t), by
     exhaustive search.  Parameters outside the desk-scale whitelist are
     refused unless force=True (the node budget still guards the run)."""
@@ -402,4 +377,4 @@ def compute_n(k: int, t: int, *, force: bool = False,
         raise UnsupportedParamsError(
             f"({k}, {t}) is outside the whitelist {sorted(ISP_WHITELIST)}; "
             f"pass force=True to search anyway under the node budget")
-    return search_isp(k, t, budget=budget).max_points
+    return search_isp(k, t).max_points

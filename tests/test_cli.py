@@ -164,6 +164,14 @@ def test_bounds_json_flag(capsys):
     assert (obj["el_lower"], obj["tuza_Nk_upper"], obj["improved_upper"]) == (7, 12, 9)
 
 
+def test_bounds_json_flag_is_format_json(capsys):
+    code, flag, _ = run(capsys, "bounds", "--k", "2", "--t", "1", "--json")
+    assert code == 0
+    code, fmt, _ = run(capsys, "bounds", "--k", "2", "--t", "1", "--format", "json")
+    assert code == 0 and flag == fmt
+    assert json.loads(flag)["t_section"]["boundary_witness_points"] == 4
+
+
 def test_bounds_boundary_note(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "2", "--t", "1")
     assert code == 0 and "note:" in out
