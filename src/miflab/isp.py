@@ -70,8 +70,10 @@ class SetPairSystem:
             # type() and not isinstance(): JSON true is no integer
             if not (isinstance(entry, dict)
                     and all(isinstance(entry.get(side), list)
-                            and all(type(p) is int for p in entry[side]) for side in "AB")):
-                raise FormatError(f'pair {i} must be {{"A": [ints], "B": [ints]}}')
+                            and all(type(p) is int and p >= 0 for p in entry[side])
+                            for side in "AB")):
+                raise FormatError(
+                    f'pair {i} must be {{"A": [ints >= 0], "B": [ints >= 0]}}')
             pairs.append((entry["A"], entry["B"]))
         k = obj.get("k")
         t = obj.get("t")

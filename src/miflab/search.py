@@ -8,12 +8,15 @@ class of intersecting families then occurs at exactly one tree node, since
 deleting the largest block of a least-labeled family leaves a
 least-labeled family.
 
-Two observations keep the tree small.  A maximal family can never extend
-to another maximal family, so maximal nodes are leaves.  And if some small
-point set T hits every block of the current family, is not itself a block,
-can no longer be added (it precedes the last block), and every addable
-future block meets T, then T hits everything in every descendant, so no
-descendant is maximal and the node is pruned.
+Two tests keep the tree small; both ask the kernel of ``transversal.py``
+for the hitting sets of at most k used points.  A maximal family can never
+extend to another maximal family, so a node whose minimum hitting sets
+have k points and are exactly its blocks is a maximal leaf.  Otherwise let
+T hit the blocks and the used parts of the addable future blocks (T meets
+an addable block exactly when it meets that block's used part); T then
+hits every block of every descendant.  If T has fewer than k points, or is
+a non-block k-set that can no longer be added (it precedes the last
+block), no descendant is maximal and the node is pruned.
 
 Set-pair systems are searched directly over pair sequences: the pair count
 is capped by C(k+t, k), fresh points are introduced in first-use order,
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,8 +39,9 @@ from .bounds import proven_point_cap
 from .canonical import is_least_labeling
 from .errors import (BudgetExceededError, FormatError, ParameterOutOfRangeError,
                      UnsupportedKError, UnsupportedParamsError)
-from .family import Family, mask_of
+from .family import Family, bits_of, mask_of
 from .isp import SetPairSystem
+from .transversal import _hitting_sets
 
 CHECKPOINT_MAGIC = "mifsearch-v1"
 _FRONTIER_TARGET = 16  # stack size at the parallel split; fixed so results
@@ -54,33 +59,23 @@ def _subsets(v: int, size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 def _node_step(blocks: Blocks, k: int, p_max: int) -> tuple[bool, list[Blocks]]:
     """Classify one canonical node: (is maximal, canonical children)."""
     last = blocks[-1]
-    masks = tuple(mask_of(b) for b in blocks)
+    masks = [mask_of(b) for b in blocks]
     v = max(b[-1] for b in blocks) + 1
-    block_masks = set(masks)
 
-    # hitting subsets of the used points, by size
-    threats: list[int] = []          # hitting sets every descendant must dodge
-    small_hitter = False
-    missing_k_hitter = False
-    for size in range(1, k + 1):
-        for cand, cm in _subsets(v, size):
-            if all(cm & bm for bm in masks):
-                if size < k:
-                    small_hitter = True
-                    threats.append(cm)
-                elif cm not in block_masks:
-                    missing_k_hitter = True
-                    if cand <= last:
-                        threats.append(cm)
-    if not small_hitter and not missing_k_hitter:
+    # the blocks intersect, so at t = k each is a minimum hitting set and
+    # equal counts mean the blocks are all of them
+    t, hitters, _ = _hitting_sets(masks, True, k)
+    if t == k and len(hitters) == len(blocks):
         return True, []  # maximal; and no extension of it can be
 
     # the blocks any descendant may still add, in ascending order
     addable = [(cand, dm) for cand, dm in _subsets(p_max, k)
                if cand > last and all(dm & bm for bm in masks)]
-    for tm in threats:
-        if not any(dm & tm == 0 for _, dm in addable):
-            return False, []
+    # a set of used points meets an addable block iff it meets its used part
+    used = (1 << v) - 1
+    t, threats, _ = _hitting_sets(masks + [dm & used for _, dm in addable], True, k)
+    if t < k or any(tm not in masks and bits_of(tm) <= last for tm in threats):
+        return False, []
 
     children: list[Blocks] = []
     for cand, dm in addable:
@@ -137,9 +132,15 @@ class SearchResult:
     k: int
     universe_bound: int
     families: tuple[Family, ...]
-    max_points: int
-    counts_by_point_count: dict[int, int]
     nodes: int
+
+    @property
+    def max_points(self) -> int:
+        return max((f.point_count() for f in self.families), default=0)
+
+    @property
+    def counts_by_point_count(self) -> dict[int, int]:
+        return dict(Counter(f.point_count() for f in self.families))
 
     def to_json_obj(self) -> dict:
         return {
@@ -275,11 +276,7 @@ def enumerate_mifs(k: int, p_max: int, *, budget: int | None = None,
 
     families = sorted((Family(b, p_max) for b in set(found)),
                       key=lambda f: (f.point_count(), f.blocks))
-    counts: dict[int, int] = {}
-    for f in families:
-        counts[f.point_count()] = counts.get(f.point_count(), 0) + 1
-    max_points = max((f.point_count() for f in families), default=0)
-    return SearchResult(k, p_max, tuple(families), max_points, counts, nodes)
+    return SearchResult(k, p_max, tuple(families), nodes)
 
 
 def compute_N(k: int) -> int:

@@ -1,17 +1,19 @@
 """Exact minimum blocking sets and their complete enumeration.
 
 One iterative branch-and-bound, ``_hitting_sets``, serves ``tau``,
-``transversal_family`` and set-pair extraction.  A node is a partial set
-of chosen points plus a set of forbidden points.  Its uncovered blocks are
-kept with the forbidden points cleared; a block left with no point kills
-the node, and a node with no uncovered block is a hitting set.  Otherwise
-the node branches on its smallest uncovered block ``p1..pr``: child ``i``
-takes ``pi`` and forbids ``p1..p(i-1)``.  A hitting set that extends the
-node contains a least ``pi`` and matches child ``i`` only, so the children
-partition the hitting sets below their parent.  Each minimum hitting set
-is therefore reached exactly once, at the leaf where its last point is
-chosen, and no memo of visited sets is needed.  A child's uncovered list
-is its parent's, filtered by the new point.
+``transversal_family``, set-pair extraction and the node step of the
+orderly family search (its maximality test and threat prune).  A node is a
+partial set of chosen points plus a set of forbidden points.  Its
+uncovered blocks are kept with the forbidden points cleared; a block left
+with no point kills the node, and a node with no uncovered block is a
+hitting set.  Otherwise the node branches on its smallest uncovered block
+``p1..pr``: child ``i`` takes ``pi`` and forbids ``p1..p(i-1)``.  A
+hitting set that extends the node contains a least ``pi`` and matches
+child ``i`` only, so the children partition the hitting sets below their
+parent.  Each minimum hitting set is therefore reached exactly once, at
+the leaf where its last point is chosen, and no memo of visited sets is
+needed.  A child's uncovered list is its parent's, filtered by the new
+point.
 
 The lower bound is a greedy packing of pairwise-disjoint uncovered blocks,
 each of which needs its own point.  Points are tried in order of how many

@@ -284,12 +284,11 @@ def render_text(report: VerifyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(report: VerifyReport, include_timing: bool = True) -> str:
-    obj: dict = {
+def render_json(report: VerifyReport) -> str:
+    obj = {
         "items": [{"index": i.index, "name": i.name, "status": i.status,
                    "detail": i.detail} for i in report.items],
         "all_pass": report.all_pass,
+        "timing": report.timings,
     }
-    if include_timing:
-        obj["timing"] = report.timings
     return json.dumps(obj, separators=(",", ":"))

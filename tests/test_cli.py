@@ -150,6 +150,13 @@ def test_isp_validate_negative(capsys, tmp_path):
     assert json.loads(out)["violation"] == [0, 1, "disjoint"]
 
 
+def test_isp_validate_negative_point_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "neg.json"
+    path.write_text('{"pairs":[{"A":[-1],"B":[2]},{"A":[2],"B":[-1]}]}')
+    code, _, err = run(capsys, "isp-validate", str(path))
+    assert code == 2 and "error" in err
+
+
 def test_bounds_text_table(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "3")
     assert code == 0

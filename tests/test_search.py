@@ -1,9 +1,11 @@
+import random
 import sys
 from itertools import combinations
 from math import comb
 
 import pytest
 
+from miflab import search
 from miflab.bounds import improved_upper, tuza_conjecture_value, tuza_nkt_upper
 from miflab.canonical import canonicalize, least_block_list
 from miflab.constructions import complete_family, projective_plane
@@ -12,8 +14,8 @@ from miflab.errors import (BudgetExceededError, FormatError, ParameterOutOfRange
 from miflab.family import mask_of
 from miflab.isp import bollobas_sum, validate_isp
 from miflab.mif import is_mif, is_one_critical
-from miflab.search import (_FRONTIER_TARGET, _walk, compute_n, compute_N, enumerate_mifs,
-                           read_checkpoint, search_isp, write_checkpoint)
+from miflab.search import (_FRONTIER_TARGET, _node_step, _walk, compute_n, compute_N,
+                           enumerate_mifs, read_checkpoint, search_isp, write_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,81 @@ def oracle_mif_classes(v, k=3):
 
     bron_kerbosch(set(), set(range(n)), set())
     return out
+
+
+def reference_node_step(blocks, k, p_max):
+    """Oracle for _node_step: scan every subset of at most k used points
+    against every block, with no hitting-set search."""
+    last = blocks[-1]
+    masks = tuple(mask_of(b) for b in blocks)
+    v = max(b[-1] for b in blocks) + 1
+    block_masks = set(masks)
+    threats = []          # hitting sets every descendant must dodge
+    small_hitter = False
+    missing_k_hitter = False
+    for size in range(1, k + 1):
+        for cand in combinations(range(v), size):
+            cm = mask_of(cand)
+            if all(cm & bm for bm in masks):
+                if size < k:
+                    small_hitter = True
+                    threats.append(cm)
+                elif cm not in block_masks:
+                    missing_k_hitter = True
+                    if cand <= last:
+                        threats.append(cm)
+    if not small_hitter and not missing_k_hitter:
+        return True, []
+    addable = [(cand, mask_of(cand)) for cand in combinations(range(p_max), k)
+               if cand > last and all(mask_of(cand) & bm for bm in masks)]
+    for tm in threats:
+        if not any(dm & tm == 0 for _, dm in addable):
+            return False, []
+    children = []
+    for cand, dm in addable:
+        fresh = dm >> v
+        if fresh & (fresh + 1) == 0:
+            child = blocks + (cand,)
+            if search.is_least_labeling(child):  # looked up so tests can patch it
+                children.append(child)
+    return False, children
+
+
+@pytest.mark.parametrize("k, p_max, total", [
+    (2, 3, 3), (2, 4, 4), (2, 5, 4),
+    (3, 5, 20), (3, 6, 97), (3, 7, 158), (3, 8, 182), (3, 9, 192),
+])
+def test_node_step_matches_subset_scan_on_whole_trees(k, p_max, total):
+    stack = [(tuple(range(k)),)]
+    nodes = 0
+    while stack:
+        blocks = stack.pop()
+        nodes += 1
+        step = _node_step(blocks, k, p_max)
+        assert step == reference_node_step(blocks, k, p_max), blocks
+        stack.extend(step[1])
+    assert nodes == total
+    assert enumerate_mifs(k, p_max).nodes == total
+
+
+def test_node_step_matches_subset_scan_on_random_descents(monkeypatch):
+    # every fresh-id child is kept, so the descents reach nodes that are
+    # not least-labeled, and k = 4, which the search refuses
+    monkeypatch.setattr(search, "is_least_labeling", lambda blocks: True)
+    rng = random.Random(20140)
+    steps = 0
+    for _ in range(1000):
+        k = rng.choice((2, 3, 4))
+        p_max = rng.randint(2 * k - 1, 2 * k + 4)
+        blocks = (tuple(range(k)),)
+        while True:
+            step = _node_step(blocks, k, p_max)
+            assert step == reference_node_step(blocks, k, p_max), (k, p_max, blocks)
+            steps += 1
+            if not step[1]:
+                break
+            blocks = rng.choice(step[1])
+    assert steps > 2500
 
 
 def test_k2_enumeration_is_the_triangle():
