@@ -229,35 +229,34 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def cmd_search(args) -> int:
-    budget = _default_budget(args)
-    if args.what == "mif":
-        p_max = args.max_points
-        if p_max is None:
-            p_max = bounds_mod.proven_point_cap(args.k)
-        result = enumerate_mifs(args.k, p_max, budget=budget,
-                                checkpoint_path=args.checkpoint,
-                                resume_path=args.resume, workers=args.workers)
-        if args.format == "json":
-            print(result.to_json())
-        else:
-            print(f"k {result.k}")
-            print(f"universe_bound {result.universe_bound}")
-            print(f"classes {len(result.families)}")
-            print(f"max_points {result.max_points}")
-            for v, c in sorted(result.counts_by_point_count.items()):
-                print(f"  on {v} points: {c}")
-            print(f"nodes {result.nodes}")
+def cmd_search_mif(args) -> int:
+    p_max = args.max_points
+    if p_max is None:
+        p_max = bounds_mod.proven_point_cap(args.k)
+    result = enumerate_mifs(args.k, p_max, budget=_default_budget(args),
+                            checkpoint_path=args.checkpoint,
+                            resume_path=args.resume, workers=args.workers)
+    if args.format == "json":
+        print(result.to_json())
     else:
-        if args.t is None:
-            raise MiflabError("search isp needs --t")
-        result = search_isp(args.k, args.t, budget=budget)
-        if args.format == "json":
-            print(result.to_json())
-        else:
-            print(f"n({result.k},{result.t}) {result.max_points}")
-            print(f"witness_pairs {len(result.witness.pairs)}")
-            print(f"nodes {result.nodes}")
+        print(f"k {result.k}")
+        print(f"universe_bound {result.universe_bound}")
+        print(f"classes {len(result.families)}")
+        print(f"max_points {result.max_points}")
+        for v, c in sorted(result.counts_by_point_count.items()):
+            print(f"  on {v} points: {c}")
+        print(f"nodes {result.nodes}")
+    return EXIT_OK
+
+
+def cmd_search_isp(args) -> int:
+    result = search_isp(args.k, args.t, budget=_default_budget(args))
+    if args.format == "json":
+        print(result.to_json())
+    else:
+        print(f"n({result.k},{result.t}) {result.max_points}")
+        print(f"witness_pairs {len(result.witness.pairs)}")
+        print(f"nodes {result.nodes}")
     return EXIT_OK
 
 
@@ -342,18 +341,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("search", help="exhaustive searches")
-    p.add_argument("what", choices=("mif", "isp"))
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int)
-    p.add_argument("--max-points", type=int, default=None,
-                   help="point cap for the family search (default: proven bound)")
-    p.add_argument("--budget", type=int, default=None,
-                   help="node budget (default MIFLAB_BUDGET or 10^9)")
-    p.add_argument("--checkpoint", default=None, help="checkpoint file to write")
-    p.add_argument("--resume", default=None, help="checkpoint file to resume from")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--format", choices=("text", "json"), default="json")
-    p.set_defaults(handler=cmd_search)
+    searches = p.add_subparsers(dest="what", required=True)
+    mif = searches.add_parser("mif", help="maximal intersecting families of k-sets")
+    isp = searches.add_parser("isp", help="set-pair systems with sides (k, t)")
+    for p in (mif, isp):
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--budget", type=int, default=None,
+                       help="node budget (default MIFLAB_BUDGET or 10^9)")
+        p.add_argument("--format", choices=("text", "json"), default="json")
+    isp.add_argument("--t", type=int, required=True)
+    isp.set_defaults(handler=cmd_search_isp)
+    mif.add_argument("--max-points", type=int, default=None,
+                     help="point cap for the family search (default: proven bound)")
+    mif.add_argument("--checkpoint", default=None, help="checkpoint file to write")
+    mif.add_argument("--resume", default=None, help="checkpoint file to resume from")
+    mif.add_argument("--workers", type=int, default=1)
+    mif.set_defaults(handler=cmd_search_mif)
 
     p = sub.add_parser("verify-paper", help="run the acceptance suite")
     p.add_argument("--skip", action="append", default=[], choices=("search",),

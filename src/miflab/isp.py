@@ -25,6 +25,11 @@ class SetPairSystem:
 
     def __init__(self, pairs: Iterable[tuple[Sequence[int], Sequence[int]]],
                  k: int | None = None, t: int | None = None):
+        pairs = [(tuple(a), tuple(b)) for a, b in pairs]
+        for i, (a, b) in enumerate(pairs):
+            # type() and not isinstance(): JSON true is no integer
+            if not all(type(p) is int and p >= 0 for p in a + b):
+                raise FormatError(f"pair {i}: point ids must be integers >= 0")
         self.pairs = tuple((tuple(sorted(a)), tuple(sorted(b))) for a, b in pairs)
         self.k = k
         self.t = t
@@ -67,13 +72,9 @@ class SetPairSystem:
             raise FormatError('ISP JSON must be an object with a "pairs" list')
         pairs = []
         for i, entry in enumerate(obj["pairs"]):
-            # type() and not isinstance(): JSON true is no integer
             if not (isinstance(entry, dict)
-                    and all(isinstance(entry.get(side), list)
-                            and all(type(p) is int and p >= 0 for p in entry[side])
-                            for side in "AB")):
-                raise FormatError(
-                    f'pair {i} must be {{"A": [ints >= 0], "B": [ints >= 0]}}')
+                    and all(isinstance(entry.get(side), list) for side in "AB")):
+                raise FormatError(f'pair {i} must be {{"A": [...], "B": [...]}}')
             pairs.append((entry["A"], entry["B"]))
         k = obj.get("k")
         t = obj.get("t")

@@ -95,31 +95,20 @@ def chromatic_class(family: Family) -> int:
         raise NotIntersectingError("chromatic classification needs an intersecting family")
     points = sorted(family.point_set())
     index = {p: i for i, p in enumerate(points)}
-    block_idx = [tuple(index[p] for p in b) for b in family.blocks]
+    ending = [[] for _ in points]  # each block under its last point
+    for b in family.blocks:
+        ending[index[b[-1]]].append([index[p] for p in b])
 
     colors = [-1] * len(points)
-
-    def ok_after(i: int) -> bool:
-        for blk in block_idx:
-            if max(blk) > i:
-                continue
-            first = colors[blk[0]]
-            if all(colors[j] == first for j in blk[1:]):
-                return False
-        return True
-
-    def assign(i: int) -> bool:
-        if i == len(points):
-            return True
-        choices = (0,) if i == 0 else (0, 1)  # first point fixed: halves the search
-        for c in choices:
-            colors[i] = c
-            if ok_after(i) and assign(i + 1):
-                return True
-        colors[i] = -1
-        return False
-
-    return 2 if assign(0) else 3
+    i = 0
+    while 0 <= i < len(points):
+        colors[i] += 1
+        if colors[i] > min(i, 1):  # first point fixed at 0: halves the search
+            colors[i] = -1
+            i -= 1
+        elif all(any(colors[j] != colors[i] for j in blk) for blk in ending[i]):
+            i += 1  # no block completed at point i is monochromatic
+    return 2 if i == len(points) else 3
 
 
 def merge(family: Family, alpha: int, beta: int) -> Family:

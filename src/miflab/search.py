@@ -21,7 +21,11 @@ block), no descendant is maximal and the node is pruned.
 Set-pair systems are searched directly over pair sequences: the pair count
 is capped by C(k+t, k), fresh points are introduced in first-use order,
 and the first pair is fixed, which quotients out enough symmetry at desk
-scale.
+scale.  One generator, ``_sides``, builds both sides of a new pair,
+fresh-rich first.  The walk keeps a stack of lazy child iterators, one
+per depth, so a node's children are built only as the walk reaches them.
+A node is counted before the budget is checked, so a stop reports
+budget + 1 nodes.
 """
 
 from __future__ import annotations
@@ -309,69 +313,65 @@ class IspSearchResult:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
+def _sides(v: int, size: int, avoid: int, must_meet):
+    """Sides of size points, fresh-rich first: size - fresh old points
+    below v that miss avoid, plus the fresh ids v, v+1, ...; yields
+    (points, mask, next unused id) for each side meeting every mask in
+    must_meet."""
+    for fresh in range(size, -1, -1):
+        tail = tuple(range(v, v + fresh))
+        tail_mask = mask_of(tail)
+        for old, old_mask in _subsets(v, size - fresh):
+            mask = old_mask | tail_mask
+            if not old_mask & avoid and all(mask & m for m in must_meet):
+                yield old + tail, mask, v + fresh
+
+
+def _isp_children(k: int, t: int, pairs, amasks, bmasks, u: int):
+    """The systems one pair longer, in search order: each new A meets
+    every old B, each new B misses its A and meets every old A."""
+    for a, am, ua in _sides(u, k, 0, bmasks):
+        for b, bm, ub in _sides(ua, t, am, amasks):
+            yield pairs + ((a, b),), amasks + (am,), bmasks + (bm,), ub
+
+
 def search_isp(k: int, t: int, *, budget: int | None = _ISP_DEFAULT_BUDGET) -> IspSearchResult:
     """Exhaustive maximum-point search over set-pair systems with sides
-    (k, t), at most C(k+t,k) pairs, points numbered by first use."""
+    (k, t), at most C(k+t,k) pairs, points numbered by first use.  A
+    budget stop reports budget + 1 nodes."""
     if k < 1 or t < 1:
         raise ParameterOutOfRangeError(f"set-pair search needs k, t >= 1, got ({k}, {t})")
     n_max = comb(k + t, k)
-    first = (tuple(range(k)), tuple(range(k, k + t)))
-    first_masks = (mask_of(first[0]), mask_of(first[1]))
-    state = [first_masks]
-    pair_tuples = [first]
-    best = [k + t, list(pair_tuples)]
-    nodes = [0]
     per_pair_gain = k + t - 2  # later pairs must reuse a point on each side
-
-    def dfs(u: int) -> None:
-        nodes[0] += 1
-        if budget is not None and nodes[0] > budget:
+    a, b = tuple(range(k)), tuple(range(k, k + t))
+    root = (((a, b),), (mask_of(a),), (mask_of(b),), k + t)
+    best_points, best_pairs = k + t, root[0]
+    nodes = 0
+    stack = [iter([root])]  # one lazy iterator of children per depth
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        pairs, _, _, u = node
+        nodes += 1
+        if budget is not None and nodes > budget:
             raise BudgetExceededError(f"set-pair search exceeded {budget} nodes",
-                                      nodes=nodes[0])
-        if u > best[0]:
-            best[0] = u
-            best[1] = list(pair_tuples)
-        depth = len(state)
-        if depth == n_max:
-            return
-        if u + (n_max - depth) * per_pair_gain <= best[0]:
-            return
-        bmasks = [bm for _, bm in state]
-        amasks = [am for am, _ in state]
-        for fresh_a in range(k, -1, -1):  # fresh-rich candidates first
-            a_tail = tuple(range(u, u + fresh_a))
-            a_tail_mask = mask_of(a_tail)
-            for a_old, a_old_mask in _subsets(u, k - fresh_a):
-                am = a_old_mask | a_tail_mask
-                if not all(am & bm for bm in bmasks):
-                    continue
-                ua = u + fresh_a
-                a_tuple = a_old + a_tail
-                for fresh_b in range(t, -1, -1):
-                    b_tail = tuple(range(ua, ua + fresh_b))
-                    b_tail_mask = mask_of(b_tail)
-                    pool = tuple(p for p in range(ua) if not am & (1 << p))
-                    for b_old in combinations(pool, t - fresh_b):
-                        bm = mask_of(b_old) | b_tail_mask
-                        if not all(om & bm for om in amasks):
-                            continue
-                        state.append((am, bm))
-                        pair_tuples.append((a_tuple, b_old + b_tail))
-                        dfs(ua + fresh_b)
-                        state.pop()
-                        pair_tuples.pop()
-
-    dfs(k + t)
-    witness = SetPairSystem(best[1], k=k, t=t)
-    return IspSearchResult(k, t, best[0], witness, nodes[0])
+                                      nodes=nodes)
+        if u > best_points:
+            best_points, best_pairs = u, pairs
+        depth = len(pairs)
+        if depth < n_max and u + (n_max - depth) * per_pair_gain > best_points:
+            stack.append(_isp_children(k, t, *node))
+    witness = SetPairSystem(best_pairs, k=k, t=t)
+    return IspSearchResult(k, t, best_points, witness, nodes)
 
 
-def compute_n(k: int, t: int, *, force: bool = False) -> int:
+def compute_n(k: int, t: int) -> int:
     """Maximum point count of a set-pair system with sides (k, t), by
     exhaustive search.  Parameters outside the desk-scale whitelist are
-    refused unless force=True (the node budget still guards the run)."""
-    if (k, t) not in ISP_WHITELIST and not force:
+    refused; search_isp searches any (k, t) under its node budget."""
+    if (k, t) not in ISP_WHITELIST:
         raise UnsupportedParamsError(
-            f"({k}, {t}) is outside the whitelist {sorted(ISP_WHITELIST)}; "
-            f"pass force=True to search anyway under the node budget")
+            f"({k}, {t}) is outside the whitelist {sorted(ISP_WHITELIST)}")
     return search_isp(k, t).max_points

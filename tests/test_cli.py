@@ -235,6 +235,22 @@ def test_search_isp(capsys):
     assert code == 0 and json.loads(out)["max_points"] == 6
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "isp", "--k", "2", "--t", "1", "--checkpoint", "ck.log", "--workers", "4",
+     "--max-points", "3"),
+    ("search", "mif", "--k", "2", "--t", "5"),
+    ("search", "isp", "--k", "2"),
+])
+def test_search_rejects_flags_of_the_other_search(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    assert code == 2 and "error" in capsys.readouterr().err
+    assert not (tmp_path / "ck.log").exists()
+
+
 def test_parse_error_reports_position(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"universe":3,"blocks":[[0,1]')

@@ -148,6 +148,16 @@ def test_json_rejects_bool_as_integer(text):
         SetPairSystem.from_json(text)
 
 
+@pytest.mark.parametrize("pairs", [
+    [((-1,), (2,)), ((2,), (-1,))],
+    [((0,), (True,))],
+    [((0, "1"), (2,))],
+])
+def test_constructor_rejects_bad_point_ids(pairs):
+    with pytest.raises(FormatError):
+        SetPairSystem(pairs)
+
+
 def reference_extract_isp(family: Family) -> SetPairSystem:
     """The greedy deletion and pairing of extract_isp, spelled out on
     Family objects and the subset-scan oracle (at most 20 points)."""

@@ -122,6 +122,12 @@ def test_chromatic_random_matches_oracle():
         checked += 1
 
 
+def test_chromatic_large_star_needs_no_recursion():
+    # the pairs {0, i} on 1100 points: 2-colourable, one point per search level
+    star = Family([(0, i) for i in range(1, 1100)], 1100)
+    assert chromatic_class(star) == 2
+
+
 def test_chromatic_errors():
     with pytest.raises(NotUniformError):
         chromatic_class(Family([[0, 1], [0, 1, 2]], 3))

@@ -12,10 +12,11 @@ from miflab.constructions import complete_family, projective_plane
 from miflab.errors import (BudgetExceededError, FormatError, ParameterOutOfRangeError,
                            UnsupportedKError, UnsupportedParamsError)
 from miflab.family import mask_of
-from miflab.isp import bollobas_sum, validate_isp
+from miflab.isp import SetPairSystem, bollobas_sum, validate_isp
 from miflab.mif import is_mif, is_one_critical
-from miflab.search import (_FRONTIER_TARGET, _node_step, _walk, compute_n, compute_N,
-                           enumerate_mifs, read_checkpoint, search_isp, write_checkpoint)
+from miflab.search import (_FRONTIER_TARGET, IspSearchResult, _node_step, _subsets, _walk,
+                           compute_n, compute_N, enumerate_mifs, read_checkpoint,
+                           search_isp, write_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -360,7 +361,7 @@ def test_n21_boundary_discrepancy():
 
 
 def test_isp_symmetry():
-    assert compute_n(1, 2, force=True) == compute_n(2, 1)
+    assert search_isp(1, 2).max_points == compute_n(2, 1)
 
 
 def test_isp_witness_is_valid():
@@ -380,7 +381,78 @@ def test_isp_pair_count_cap():
 def test_compute_n_whitelist():
     with pytest.raises(UnsupportedParamsError):
         compute_n(4, 2)
-    assert compute_n(2, 2, force=True) == 6
+    # outside the whitelist, search_isp still searches under its budget
+    assert search_isp(4, 1).max_points == isp_value_oracle_t1(4, comb(5, 4)) == 9
+
+
+def reference_search_isp(k, t, *, budget=50_000_000):
+    """Oracle for search_isp: the recursive search it replaced, with
+    hand-written candidate loops for each side of a new pair."""
+    n_max = comb(k + t, k)
+    first = (tuple(range(k)), tuple(range(k, k + t)))
+    state = [(mask_of(first[0]), mask_of(first[1]))]
+    pair_tuples = [first]
+    best = [k + t, list(pair_tuples)]
+    nodes = [0]
+    per_pair_gain = k + t - 2
+
+    def dfs(u):
+        nodes[0] += 1
+        if budget is not None and nodes[0] > budget:
+            raise BudgetExceededError(f"set-pair search exceeded {budget} nodes",
+                                      nodes=nodes[0])
+        if u > best[0]:
+            best[0] = u
+            best[1] = list(pair_tuples)
+        depth = len(state)
+        if depth == n_max:
+            return
+        if u + (n_max - depth) * per_pair_gain <= best[0]:
+            return
+        bmasks = [bm for _, bm in state]
+        amasks = [am for am, _ in state]
+        for fresh_a in range(k, -1, -1):
+            a_tail = tuple(range(u, u + fresh_a))
+            a_tail_mask = mask_of(a_tail)
+            for a_old, a_old_mask in _subsets(u, k - fresh_a):
+                am = a_old_mask | a_tail_mask
+                if not all(am & bm for bm in bmasks):
+                    continue
+                ua = u + fresh_a
+                a_tuple = a_old + a_tail
+                for fresh_b in range(t, -1, -1):
+                    b_tail = tuple(range(ua, ua + fresh_b))
+                    b_tail_mask = mask_of(b_tail)
+                    pool = tuple(p for p in range(ua) if not am & (1 << p))
+                    for b_old in combinations(pool, t - fresh_b):
+                        bm = mask_of(b_old) | b_tail_mask
+                        if not all(om & bm for om in amasks):
+                            continue
+                        state.append((am, bm))
+                        pair_tuples.append((a_tuple, b_old + b_tail))
+                        dfs(ua + fresh_b)
+                        state.pop()
+                        pair_tuples.pop()
+
+    dfs(k + t)
+    witness = SetPairSystem(best[1], k=k, t=t)
+    return IspSearchResult(k, t, best[0], witness, nodes[0])
+
+
+@pytest.mark.parametrize("k, t", [(2, 1), (3, 1), (2, 2), (1, 2), (1, 3), (4, 1)])
+def test_search_isp_matches_recursive_reference(k, t):
+    assert search_isp(k, t).to_json() == reference_search_isp(k, t).to_json()
+
+
+@pytest.mark.parametrize("budget", [1, 10, 3000])
+def test_search_isp_budget_stop_matches_recursive_reference(budget):
+    # a node is counted before the budget is checked: a stop reports budget + 1
+    stops = []
+    for run in (search_isp, reference_search_isp):
+        with pytest.raises(BudgetExceededError) as info:
+            run(3, 2, budget=budget)
+        stops.append(info.value.nodes)
+    assert stops == [budget + 1] * 2
 
 
 def test_isp_budget():
