@@ -27,6 +27,30 @@ that tie at the least key, with pruning against the best complete list
 found so far, therefore reaches the least list, and never branches over
 the orderings of the points inside a cell.  The branches live on an
 explicit stack, so deep inputs do not grow the Python stack.
+
+Finding automorphisms.  The search starts from the identity labeling's
+list as best and keeps the point order of the branch that set best.  A
+complete branch whose list equals best labels the blocks as best's
+labeling does, so the map sending the point at each position of best's
+order to the point at the same position of the branch's order is an
+automorphism of the family.  Every such map but the identity is stored.
+
+Skipping tied blocks by orbits.  Before a level emits its next tied block,
+it takes the stored automorphisms that fix every cell of its partition
+setwise, and skips the block if the group they generate maps it onto a
+block already tried at that level.  Why this keeps the exact least list:
+a block emitted above the level became a union of cells when it was
+emitted, and cells only split, so such an automorphism g fixes every
+emitted block and hence the set of remaining blocks.  It maps the tied
+block b onto a tied block g(b), and the cells left by emitting g(b) are
+the images under g of those left by emitting b, with the same starts and
+sizes.  Keys depend on cell starts alone, so the two subtrees produce the
+same lists, and the subtree of b, already walked, holds anything the
+subtree of g(b) could find: a smaller list, or in test mode a refutation.
+An automorphism that moves a point to another cell of the level is not
+used there, since it may map a tried block onto a block whose subtree
+produces other lists.  The bookkeeping starts with the first stored
+automorphism, so a family with a trivial group pays almost nothing for it.
 """
 
 from __future__ import annotations
@@ -65,17 +89,65 @@ def _split(order: list[int], cell: list[int], size: list[int], block: tuple[int,
             cell[p] = start + n_in
 
 
+def _close(covered: set[int], frontier: list[int], stab: list[list[int]],
+           members: tuple[tuple[int, ...], ...], by_mask: dict[int, int]) -> None:
+    """Add to covered the orbits of the frontier blocks under the group
+    that stab generates."""
+    while frontier:
+        b = members[frontier.pop()]
+        for g in stab:
+            image = by_mask[sum(1 << g[p] for p in b)]
+            if image not in covered:
+                covered.add(image)
+                frontier.append(image)
+
+
+def _in_tried_orbit(level: list, emit: int, autos: list[list[int]],
+                    members: tuple[tuple[int, ...], ...], by_mask: dict[int, int]) -> bool:
+    """True iff emit lies in the orbit of a candidate already tried at the
+    level, under the stored automorphisms that fix each of its cells."""
+    orbits = level[6]
+    if orbits is None:
+        # [automorphisms tested so far, those that fix every cell, the
+        # orbits of the tried candidates under them]
+        orbits = level[6] = [0, [], set()]
+    seen, stab, covered = orbits
+    if seen < len(autos):
+        cell = level[1]
+        new = [g for g in autos[seen:] if all(cell[q] == c for q, c in zip(g, cell))]
+        orbits[0] = len(autos)
+        if new:
+            frontier = list(covered) if stab else level[4][:level[5] - 1]
+            stab += new
+            covered.update(frontier)
+            _close(covered, frontier, stab, members, by_mask)
+    if not stab:
+        return False
+    if emit in covered:
+        return True
+    covered.add(emit)
+    _close(covered, [emit], stab, members, by_mask)
+    return False
+
+
 def _minimize(blocks: Sequence[Sequence[int]], test_only: bool) -> tuple[tuple[int, ...], ...] | bool:
-    ident = tuple(sorted({tuple(sorted(b)) for b in blocks}))
+    ident = tuple(sorted({tuple(sorted(set(b))) for b in blocks}))
     if not ident:
         return True if test_only else ()
     points = sorted({p for b in ident for p in b})
+    v = len(points)
+    if test_only and points != list(range(v)):
+        return False  # the least list labels its points 0..v-1
     index = {p: i for i, p in enumerate(points)}
     members = tuple(tuple(index[p] for p in b) for b in ident)
-    v = len(points)
 
     out: list[tuple[int, ...]] = []
-    best = list(ident)
+    # The identity labeling gives members; best_order is the point order
+    # of the labeling that gave best, and autos holds the automorphisms
+    # found so far, each as the list of point images.
+    best, best_order = list(members), list(range(v))
+    autos: list[list[int]] = []
+    by_mask: dict[int, int] = {}
     # The branch being explored: order lists the points by label position,
     # cell[p] is the start of p's cell, size[start] that cell's size, and
     # remaining holds the blocks not yet emitted.  It is a list, not a
@@ -84,12 +156,21 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool) -> tuple[tuple[i
     order, cell, size = list(range(v)), [0] * v, [v] + [0] * (v - 1)
     remaining = list(range(len(ident)))
     # One level per entry of out: the branch state before that entry was
-    # emitted and the tied blocks not yet tried there, last tried first.
+    # emitted, the blocks tied there, how many of them were taken, and the
+    # orbit bookkeeping of _in_tried_orbit.
     levels: list[list] = []
     while True:
         if not remaining:
             if out < best:
-                best = out[:]
+                best, best_order = out[:], order[:]
+            elif order != best_order:
+                # out == best: both labelings give the same list
+                g = [0] * v
+                for p, q in zip(best_order, order):
+                    g[p] = q
+                autos.append(g)
+                if not by_mask:
+                    by_mask = {sum(1 << p for p in b): bi for bi, b in enumerate(members)}
         else:
             # Blocks are ranked by the sorted cell starts of their points,
             # which orders them as their keys do; only the least is turned
@@ -114,20 +195,24 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool) -> tuple[tuple[i
             elif test_only and out < bound:
                 return False
             else:
-                cands.reverse()
-                levels.append([order, cell, size, remaining, cands])
-        while levels and not levels[-1][4]:
-            levels.pop()
-            out.pop()
-        if not levels:
-            return True if test_only else tuple(best)
-        level = levels[-1]
-        order, cell, size, remaining, untried = level
-        emit = untried.pop()
-        if untried:
+                levels.append([order, cell, size, remaining, cands, 0, None])
+        while True:
+            while levels and levels[-1][5] == len(levels[-1][4]):
+                levels.pop()
+                out.pop()
+            if not levels:
+                return True if test_only else tuple(best)
+            level = levels[-1]
+            taken = level[5]
+            emit = level[4][taken]
+            level[5] = taken + 1
+            if not (taken and autos and _in_tried_orbit(level, emit, autos, members, by_mask)):
+                break
+        order, cell, size, remaining = level[:4]
+        if level[5] < len(level[4]):
             order, cell, size = order[:], cell[:], size[:]
-        else:
-            level[:4] = None, None, None, None  # the last branch takes the lists over
+        else:  # the last branch takes the lists over
+            level[:4] = None, None, None, None
         _split(order, cell, size, members[emit])
         remaining = [bi for bi in remaining if bi != emit]
 

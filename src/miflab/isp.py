@@ -30,6 +30,8 @@ class SetPairSystem:
             # type() and not isinstance(): JSON true is no integer
             if not all(type(p) is int and p >= 0 for p in a + b):
                 raise FormatError(f"pair {i}: point ids must be integers >= 0")
+            if len(set(a)) < len(a) or len(set(b)) < len(b):
+                raise FormatError(f"pair {i}: a side repeats a point id")
         self.pairs = tuple((tuple(sorted(a)), tuple(sorted(b))) for a, b in pairs)
         self.k = k
         self.t = t

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations, permutations
 
+from miflab import canonical
 from miflab.canonical import canonicalize, is_least_labeling, least_block_list
 from miflab.constructions import bg_family, complete_family, projective_plane, triangle
 from miflab.family import Family
@@ -95,6 +96,77 @@ def tie_tree_minimize(blocks, test_only):
         return True
     dfs()
     return tuple(best)
+
+
+def _reference_split(order, cell, size, block):
+    parts = {}
+    for p in block:
+        parts.setdefault(cell[p], []).append(p)
+    for start, inside in parts.items():
+        n_in, total = len(inside), size[start]
+        if n_in == total:
+            continue
+        rest = [p for p in order[start:start + total] if p not in inside]
+        order[start:start + total] = inside + rest
+        size[start] = n_in
+        size[start + n_in] = total - n_in
+        for p in rest:
+            cell[p] = start + n_in
+
+
+def reference_cell_minimize(blocks, test_only):
+    """Reference: the cell search without automorphism pruning.  It walks
+    every block tied at the least key, so its cost still grows with the
+    automorphism group (K(4) takes seconds)."""
+    ident = tuple(sorted({tuple(sorted(set(b))) for b in blocks}))
+    if not ident:
+        return True if test_only else ()
+    points = sorted({p for b in ident for p in b})
+    index = {p: i for i, p in enumerate(points)}
+    members = tuple(tuple(index[p] for p in b) for b in ident)
+    v = len(points)
+
+    out = []
+    best = list(ident)
+    order, cell, size = list(range(v)), [0] * v, [v] + [0] * (v - 1)
+    remaining = list(range(len(ident)))
+    levels = []
+    while True:
+        if not remaining:
+            if out < best:
+                best = out[:]
+        else:
+            least = None
+            cands = []
+            for bi in remaining:
+                starts = sorted(cell[p] for p in members[bi])
+                if least is None or starts < least:
+                    least = starts
+                    cands = [bi]
+                elif starts == least:
+                    cands.append(bi)
+            for i in range(1, len(least)):
+                if least[i] <= least[i - 1]:
+                    least[i] = least[i - 1] + 1
+            out.append(tuple(least))
+            bound = best[:len(out)]
+            if out > bound:
+                out.pop()
+            elif test_only and out < bound:
+                return False
+            else:
+                cands.reverse()
+                levels.append([order, cell, size, remaining, cands])
+        while levels and not levels[-1][4]:
+            levels.pop()
+            out.pop()
+        if not levels:
+            return True if test_only else tuple(best)
+        order, cell, size, remaining, untried = levels[-1]
+        emit = untried.pop()
+        order, cell, size = order[:], cell[:], size[:]
+        _reference_split(order, cell, size, members[emit])
+        remaining = [bi for bi in remaining if bi != emit]
 
 
 def relabel(rng, blocks):
@@ -251,3 +323,66 @@ def test_deep_input_has_no_recursion_limit():
     assert least_block_list(shuffled) == least
     assert not is_least_labeling(shuffled)
     assert is_least_labeling(least)
+
+
+def shuffle_points(rng, blocks):
+    """The blocks under a seeded permutation of their points onto 0..v-1."""
+    points = sorted({p for b in blocks for p in b})
+    to = dict(zip(points, rng.sample(range(len(points)), len(points))))
+    return [tuple(to[p] for p in b) for b in blocks]
+
+
+def test_differential_symmetric_relabelings():
+    # families with large automorphism groups, where the orbit pruning
+    # skips most tied blocks; the reference walks every one of them, so it
+    # runs once per family, and a labeling is least iff it gives that list
+    rng = random.Random(1402)
+    plane = list(projective_plane(3).blocks)
+    bases = [list(complete_family(3).blocks), list(projective_plane(2).blocks), plane]
+    bases += [rng.sample(plane, len(plane) - removed) for removed in (1, 2, 3, 4)]
+    bases += [list(complete_family(4).blocks),
+              list(bg_family(4, 2).expected_transversals.blocks),
+              list(bg_family(4, 3).expected_transversals.blocks)]
+    for base in bases:
+        v = len({p for b in base for p in b})
+        shown = [relabel(rng, base)] + [shuffle_points(rng, base) for _ in range(3)]
+        expected = reference_cell_minimize(shown[0], False)
+        assert is_least_labeling(expected)
+        # the least form with two points swapped, which may or may not be
+        # least again
+        a, b = rng.sample(range(v), 2)
+        shown.append([tuple({a: b, b: a}.get(p, p) for p in blk) for blk in expected])
+        for blocks in shown:
+            assert least_block_list(blocks) == expected, blocks
+            as_labeled = tuple(sorted({tuple(sorted(b)) for b in blocks}))
+            assert is_least_labeling(blocks) == (as_labeled == expected), blocks
+
+
+def test_complete_family_5_least_form():
+    rng = random.Random(5)
+    k5 = list(complete_family(5).blocks)
+    forms = {least_block_list(shuffle_points(rng, k5)) for _ in range(3)}
+    assert len(forms) == 1
+    (form,) = forms
+    assert len(form) == 126 and is_least_labeling(form)
+
+
+def test_orbit_pruning_bounds_work_on_complete_family_4(monkeypatch):
+    # a deterministic work count: without the pruning this call splits
+    # cells 143 255 times
+    calls = [0]
+    split = canonical._split
+
+    def counting_split(*args):
+        calls[0] += 1
+        split(*args)
+
+    monkeypatch.setattr(canonical, "_split", counting_split)
+    least = least_block_list(complete_family(4).blocks)
+    assert calls[0] <= 2000
+    assert least == tuple(sorted(complete_family(4).blocks))
+
+
+def test_repeated_point_in_a_block_is_read_as_a_set():
+    assert least_block_list([(0, 0, 1), (1, 2, 3)]) == least_block_list([(0, 1), (1, 2, 3)])
+    assert is_least_labeling([(0, 0, 1), (1, 2, 3)]) == is_least_labeling([(0, 1), (1, 2, 3)])

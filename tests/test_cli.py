@@ -157,6 +157,14 @@ def test_isp_validate_negative_point_is_usage_error(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_isp_validate_repeated_point_is_usage_error(capsys, tmp_path):
+    # A = [0, 0] is the set {0}: counting it as two points gave sum 1/3
+    path = tmp_path / "repeat.json"
+    path.write_text('{"pairs":[{"A":[0,0],"B":[1]}]}')
+    code, out, err = run(capsys, "isp-validate", str(path))
+    assert code == 2 and "repeats" in err and out == ""
+
+
 def test_bounds_text_table(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "3")
     assert code == 0

@@ -152,6 +152,8 @@ def test_json_rejects_bool_as_integer(text):
     [((-1,), (2,)), ((2,), (-1,))],
     [((0,), (True,))],
     [((0, "1"), (2,))],
+    [((0, 0), (1,))],
+    [((0,), (1,)), ((1,), (2, 2))],
 ])
 def test_constructor_rejects_bad_point_ids(pairs):
     with pytest.raises(FormatError):
