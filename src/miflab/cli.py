@@ -58,16 +58,19 @@ def _tau_json_value(t):
     return "infinity" if t == INFINITE_TAU else t
 
 
-def _default_budget(args) -> int | None:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("MIFLAB_BUDGET")
-    if env is not None:
+def _default_budget(args) -> int:
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get("MIFLAB_BUDGET")
+        if env is None:
+            return DEFAULT_SEARCH_BUDGET
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise MiflabError(f"MIFLAB_BUDGET must be an integer, got {env!r}") from None
-    return DEFAULT_SEARCH_BUDGET
+    if budget < 0:
+        raise MiflabError(f"the node budget must not be negative, got {budget}")
+    return budget
 
 
 # -- command handlers -----------------------------------------------------
@@ -235,7 +238,7 @@ def cmd_search_mif(args) -> int:
         p_max = bounds_mod.proven_point_cap(args.k)
     result = enumerate_mifs(args.k, p_max, budget=_default_budget(args),
                             checkpoint_path=args.checkpoint,
-                            resume_path=args.resume, workers=args.workers)
+                            resume_path=args.resume)
     if args.format == "json":
         print(result.to_json())
     else:
@@ -261,8 +264,7 @@ def cmd_search_isp(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    report = build_report(skip=tuple(args.skip), workers=args.workers,
-                          fixtures_dir=args.fixtures)
+    report = build_report(skip=tuple(args.skip), fixtures_dir=args.fixtures)
     if args.format == "json":
         print(render_json(report))
     else:
@@ -355,13 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="point cap for the family search (default: proven bound)")
     mif.add_argument("--checkpoint", default=None, help="checkpoint file to write")
     mif.add_argument("--resume", default=None, help="checkpoint file to resume from")
-    mif.add_argument("--workers", type=int, default=1)
     mif.set_defaults(handler=cmd_search_mif)
 
     p = sub.add_parser("verify-paper", help="run the acceptance suite")
     p.add_argument("--skip", action="append", default=[], choices=("search",),
                    help="skip a criterion group (repeatable)")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--fixtures", default=None, help="fixtures directory override")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_verify_paper)
@@ -382,10 +382,7 @@ def main(argv=None) -> int:
         return EXIT_NEGATIVE
     except VerificationError:
         raise  # internal cross-check failure: crash with the traceback
-    except MiflabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (MiflabError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -48,8 +47,6 @@ from .isp import SetPairSystem
 from .transversal import _hitting_sets
 
 CHECKPOINT_MAGIC = "mifsearch-v1"
-_FRONTIER_TARGET = 16  # stack size at the parallel split; fixed so results
-                       # and node counts ignore the worker count
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -92,8 +89,7 @@ def _node_step(blocks: Blocks, k: int, p_max: int) -> tuple[bool, list[Blocks]]:
 
 
 def _walk(stack: list[Blocks], found: list[Blocks], nodes: int, k: int, p_max: int,
-          budget: int | None, checkpoint_path=None, checkpoint_every: int = 0,
-          split: int | None = None) -> int:
+          budget: int | None, checkpoint_path=None, checkpoint_every: int = 0) -> int:
     """Expand the nodes on stack depth-first, appending the maximal
     families to found; returns the node count, starting from nodes.
 
@@ -101,10 +97,9 @@ def _walk(stack: list[Blocks], found: list[Blocks], nodes: int, k: int, p_max: i
     stack as the checkpoint and raises BudgetExceededError with the node
     count, which is the budget unless the walk started beyond it.  With a
     checkpoint path the stack and results are also written every
-    checkpoint_every nodes.  With split, the walk returns once the stack
-    holds that many nodes and leaves them on it."""
+    checkpoint_every nodes."""
     since_checkpoint = 0
-    while stack and (split is None or len(stack) < split):
+    while stack:
         if budget is not None and nodes >= budget:
             if checkpoint_path:
                 write_checkpoint(checkpoint_path, k, p_max, nodes, stack, found)
@@ -122,13 +117,6 @@ def _walk(stack: list[Blocks], found: list[Blocks], nodes: int, k: int, p_max: i
             write_checkpoint(checkpoint_path, k, p_max, nodes, stack, found)
             since_checkpoint = 0
     return nodes
-
-
-def _run_subtree(args) -> tuple[list[Blocks], int]:
-    """Pool task: exhaust one subtree; returns (maximal families, nodes)."""
-    root, k, p_max, budget = args
-    found: list[Blocks] = []
-    return found, _walk([root], found, 0, k, p_max, budget)
 
 
 @dataclass(frozen=True)
@@ -218,6 +206,8 @@ def read_checkpoint(path, k: int, p_max: int):
     for field in ("k", "p_max", "nodes"):
         if type(header.get(field)) is not int:  # JSON true is no integer
             raise FormatError(f"bad checkpoint header: {field!r} is missing or not an integer")
+    if header["nodes"] < 0:
+        raise FormatError(f"bad checkpoint header: negative node count {header['nodes']}")
     if header["k"] != k or header["p_max"] != p_max:
         raise FormatError(
             f"checkpoint is for k={header['k']}, p_max={header['p_max']}; "
@@ -239,28 +229,20 @@ def read_checkpoint(path, k: int, p_max: int):
 
 def enumerate_mifs(k: int, p_max: int, *, budget: int | None = None,
                    checkpoint_path=None, checkpoint_every: int = 50000,
-                   resume_path=None, workers: int = 1) -> SearchResult:
+                   resume_path=None) -> SearchResult:
     """All maximal intersecting k-uniform families on at most p_max points,
     one representative per isomorphism class.
 
     Budget counts visited tree nodes, and a stop reports exactly the
     budget.  With a checkpoint path the pending stack and results are
     written every checkpoint_every nodes and on budget exhaustion; a
-    resume path continues such a run.  With workers > 1 the depth-first
-    walk splits once its stack holds a fixed number of nodes, and the
-    subtrees of those nodes are solved in a process pool and merged into
-    sorted order, so the result and node count do not depend on the
-    worker count.  Checkpointing is serial-only.  The nodes visited before
-    the split count against the budget, and each subtree then gets the
-    full budget of its own."""
+    resume path continues such a run, and the resumed result and node
+    count equal those of an uninterrupted run."""
     if k not in (2, 3):
         raise UnsupportedKError(f"exhaustive search supports k in {{2, 3}}, got {k}")
     if p_max < 2 * k - 1:
         raise ParameterOutOfRangeError(
             f"p_max = {p_max} cannot host a maximal family of {k}-sets (needs {2 * k - 1})")
-    if workers > 1 and (checkpoint_path or resume_path):
-        raise ParameterOutOfRangeError(
-            "checkpoint and resume are supported with workers=1 only")
 
     root: Blocks = (tuple(range(k)),)
     if resume_path:
@@ -268,15 +250,7 @@ def enumerate_mifs(k: int, p_max: int, *, budget: int | None = None,
     else:
         nodes, stack, found = 0, [root], []
 
-    split = _FRONTIER_TARGET if workers > 1 else None
-    nodes = _walk(stack, found, nodes, k, p_max, budget,
-                  checkpoint_path, checkpoint_every, split)
-    if stack:  # a split: the pending subtrees go to the pool
-        tasks = [(blocks, k, p_max, budget) for blocks in stack]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for sub_found, sub_nodes in pool.map(_run_subtree, tasks):
-                found.extend(sub_found)
-                nodes += sub_nodes
+    nodes = _walk(stack, found, nodes, k, p_max, budget, checkpoint_path, checkpoint_every)
 
     families = sorted((Family(b, p_max) for b in set(found)),
                       key=lambda f: (f.point_count(), f.blocks))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -21,6 +22,7 @@ from pathlib import Path
 from .bounds import (el_lower, eval_bounds, half_central_binomial, tuza_conjecture_value,
                      tuza_nkt_upper)
 from .constructions import bg_family, projective_plane
+from .errors import BudgetExceededError
 from .family import Family
 from .isp import bollobas_sum, validate_isp
 from .mif import chromatic_class, collapse, is_mif, merge
@@ -221,15 +223,23 @@ def criterion_9_chromatic() -> str:
     return "Fano plane -> 3; order-3 plane -> 2"
 
 
-def criterion_10_determinism() -> str:
-    one = enumerate_mifs(3, 9, workers=1).to_json()
-    two = enumerate_mifs(3, 9, workers=2).to_json()
-    if one != two:
-        raise AssertionError("search results differ between 1 and 2 workers")
-    return "k=3 search serialized byte-identically with 1 and 2 workers"
+def criterion_10_determinism(search3: SearchResult) -> str:
+    budget = 100  # about half of the 192-node tree
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint = Path(tmp) / "search.ck"
+        try:
+            enumerate_mifs(3, 9, budget=budget, checkpoint_path=checkpoint)
+            raise AssertionError(f"k=3 search finished within the {budget}-node budget")
+        except BudgetExceededError:
+            pass
+        resumed = enumerate_mifs(3, 9, resume_path=checkpoint)
+    if resumed.to_json() != search3.to_json():
+        raise AssertionError("the resumed k=3 search differs from the uninterrupted one")
+    return (f"k=3 search stopped at {budget} of {search3.nodes} nodes and resumed from "
+            f"its checkpoint: serialized byte-identically to the uninterrupted search")
 
 
-def build_report(skip: tuple[str, ...] = (), workers: int = 1,
+def build_report(skip: tuple[str, ...] = (),
                  fixtures_dir: Path | None = None) -> VerifyReport:
     skip_search = "search" in skip
     report = VerifyReport()
@@ -238,7 +248,7 @@ def build_report(skip: tuple[str, ...] = (), workers: int = 1,
     if not skip_search:
         start = time.perf_counter()
         try:
-            search3 = enumerate_mifs(3, 9, workers=workers)
+            search3 = enumerate_mifs(3, 9)
         except Exception as exc:
             search_error = exc
         report.timings["shared-search"] = round(time.perf_counter() - start, 3)
@@ -253,7 +263,7 @@ def build_report(skip: tuple[str, ...] = (), workers: int = 1,
         (7, "isp-brute-force", lambda: criterion_7_isp_values(), True),
         (8, "bounds-identities", lambda: criterion_8_bounds_identities(), False),
         (9, "chromatic-classes", lambda: criterion_9_chromatic(), False),
-        (10, "determinism", lambda: criterion_10_determinism(), True),
+        (10, "determinism", lambda: criterion_10_determinism(search3), True),
     ]
     for index, name, fn, needs_search in plan:
         if needs_search and skip_search:

@@ -2,8 +2,8 @@
 
 Every criterion is exact (integer equality, set equality, byte equality);
 there are no numeric tolerances.  Criteria 4-6 share one exhaustive
-enumeration via a module fixture; criterion 10 deliberately recomputes
-everything twice to test determinism for real.
+enumeration via a module fixture; the full-report test deliberately
+recomputes everything twice to test determinism for real.
 """
 
 import json
@@ -82,15 +82,14 @@ def test_criterion_09_chromatic():
     report(9, criterion_9_chromatic())
 
 
-def test_criterion_10_determinism():
-    # the dedicated search comparison across worker counts
-    report(10, criterion_10_determinism())
+def test_criterion_10_determinism(search39):
+    report(10, criterion_10_determinism(search39))
 
 
 def test_criterion_10_full_reports_byte_identical():
-    # two complete verify-paper runs, different worker counts for the search
-    rep1 = build_report(workers=1)
-    rep2 = build_report(workers=2)
+    # two complete verify-paper runs
+    rep1 = build_report()
+    rep2 = build_report()
     text1, text2 = render_text(rep1), render_text(rep2)
     assert text1 == text2
     # timing stays confined to its own JSON key
@@ -101,7 +100,7 @@ def test_criterion_10_full_reports_byte_identical():
     assert obj1 == obj2
     assert rep1.all_pass and rep2.all_pass
     print("PASS criterion 10: verify-paper reports byte-identical across runs "
-          "and worker counts (timing confined to its key)")
+          "(timing confined to its key)")
 
 
 def test_skip_search_marks_items_skipped():

@@ -207,6 +207,8 @@ def test_search_mif_budget_exit(capsys, tmp_path):
     code, out, _ = run(capsys, "search", "mif", "--k", "3", "--resume", str(ck),
                        "--format", "json")
     assert code == 0 and json.loads(out)["max_points"] == 7
+    code, _, err = run(capsys, "search", "mif", "--k", "3", "--budget", "-4")
+    assert code == 2 and "budget" in err
 
 
 def test_search_mif_bad_checkpoint_record_exit(capsys, tmp_path):
@@ -228,6 +230,9 @@ def test_search_bad_env_budget_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("MIFLAB_BUDGET", "abc")
     code, _, err = run(capsys, "search", "mif", "--k", "3")
     assert code == 2 and "MIFLAB_BUDGET" in err
+    monkeypatch.setenv("MIFLAB_BUDGET", "-4")
+    code, _, err = run(capsys, "search", "isp", "--k", "2", "--t", "1")
+    assert code == 2 and "budget" in err
 
 
 def test_bool_point_id_is_usage_error(capsys, tmp_path):
@@ -269,6 +274,35 @@ def test_parse_error_reports_position(capsys, tmp_path):
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "tau", "/nonexistent/family.json")
     assert code == 2
+
+
+def test_directory_as_family_is_usage_error(capsys, tmp_path):
+    code, _, err = run(capsys, "tau", str(tmp_path))
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_non_utf8_family_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "family.txt"
+    path.write_bytes(b"\xffb 0 1\n")
+    code, _, err = run(capsys, "tau", str(path))
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_non_utf8_checkpoint_is_usage_error(capsys, tmp_path):
+    ck = tmp_path / "ck.log"
+    ck.write_bytes(b'mifsearch-v1 {"k":3,"p_max":9,"nodes":0}\nF 0,1,2\xff\n')
+    code, _, err = run(capsys, "search", "mif", "--k", "3", "--resume", str(ck))
+    assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "mif", "--k", "3", "--workers", "2"),
+    ("verify-paper", "--workers", "2"),
+])
+def test_workers_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2 and "--workers" in capsys.readouterr().err
 
 
 def test_fixture_regeneration_byte_equality():

@@ -14,9 +14,8 @@ from miflab.errors import (BudgetExceededError, FormatError, ParameterOutOfRange
 from miflab.family import mask_of
 from miflab.isp import SetPairSystem, bollobas_sum, validate_isp
 from miflab.mif import is_mif, is_one_critical
-from miflab.search import (_FRONTIER_TARGET, IspSearchResult, _node_step, _subsets, _walk,
-                           compute_n, compute_N, enumerate_mifs, read_checkpoint,
-                           search_isp, write_checkpoint)
+from miflab.search import (IspSearchResult, _node_step, _subsets, compute_n, compute_N,
+                           enumerate_mifs, read_checkpoint, search_isp, write_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -207,18 +206,6 @@ def test_unsupported_k():
         enumerate_mifs(3, 4)
 
 
-@pytest.mark.parametrize("p_max", [7, 8, 9])
-def test_worker_determinism(p_max):
-    # the depth-first split leaves pending subtrees, so the pool is used
-    stack = [((0, 1, 2),)]
-    _walk(stack, [], 0, 3, p_max, None, split=_FRONTIER_TARGET)
-    assert stack
-    serial = enumerate_mifs(3, p_max)
-    again = enumerate_mifs(3, p_max, workers=2)
-    assert again.to_json() == serial.to_json()
-    assert again.nodes == serial.nodes
-
-
 def test_budget_checkpoint_resume(tmp_path, search39):
     ck = tmp_path / "search.log"
     with pytest.raises(BudgetExceededError) as info:
@@ -263,6 +250,7 @@ def test_checkpoint_format_round_trip(tmp_path):
     '{"p_max":9,"nodes":12}',
     '{"k":3,"p_max":9.0,"nodes":12}',
     '[3,9,12]',
+    '{"k":3,"p_max":9,"nodes":-500}',
 ])
 def test_checkpoint_bad_header_is_format_error(tmp_path, header):
     path = tmp_path / "ck.log"
@@ -301,26 +289,6 @@ def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert read_checkpoint(path, 3, 9) == (7, [((0, 1, 2),)], [])
     assert [p.name for p in tmp_path.iterdir()] == ["ck.log"]
-
-
-def test_parallel_refuses_checkpointing(tmp_path):
-    with pytest.raises(ParameterOutOfRangeError):
-        enumerate_mifs(3, 9, workers=2, checkpoint_path=tmp_path / "x.log")
-    with pytest.raises(ParameterOutOfRangeError):
-        enumerate_mifs(3, 9, workers=2, resume_path=tmp_path / "x.log")
-
-
-def test_parallel_budget_caps_subtrees(search39):
-    # a generous budget passes through untouched in parallel mode
-    assert enumerate_mifs(3, 9, workers=2, budget=10 ** 9).to_json() == search39.to_json()
-    # a stop before the split counts the nodes visited so far
-    with pytest.raises(BudgetExceededError) as info:
-        enumerate_mifs(3, 9, workers=2, budget=3)
-    assert info.value.nodes == 3
-    # the split takes 5 nodes; a 60-node subtree then stops at its own budget
-    with pytest.raises(BudgetExceededError) as info:
-        enumerate_mifs(3, 9, workers=2, budget=30)
-    assert info.value.nodes == 30
 
 
 def isp_value_oracle_t1(k, n_pairs_cap):
