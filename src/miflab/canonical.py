@@ -55,20 +55,7 @@ automorphism, so a family with a trivial group pays almost nothing for it.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from typing import Sequence
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    canonical_block_list: tuple[tuple[int, ...], ...]
-    digest: int
-
-
-def _digest(blocks: tuple[tuple[int, ...], ...]) -> int:
-    payload = ";".join(",".join(map(str, b)) for b in blocks).encode()
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
 def _split(order: list[int], cell: list[int], size: list[int], block: tuple[int, ...]) -> None:
@@ -227,8 +214,3 @@ def least_block_list(blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
 def is_least_labeling(blocks: Sequence[Sequence[int]]) -> bool:
     """True iff the blocks, as labeled, already form the least list."""
     return bool(_minimize(blocks, test_only=True))
-
-
-def canonicalize(family) -> CanonicalForm:
-    canon = least_block_list(family.blocks)
-    return CanonicalForm(canon, _digest(canon))

@@ -2,15 +2,15 @@
 
 Exit codes: 0 success or positive verdict, 1 negative mathematical
 verdict (not maximal, covered pair, invalid set-pair system), 2 usage or
-input error, 3 node-budget exhaustion.  The MIFLAB_BUDGET environment
-variable overrides the default node budget of the search commands.
+input error, 3 node-budget exhaustion.  The library, not this module,
+checks the search parameters (k, point cap, node budget): a bad one
+raises a MiflabError, reported here with exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -56,21 +56,6 @@ def _load_isp(path: str) -> SetPairSystem:
 
 def _tau_json_value(t):
     return "infinity" if t == INFINITE_TAU else t
-
-
-def _default_budget(args) -> int:
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get("MIFLAB_BUDGET")
-        if env is None:
-            return DEFAULT_SEARCH_BUDGET
-        try:
-            budget = int(env)
-        except ValueError:
-            raise MiflabError(f"MIFLAB_BUDGET must be an integer, got {env!r}") from None
-    if budget < 0:
-        raise MiflabError(f"the node budget must not be negative, got {budget}")
-    return budget
 
 
 # -- command handlers -----------------------------------------------------
@@ -233,10 +218,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_search_mif(args) -> int:
-    p_max = args.max_points
-    if p_max is None:
-        p_max = bounds_mod.proven_point_cap(args.k)
-    result = enumerate_mifs(args.k, p_max, budget=_default_budget(args),
+    result = enumerate_mifs(args.k, args.max_points, budget=args.budget,
                             checkpoint_path=args.checkpoint,
                             resume_path=args.resume)
     if args.format == "json":
@@ -253,7 +235,7 @@ def cmd_search_mif(args) -> int:
 
 
 def cmd_search_isp(args) -> int:
-    result = search_isp(args.k, args.t, budget=_default_budget(args))
+    result = search_isp(args.k, args.t, budget=args.budget)
     if args.format == "json":
         print(result.to_json())
     else:
@@ -264,7 +246,7 @@ def cmd_search_isp(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    report = build_report(skip=tuple(args.skip), fixtures_dir=args.fixtures)
+    report = build_report(skip_search=args.skip == "search", fixtures_dir=args.fixtures)
     if args.format == "json":
         print(render_json(report))
     else:
@@ -283,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, family_arg=True, out=False, default_format="text"):
         if family_arg:
             p.add_argument("family", help="family file (JSON or 'b ...' text), or - for stdin")
-        p.add_argument("--format", choices=("text", "json"), default=default_format,
-                       help="output format (default %(default)s)")
+        if default_format:
+            p.add_argument("--format", choices=("text", "json"), default=default_format,
+                           help="output format (default %(default)s)")
         p.add_argument("--max-universe", type=int, default=DEFAULT_MAX_UNIVERSE,
                        help="largest accepted universe size (default %(default)s)")
         if out:
@@ -330,16 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_isp_validate)
 
-    p = sub.add_parser("isp-extract", help="extract a set-pair system from a family")
-    common(p, out=True, default_format="json")
+    p = sub.add_parser("isp-extract", help="extract a set-pair system from a family (JSON)")
+    common(p, out=True, default_format=None)
     p.set_defaults(handler=cmd_isp_extract)
 
     p = sub.add_parser("bounds", help="exact bound and conjecture values")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--json", dest="format", action="store_const", const="json",
-                   help="same as --format json")
     p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("search", help="exhaustive searches")
@@ -348,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     isp = searches.add_parser("isp", help="set-pair systems with sides (k, t)")
     for p in (mif, isp):
         p.add_argument("--k", type=int, required=True)
-        p.add_argument("--budget", type=int, default=None,
-                       help="node budget (default MIFLAB_BUDGET or 10^9)")
+        p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
+                       help="node budget (default 10^9)")
         p.add_argument("--format", choices=("text", "json"), default="json")
     isp.add_argument("--t", type=int, required=True)
     isp.set_defaults(handler=cmd_search_isp)
@@ -360,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     mif.set_defaults(handler=cmd_search_mif)
 
     p = sub.add_parser("verify-paper", help="run the acceptance suite")
-    p.add_argument("--skip", action="append", default=[], choices=("search",),
-                   help="skip a criterion group (repeatable)")
+    p.add_argument("--skip", choices=("search",),
+                   help="skip the criteria that need the k=3 search")
     p.add_argument("--fixtures", default=None, help="fixtures directory override")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_verify_paper)

@@ -57,6 +57,11 @@ def _subsets(v: int, size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((c, mask_of(c)) for c in combinations(range(v), size))
 
 
+def _check_budget(budget: int | None) -> None:
+    if budget is not None and budget < 0:
+        raise ParameterOutOfRangeError(f"the node budget must not be negative, got {budget}")
+
+
 def _node_step(blocks: Blocks, k: int, p_max: int) -> tuple[bool, list[Blocks]]:
     """Classify one canonical node: (is maximal, canonical children)."""
     last = blocks[-1]
@@ -154,9 +159,10 @@ def _blocks_to_record(blocks: Blocks) -> str:
 
 
 def _record_to_blocks(record: str, k: int, p_max: int) -> Blocks:
-    """Parse a record of a node or a result of the search: strictly
-    increasing k-sets of points below p_max, in strictly increasing order,
-    the first one being the root block (0, ..., k-1)."""
+    """Parse a record of a node or a result of the search: pairwise
+    intersecting, strictly increasing k-sets of points below p_max, in
+    strictly increasing order, the first one being the root block
+    (0, ..., k-1)."""
     try:
         blocks = tuple(tuple(int(x) for x in part.split(",")) for part in record.split("|"))
     except ValueError as exc:
@@ -168,6 +174,9 @@ def _record_to_blocks(record: str, k: int, p_max: int) -> Blocks:
         raise FormatError(
             f"bad checkpoint record {record!r}: want increasing {k}-sets of points "
             f"below {p_max} in increasing order, starting with {list(range(k))}")
+    masks = [mask_of(b) for b in blocks]
+    if not all(a & b for a, b in combinations(masks, 2)):
+        raise FormatError(f"bad checkpoint record {record!r}: two blocks are disjoint")
     return blocks
 
 
@@ -221,28 +230,35 @@ def read_checkpoint(path, k: int, p_max: int):
         if tag == "F":
             pending.append(_record_to_blocks(rest, k, p_max))
         elif tag == "M":
-            found.append(_record_to_blocks(rest, k, p_max))
+            blocks = _record_to_blocks(rest, k, p_max)
+            if not _node_step(blocks, k, p_max)[0]:
+                raise FormatError(f"bad checkpoint record {rest!r}: not a maximal family")
+            found.append(blocks)
         else:
             raise FormatError(f"line {lineno}: unknown checkpoint tag {tag!r}")
     return header["nodes"], pending, found
 
 
-def enumerate_mifs(k: int, p_max: int, *, budget: int | None = None,
+def enumerate_mifs(k: int, p_max: int | None = None, *, budget: int | None = None,
                    checkpoint_path=None, checkpoint_every: int = 50000,
                    resume_path=None) -> SearchResult:
     """All maximal intersecting k-uniform families on at most p_max points,
-    one representative per isomorphism class.
+    one representative per isomorphism class; p_max defaults to the proven
+    point cap of k, under which the search finds N(k).
 
     Budget counts visited tree nodes, and a stop reports exactly the
-    budget.  With a checkpoint path the pending stack and results are
-    written every checkpoint_every nodes and on budget exhaustion; a
-    resume path continues such a run, and the resumed result and node
-    count equal those of an uninterrupted run."""
+    budget; a negative budget is refused.  With a checkpoint path the
+    pending stack and results are written every checkpoint_every nodes and
+    on budget exhaustion; a resume path continues such a run, and the
+    resumed result and node count equal those of an uninterrupted run."""
     if k not in (2, 3):
         raise UnsupportedKError(f"exhaustive search supports k in {{2, 3}}, got {k}")
+    if p_max is None:
+        p_max = proven_point_cap(k)
     if p_max < 2 * k - 1:
         raise ParameterOutOfRangeError(
             f"p_max = {p_max} cannot host a maximal family of {k}-sets (needs {2 * k - 1})")
+    _check_budget(budget)
 
     root: Blocks = (tuple(range(k)),)
     if resume_path:
@@ -260,9 +276,7 @@ def enumerate_mifs(k: int, p_max: int, *, budget: int | None = None,
 def compute_N(k: int) -> int:
     """Maximum point count of a maximal intersecting family of k-sets,
     recomputed by exhaustive search under a proven point cap."""
-    if k not in (2, 3):
-        raise UnsupportedKError(f"exhaustive recomputation supports k in {{2, 3}}, got {k}")
-    return enumerate_mifs(k, proven_point_cap(k)).max_points
+    return enumerate_mifs(k).max_points
 
 
 # -- set-pair system search ----------------------------------------------
@@ -315,6 +329,7 @@ def search_isp(k: int, t: int, *, budget: int | None = _ISP_DEFAULT_BUDGET) -> I
     budget stop reports budget + 1 nodes."""
     if k < 1 or t < 1:
         raise ParameterOutOfRangeError(f"set-pair search needs k, t >= 1, got ({k}, {t})")
+    _check_budget(budget)
     n_max = comb(k + t, k)
     per_pair_gain = k + t - 2  # later pairs must reuse a point on each side
     a, b = tuple(range(k)), tuple(range(k, k + t))

@@ -30,6 +30,9 @@ from .search import SearchResult, compute_n, compute_N, enumerate_mifs
 from .transversal import brute_force_transversals, transversal_family
 
 RANDOM_SEED = 20260810
+ORACLE_FAMILIES = 500  # random families of criterion 1
+BG_K_MAX = 6           # largest k of criterion 2
+BOUNDS_K_MAX = 12      # largest k of criterion 8
 
 FIXTURE_EXPECTATIONS = [
     # (file stem, expected block size, expect maximal)
@@ -71,10 +74,10 @@ def random_uniform_family(rng: random.Random, k: int, max_points: int = 12) -> F
     return Family(rng.sample(pool, n_blocks), v)
 
 
-def criterion_1_oracle_equivalence(count: int = 500) -> str:
+def criterion_1_oracle_equivalence() -> str:
     rng = random.Random(RANDOM_SEED)
     worst_ratio = 0.0
-    for i in range(count):
+    for i in range(ORACLE_FAMILIES):
         k = (2, 3, 4)[i % 3]
         fam = random_uniform_family(rng, k)
         fast = transversal_family(fam)
@@ -87,13 +90,13 @@ def criterion_1_oracle_equivalence(count: int = 500) -> str:
         if len(fast.transversals.blocks) > bound:
             raise AssertionError(f"count bound violated on family {i}")
         worst_ratio = max(worst_ratio, len(fast.transversals.blocks) / bound)
-    return (f"{count} random uniform families (k in 2..4, <=12 points): solver == oracle; "
-            f"count <= k^tau throughout (worst fill {worst_ratio:.3f})")
+    return (f"{ORACLE_FAMILIES} random uniform families (k in 2..4, <=12 points): "
+            f"solver == oracle; count <= k^tau throughout (worst fill {worst_ratio:.3f})")
 
 
-def criterion_2_bg_identity(k_max: int = 6) -> str:
+def criterion_2_bg_identity() -> str:
     cases = 0
-    for k in range(3, k_max + 1):
+    for k in range(3, BG_K_MAX + 1):
         for t in range(2, k):
             bg = bg_family(k, t, max_universe=512)
             report = transversal_family(bg.family)
@@ -105,7 +108,7 @@ def criterion_2_bg_identity(k_max: int = 6) -> str:
             if bg.expected_transversals.point_count() != expected_points:
                 raise AssertionError(f"bg({k},{t}): transversal point count != formula")
             cases += 1
-    return (f"{cases} parameter pairs (2 <= t <= k-1 <= {k_max - 1}): tau = t and the "
+    return (f"{cases} parameter pairs (2 <= t <= k-1 <= {BG_K_MAX - 1}): tau = t and the "
             f"enumerated transversal family equals the closed form on "
             f"k+t-2+C(k+t-2,t-1) points")
 
@@ -200,8 +203,8 @@ def criterion_7_isp_values() -> str:
             f"the searched maximum 4 (boundary case, reported, not a failure)")
 
 
-def criterion_8_bounds_identities(k_max: int = 12) -> str:
-    for k in range(2, k_max + 1):
+def criterion_8_bounds_identities() -> str:
+    for k in range(2, BOUNDS_K_MAX + 1):
         table = eval_bounds(k)
         if table.improved_upper != table.tuza_nk_upper - half_central_binomial(k):
             raise AssertionError(f"k={k}: improved bound identity broken")
@@ -209,7 +212,7 @@ def criterion_8_bounds_identities(k_max: int = 12) -> str:
             raise AssertionError(f"k={k}: lower bound != conjectured value")
         if comb(2 * k - 2, k - 1) % 2:
             raise AssertionError(f"k={k}: central binomial odd")
-    return (f"k = 2..{k_max}: improved_upper = tuza_Nk_upper - C(2k-2,k-1)/2, "
+    return (f"k = 2..{BOUNDS_K_MAX}: improved_upper = tuza_Nk_upper - C(2k-2,k-1)/2, "
             f"el_lower = conjectured_N, all halvings exact")
 
 
@@ -239,9 +242,11 @@ def criterion_10_determinism(search3: SearchResult) -> str:
             f"its checkpoint: serialized byte-identically to the uninterrupted search")
 
 
-def build_report(skip: tuple[str, ...] = (),
+def build_report(skip_search: bool = False,
                  fixtures_dir: Path | None = None) -> VerifyReport:
-    skip_search = "search" in skip
+    """Run the ten criteria in order, sharing one k=3 search.  With
+    skip_search the search-backed criteria (4-7 and 10) are reported as
+    SKIPPED and no search runs."""
     report = VerifyReport()
     search3: SearchResult | None = None
     search_error: Exception | None = None
@@ -254,15 +259,15 @@ def build_report(skip: tuple[str, ...] = (),
         report.timings["shared-search"] = round(time.perf_counter() - start, 3)
 
     plan = [
-        (1, "oracle-equivalence", lambda: criterion_1_oracle_equivalence(), False),
-        (2, "bg-construction-identity", lambda: criterion_2_bg_identity(), False),
+        (1, "oracle-equivalence", criterion_1_oracle_equivalence, False),
+        (2, "bg-construction-identity", criterion_2_bg_identity, False),
         (3, "mif-fixtures", lambda: criterion_3_mif_fixtures(fixtures_dir), False),
         (4, "merge-rewrite", lambda: criterion_4_merge(search3), True),
         (5, "collapse-certificates", lambda: criterion_5_collapse(search3), True),
         (6, "search-max-points", lambda: criterion_6_search_values(search3), True),
-        (7, "isp-brute-force", lambda: criterion_7_isp_values(), True),
-        (8, "bounds-identities", lambda: criterion_8_bounds_identities(), False),
-        (9, "chromatic-classes", lambda: criterion_9_chromatic(), False),
+        (7, "isp-brute-force", criterion_7_isp_values, True),
+        (8, "bounds-identities", criterion_8_bounds_identities, False),
+        (9, "chromatic-classes", criterion_9_chromatic, False),
         (10, "determinism", lambda: criterion_10_determinism(search3), True),
     ]
     for index, name, fn, needs_search in plan:

@@ -51,7 +51,7 @@ def test_criterion_03_negative_control(tmp_path):
     (tmp_path / "fano.json").write_text(json.dumps(fano))
     with pytest.raises(AssertionError):
         criterion_3_mif_fixtures(tmp_path)
-    rep = build_report(skip=("search",), fixtures_dir=tmp_path)
+    rep = build_report(skip_search=True, fixtures_dir=tmp_path)
     statuses = {item.name: item.status for item in rep.items}
     assert statuses["mif-fixtures"] == "FAIL"
     assert not rep.all_pass
@@ -104,7 +104,7 @@ def test_criterion_10_full_reports_byte_identical():
 
 
 def test_skip_search_marks_items_skipped():
-    rep = build_report(skip=("search",))
+    rep = build_report(skip_search=True)
     statuses = {item.index: item.status for item in rep.items}
     assert statuses[4] == statuses[5] == statuses[6] == statuses[7] == statuses[10] == "SKIPPED"
     assert rep.all_pass

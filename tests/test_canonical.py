@@ -2,7 +2,7 @@ import random
 from itertools import combinations, permutations
 
 from miflab import canonical
-from miflab.canonical import canonicalize, is_least_labeling, least_block_list
+from miflab.canonical import is_least_labeling, least_block_list
 from miflab.constructions import bg_family, complete_family, projective_plane, triangle
 from miflab.family import Family
 
@@ -205,24 +205,26 @@ def apply_permutation(fam, perm):
 def test_relabelings_equal():
     a = Family([[0, 1]], 8)
     b = Family([[5, 7]], 8)
-    assert canonicalize(a) == canonicalize(b)
+    assert least_block_list(a.blocks) == least_block_list(b.blocks)
 
 
 def test_non_isomorphic_differ():
     tri = triangle()
     path = Family([[0, 1], [1, 2]], 3)
-    assert canonicalize(tri) != canonicalize(path)
-    assert canonicalize(complete_family(3)) != canonicalize(projective_plane(2))
+    assert least_block_list(tri.blocks) == ((0, 1), (0, 2), (1, 2))  # regression pin
+    assert least_block_list(tri.blocks) != least_block_list(path.blocks)
+    assert (least_block_list(complete_family(3).blocks)
+            != least_block_list(projective_plane(2).blocks))
 
 
 def test_fano_permutation_fuzz():
     fano = projective_plane(2)
-    base = canonicalize(fano)
+    base = least_block_list(fano.blocks)
     rng = random.Random(42)
     for _ in range(100):
         perm = list(range(7))
         rng.shuffle(perm)
-        assert canonicalize(apply_permutation(fano, perm)) == base
+        assert least_block_list(apply_permutation(fano, perm).blocks) == base
 
 
 def test_permutation_fuzz_seed_families():
@@ -234,12 +236,12 @@ def test_permutation_fuzz_seed_families():
         Family([[0, 1], [1, 2], [2, 3], [3, 4]], 5),
     ]
     for fam in seeds:
-        base = canonicalize(fam)
+        base = least_block_list(fam.blocks)
         n = fam.universe_size
         for _ in range(100):
             perm = list(range(n))
             rng.shuffle(perm)
-            assert canonicalize(apply_permutation(fam, perm)) == base
+            assert least_block_list(apply_permutation(fam, perm).blocks) == base
 
 
 def test_least_block_list_matches_brute_force():
@@ -273,13 +275,6 @@ def test_empty_and_degenerate():
     assert least_block_list([]) == ()
     assert least_block_list([()]) == ((),)
     assert is_least_labeling([])
-
-
-def test_digest_is_stable():
-    # regression pin: the digest must not drift between runs or processes
-    form = canonicalize(triangle())
-    assert form.canonical_block_list == ((0, 1), (0, 2), (1, 2))
-    assert canonicalize(triangle()).digest == form.digest
 
 
 def test_differential_random_nonuniform():

@@ -172,19 +172,14 @@ def test_bounds_text_table(capsys):
         assert token in out
 
 
-def test_bounds_json_flag(capsys):
-    code, out, _ = run(capsys, "bounds", "--k", "3", "--json")
+def test_bounds_format_json(capsys):
+    code, out, _ = run(capsys, "bounds", "--k", "3", "--format", "json")
     assert code == 0
     obj = json.loads(out)
     assert (obj["el_lower"], obj["tuza_Nk_upper"], obj["improved_upper"]) == (7, 12, 9)
-
-
-def test_bounds_json_flag_is_format_json(capsys):
-    code, flag, _ = run(capsys, "bounds", "--k", "2", "--t", "1", "--json")
+    code, out, _ = run(capsys, "bounds", "--k", "2", "--t", "1", "--format", "json")
     assert code == 0
-    code, fmt, _ = run(capsys, "bounds", "--k", "2", "--t", "1", "--format", "json")
-    assert code == 0 and flag == fmt
-    assert json.loads(flag)["t_section"]["boundary_witness_points"] == 4
+    assert json.loads(out)["t_section"]["boundary_witness_points"] == 4
 
 
 def test_bounds_boundary_note(capsys):
@@ -218,21 +213,6 @@ def test_search_mif_bad_checkpoint_record_exit(capsys, tmp_path):
     ck.write_text(header + "\nF 0,1\n")
     code, _, err = run(capsys, "search", "mif", "--k", "3", "--resume", str(ck))
     assert code == 2 and "checkpoint record" in err
-
-
-def test_search_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("MIFLAB_BUDGET", "5")
-    code, _, err = run(capsys, "search", "mif", "--k", "3")
-    assert code == 3
-
-
-def test_search_bad_env_budget_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("MIFLAB_BUDGET", "abc")
-    code, _, err = run(capsys, "search", "mif", "--k", "3")
-    assert code == 2 and "MIFLAB_BUDGET" in err
-    monkeypatch.setenv("MIFLAB_BUDGET", "-4")
-    code, _, err = run(capsys, "search", "isp", "--k", "2", "--t", "1")
-    assert code == 2 and "budget" in err
 
 
 def test_bool_point_id_is_usage_error(capsys, tmp_path):
@@ -303,6 +283,16 @@ def test_workers_flag_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(list(argv))
     assert info.value.code == 2 and "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--k", "3", "--json"),
+    ("isp-extract", "{fano}", "--format", "text"),  # isp-extract prints JSON only
+])
+def test_removed_flags_are_usage_errors(capsys, fano_path, argv):
+    with pytest.raises(SystemExit) as info:
+        main([a.format(fano=fano_path) for a in argv])
+    assert info.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_fixture_regeneration_byte_equality():

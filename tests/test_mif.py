@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from miflab.canonical import canonicalize
+from miflab.canonical import least_block_list
 from miflab.constructions import bg_family, complete_family, projective_plane, triangle
 from miflab.errors import (CoveredPairError, EmptyBlockError, EmptyFamilyError,
                            NotIntersectingError, NotMifError, NotUniformError,
@@ -163,7 +163,7 @@ def test_merge_removes_one_point():
         assert result.point_set() == MIF6.point_set() - {beta}
         assert result.point_count() == 5
         # the only 5-point class is the complete family of triples
-        assert canonicalize(result) == canonicalize(complete_family(3))
+        assert least_block_list(result.blocks) == least_block_list(complete_family(3).blocks)
 
 
 def test_merge_keeps_beta_free_blocks_and_rewrites_beta_blocks():

@@ -6,8 +6,9 @@ from math import comb
 import pytest
 
 from miflab import search
-from miflab.bounds import improved_upper, tuza_conjecture_value, tuza_nkt_upper
-from miflab.canonical import canonicalize, least_block_list
+from miflab.bounds import (improved_upper, proven_point_cap, tuza_conjecture_value,
+                           tuza_nkt_upper)
+from miflab.canonical import least_block_list
 from miflab.constructions import complete_family, projective_plane
 from miflab.errors import (BudgetExceededError, FormatError, ParameterOutOfRangeError,
                            UnsupportedKError, UnsupportedParamsError)
@@ -157,7 +158,7 @@ def test_k3_full_enumeration(search39):
     assert search39.max_points == 7
     assert search39.universe_bound == 9
     assert search39.counts_by_point_count == {5: 1, 6: 5, 7: 2}
-    fano_form = canonicalize(projective_plane(2)).canonical_block_list
+    fano_form = least_block_list(projective_plane(2).blocks)
     assert any(f.blocks == fano_form for f in search39.families)
 
 
@@ -168,11 +169,11 @@ def test_every_emitted_family_is_maximal_and_critical(search39):
 
 
 def test_emitted_forms_are_pairwise_distinct(search39):
-    forms = [canonicalize(f) for f in search39.families]
-    assert len({form.canonical_block_list for form in forms}) == len(forms)
+    forms = [least_block_list(f.blocks) for f in search39.families]
+    assert len(set(forms)) == len(forms)
     # and they are emitted already in least labeling
     for fam, form in zip(search39.families, forms):
-        assert fam.blocks == form.canonical_block_list
+        assert fam.blocks == form
 
 
 def test_against_maximal_clique_oracle(search39):
@@ -201,9 +202,22 @@ def test_unsupported_k():
     with pytest.raises(UnsupportedKError):
         enumerate_mifs(4, 10)
     with pytest.raises(UnsupportedKError):
+        enumerate_mifs(4)  # k is checked before the default cap is taken
+    with pytest.raises(UnsupportedKError):
         compute_N(4)
     with pytest.raises(ParameterOutOfRangeError):
         enumerate_mifs(3, 4)
+
+
+def test_default_cap_is_the_proven_point_cap():
+    assert enumerate_mifs(2).to_json() == enumerate_mifs(2, proven_point_cap(2)).to_json()
+
+
+@pytest.mark.parametrize("run", [lambda: enumerate_mifs(3, 9, budget=-4),
+                                 lambda: search_isp(2, 1, budget=-4)])
+def test_negative_budget_is_refused(run):
+    with pytest.raises(ParameterOutOfRangeError, match="budget"):
+        run()
 
 
 def test_budget_checkpoint_resume(tmp_path, search39):
@@ -267,6 +281,8 @@ def test_checkpoint_bad_header_is_format_error(tmp_path, header):
     "F 0,1,3",          # first block is not the root block
     "M 0,1,2|0,-1,3",   # a negative point
     "F 0,1,2|0,3,3",    # a repeated point
+    "F 0,1,2|3,4,5",    # disjoint blocks: resumed as 0 families
+    "M 0,1,2|0,3,4",    # not maximal: reported as a family on 5 points
 ])
 def test_checkpoint_bad_record_is_format_error(tmp_path, record):
     path = tmp_path / "ck.log"
