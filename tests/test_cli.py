@@ -177,6 +177,9 @@ def test_bounds_format_json(capsys):
     assert code == 0
     obj = json.loads(out)
     assert (obj["el_lower"], obj["tuza_Nk_upper"], obj["improved_upper"]) == (7, 12, 9)
+
+
+def test_bounds_format_json_boundary_witness(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "2", "--t", "1", "--format", "json")
     assert code == 0
     assert json.loads(out)["t_section"]["boundary_witness_points"] == 4
