@@ -27,7 +27,6 @@ from .transversal import INFINITE_TAU, tau_with_nodes, transversal_family
 from .verify import build_report, render_json, render_text
 
 EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
-DEFAULT_SEARCH_BUDGET = 10 ** 9
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -329,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     isp = searches.add_parser("isp", help="set-pair systems with sides (k, t)")
     for p in (mif, isp):
         p.add_argument("--k", type=int, required=True)
-        p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
-                       help="node budget (default 10^9)")
+        p.add_argument("--budget", type=int, default=None,
+                       help="node budget (default: none)")
         p.add_argument("--format", choices=("text", "json"), default="json")
     isp.add_argument("--t", type=int, required=True)
     isp.set_defaults(handler=cmd_search_isp)

@@ -174,14 +174,15 @@ def extract_isp(family: Family) -> SetPairSystem:
         raise NotUniformError("set-pair extraction needs a uniform family")
     full_report = transversal_family(family)
     t = full_report.tau
+    # current keeps tau = t, so a hitting set of current - m of < t points
+    # misses m; dropping m's points empties no block of a uniform family
     current = list(family.masks)
     for m in family.masks:
-        trial = [x for x in current if x != m]
-        if _hitting_sets(trial, False, t - 1)[0] == t:
-            current = trial
+        if _hitting_sets([x & ~m for x in current if x != m], False, t - 1)[0] == t:
+            current = [x for x in current if x != m]
     pairs = []
     for m in current:
-        rest_tau, found, _ = _hitting_sets([x for x in current if x != m], True, t - 1)
+        rest_tau, found, _ = _hitting_sets([x & ~m for x in current if x != m], True, t - 1)
         if rest_tau != t - 1:
             raise VerificationError(
                 f"minimal subfamily violated: dropping a block gave tau {rest_tau}, want {t - 1}")

@@ -8,15 +8,14 @@ class of intersecting families then occurs at exactly one tree node, since
 deleting the largest block of a least-labeled family leaves a
 least-labeled family.
 
-Two tests keep the tree small; both ask the kernel of ``transversal.py``
-for the hitting sets of at most k used points.  A maximal family can never
-extend to another maximal family, so a node whose minimum hitting sets
-have k points and are exactly its blocks is a maximal leaf.  Otherwise let
-T hit the blocks and the used parts of the addable future blocks (T meets
-an addable block exactly when it meets that block's used part); T then
-hits every block of every descendant.  If T has fewer than k points, or is
-a non-block k-set that can no longer be added (it precedes the last
-block), no descendant is maximal and the node is pruned.
+One kernel call per node (``transversal.py``) finds the hitting sets T of
+at most k used points for the blocks plus the used parts of the addable
+future blocks; T then hits every block of every descendant.  A maximal
+family never extends to another, so a node with nothing addable whose
+hitting sets have k points and are exactly its blocks is a maximal leaf.
+If T has fewer than k points, or is a non-block k-set that can no longer
+be added (it precedes the last block), no descendant is maximal and the
+node is pruned.
 
 Set-pair systems are searched directly over pair sequences: the pair count
 is capped by C(k+t, k), fresh points are introduced in first-use order,
@@ -62,24 +61,29 @@ def _check_budget(budget: int | None) -> None:
         raise ParameterOutOfRangeError(f"the node budget must not be negative, got {budget}")
 
 
+def _addable(blocks: Blocks, p_max: int) -> list[tuple[tuple[int, ...], int]]:
+    """The blocks a descendant may still add, ascending, with their masks."""
+    masks = [mask_of(b) for b in blocks]
+    return [(cand, dm) for cand, dm in _subsets(p_max, len(blocks[0]))
+            if cand > blocks[-1] and all(dm & bm for bm in masks)]
+
+
 def _node_step(blocks: Blocks, k: int, p_max: int) -> tuple[bool, list[Blocks]]:
     """Classify one canonical node: (is maximal, canonical children)."""
     last = blocks[-1]
     masks = [mask_of(b) for b in blocks]
     v = max(b[-1] for b in blocks) + 1
 
-    # the blocks intersect, so at t = k each is a minimum hitting set and
-    # equal counts mean the blocks are all of them
-    t, hitters, _ = _hitting_sets(masks, True, k)
-    if t == k and len(hitters) == len(blocks):
-        return True, []  # maximal; and no extension of it can be
-
-    # the blocks any descendant may still add, in ascending order
-    addable = [(cand, dm) for cand, dm in _subsets(p_max, k)
-               if cand > last and all(dm & bm for bm in masks)]
+    addable = _addable(blocks, p_max)
     # a set of used points meets an addable block iff it meets its used part
     used = (1 << v) - 1
     t, threats, _ = _hitting_sets(masks + [dm & used for _, dm in addable], True, k)
+    # with nothing addable these hit the blocks alone, which intersect: at
+    # t = k each block is a hitter, and equal counts leave no other.  An
+    # addable block's used part is a hitter of < k points or a non-block
+    # k-set (it follows last), so a node with one is never maximal
+    if not addable and t == k and len(threats) == len(blocks):
+        return True, []  # maximal; and no extension of it can be
     if t < k or any(tm not in masks and bits_of(tm) <= last for tm in threats):
         return False, []
 
@@ -227,15 +231,18 @@ def read_checkpoint(path, k: int, p_max: int):
         if not line.strip():
             continue
         tag, _, rest = line.partition(" ")
-        if tag == "F":
-            pending.append(_record_to_blocks(rest, k, p_max))
-        elif tag == "M":
-            blocks = _record_to_blocks(rest, k, p_max)
-            if not _node_step(blocks, k, p_max)[0]:
-                raise FormatError(f"bad checkpoint record {rest!r}: not a maximal family")
-            found.append(blocks)
-        else:
+        if tag not in ("F", "M"):
             raise FormatError(f"line {lineno}: unknown checkpoint tag {tag!r}")
+        blocks = _record_to_blocks(rest, k, p_max)
+        # a record the leaf test calls maximal joins the result, so it must be
+        # least; any other adds nothing if not least, as a least child has a
+        # least parent.  Without an addable block the test builds no child
+        leaf = not _addable(blocks, p_max) and _node_step(blocks, k, p_max)[0]
+        if tag == "M" and not leaf:
+            raise FormatError(f"bad checkpoint record {rest!r}: not a maximal family")
+        if leaf and not is_least_labeling(blocks):
+            raise FormatError(f"bad checkpoint record {rest!r}: not in least labeling")
+        (pending if tag == "F" else found).append(blocks)
     return header["nodes"], pending, found
 
 
@@ -282,7 +289,6 @@ def compute_N(k: int) -> int:
 # -- set-pair system search ----------------------------------------------
 
 ISP_WHITELIST = {(2, 1), (3, 1), (2, 2)}
-_ISP_DEFAULT_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -323,7 +329,7 @@ def _isp_children(k: int, t: int, pairs, amasks, bmasks, u: int):
             yield pairs + ((a, b),), amasks + (am,), bmasks + (bm,), ub
 
 
-def search_isp(k: int, t: int, *, budget: int | None = _ISP_DEFAULT_BUDGET) -> IspSearchResult:
+def search_isp(k: int, t: int, *, budget: int | None = None) -> IspSearchResult:
     """Exhaustive maximum-point search over set-pair systems with sides
     (k, t), at most C(k+t,k) pairs, points numbered by first use.  A
     budget stop reports budget + 1 nodes."""

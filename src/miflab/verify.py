@@ -1,10 +1,9 @@
 """Acceptance-suite driver: one callable per criterion, shared by the
 `verify-paper` CLI command and the test suite.
 
-Every criterion is exact; there are no tolerances to calibrate.  Output is
-deterministic byte for byte; wall-clock numbers live only in the report's
-timing map, which text rendering omits and JSON rendering confines to a
-"timing" key.
+Every criterion is exact; there are no tolerances to calibrate.  Output,
+text and JSON alike, is deterministic byte for byte: it holds no wall-clock
+numbers.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 import tempfile
-import time
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
@@ -56,7 +54,6 @@ class VerifyItem:
 @dataclass
 class VerifyReport:
     items: list[VerifyItem] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
@@ -251,12 +248,10 @@ def build_report(skip_search: bool = False,
     search3: SearchResult | None = None
     search_error: Exception | None = None
     if not skip_search:
-        start = time.perf_counter()
         try:
             search3 = enumerate_mifs(3, 9)
         except Exception as exc:
             search_error = exc
-        report.timings["shared-search"] = round(time.perf_counter() - start, 3)
 
     plan = [
         (1, "oracle-equivalence", criterion_1_oracle_equivalence, False),
@@ -279,14 +274,12 @@ def build_report(skip_search: bool = False,
                 index, name, "FAIL",
                 f"shared search failed: {type(search_error).__name__}: {search_error}"))
             continue
-        start = time.perf_counter()
         try:
             detail = fn()
             status = "PASS"
         except Exception as exc:  # a criterion failure, whatever raised it
             detail = f"{type(exc).__name__}: {exc}"
             status = "FAIL"
-        report.timings[name] = round(time.perf_counter() - start, 3)
         report.items.append(VerifyItem(index, name, status, detail))
     return report
 
@@ -304,6 +297,5 @@ def render_json(report: VerifyReport) -> str:
         "items": [{"index": i.index, "name": i.name, "status": i.status,
                    "detail": i.detail} for i in report.items],
         "all_pass": report.all_pass,
-        "timing": report.timings,
     }
     return json.dumps(obj, separators=(",", ":"))

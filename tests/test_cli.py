@@ -355,17 +355,21 @@ def test_verify_paper_json_cli(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["all_pass"] is True
-    assert "timing" in obj
     skipped = [i for i in obj["items"] if i["status"] == "SKIPPED"]
     assert {i["index"] for i in skipped} == {4, 5, 6, 7, 10}
 
 
-def test_verify_paper_process_level_determinism():
-    # two fresh processes must emit identical bytes (text mode has no timing)
+@pytest.mark.parametrize("fmt, passed", [
+    ("text", b"RESULT  all criteria passed"),
+    ("json", b'"all_pass":true'),
+], ids=["text", "json"])
+def test_verify_paper_process_level_determinism(fmt, passed):
+    # two fresh processes must emit identical bytes
     import subprocess
     import sys
-    cmd = [sys.executable, "-m", "miflab.cli", "verify-paper", "--skip", "search"]
+    cmd = [sys.executable, "-m", "miflab.cli", "verify-paper", "--skip", "search",
+           "--format", fmt]
     first = subprocess.run(cmd, capture_output=True, check=True)
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
-    assert b"RESULT  all criteria passed" in first.stdout
+    assert passed in first.stdout

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from miflab import isp
 from miflab.constructions import bg_family, complete_family, projective_plane
 from miflab.errors import (EmptyBlockError, EmptyFamilyError, FormatError,
                            InvalidIspError, NotUniformError)
@@ -190,3 +191,19 @@ def test_extract_matches_reference():
                  for i in range(100)]
     for fam in families:
         assert extract_isp(fam).to_json() == reference_extract_isp(fam).to_json()
+
+
+def test_extract_isp_bounds_work_on_complete_family_5(monkeypatch):
+    # a deterministic work count: searching the dropped block's points too,
+    # this extraction visits 19 152 kernel nodes
+    nodes = [0]
+    hitting_sets = isp._hitting_sets
+
+    def counting_hitting_sets(*args):
+        answer = hitting_sets(*args)
+        nodes[0] += answer[2]
+        return answer
+
+    monkeypatch.setattr(isp, "_hitting_sets", counting_hitting_sets)
+    extract_isp(complete_family(5))
+    assert nodes[0] <= 2000

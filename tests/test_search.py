@@ -142,6 +142,21 @@ def test_node_step_matches_subset_scan_on_random_descents(monkeypatch):
     assert steps > 2500
 
 
+def test_node_step_asks_the_kernel_once(monkeypatch):
+    # the threat query also decides maximality: a separate maximality
+    # query made this search call the kernel 376 times
+    calls = [0]
+    hitting_sets = search._hitting_sets
+
+    def counting_hitting_sets(*args):
+        calls[0] += 1
+        return hitting_sets(*args)
+
+    monkeypatch.setattr(search, "_hitting_sets", counting_hitting_sets)
+    assert enumerate_mifs(3, 9).nodes == 192
+    assert calls[0] == 192
+
+
 def test_k2_enumeration_is_the_triangle():
     result = enumerate_mifs(2, 4)
     assert len(result.families) == 1
@@ -283,6 +298,10 @@ def test_checkpoint_bad_header_is_format_error(tmp_path, header):
     "F 0,1,2|0,3,3",    # a repeated point
     "F 0,1,2|3,4,5",    # disjoint blocks: resumed as 0 families
     "M 0,1,2|0,3,4",    # not maximal: reported as a family on 5 points
+    # a 6-point class with points 3 and 5 swapped, so not in least labeling:
+    # either record adds a ninth class
+    "M 0,1,2|0,1,4|0,1,5|0,2,4|0,2,5|0,3,4|0,3,5|1,2,3|1,4,5|2,4,5",
+    "F 0,1,2|0,1,4|0,1,5|0,2,4|0,2,5|0,3,4|0,3,5|1,2,3|1,4,5|2,4,5",
 ])
 def test_checkpoint_bad_record_is_format_error(tmp_path, record):
     path = tmp_path / "ck.log"
