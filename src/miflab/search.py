@@ -8,9 +8,12 @@ class of intersecting families then occurs at exactly one tree node, since
 deleting the largest block of a least-labeled family leaves a
 least-labeled family.
 
+A node's addable blocks are the k-sets below the point cap that follow
+its last block and meet every block; ``_hitters`` generates the k-sets
+that meet every block, in ascending order, without scanning the others.
 One kernel call per node (``transversal.py``) finds the hitting sets T of
 at most k used points for the blocks plus the used parts of the addable
-future blocks; T then hits every block of every descendant.  A maximal
+blocks; T then hits every block of every descendant.  A maximal
 family never extends to another, so a node with nothing addable whose
 hitting sets have k points and are exactly its blocks is a maximal leaf.
 If T has fewer than k points, or is a non-block k-set that can no longer
@@ -20,11 +23,17 @@ node is pruned.
 Set-pair systems are searched directly over pair sequences: the pair count
 is capped by C(k+t, k), fresh points are introduced in first-use order,
 and the first pair is fixed, which quotients out enough symmetry at desk
-scale.  One generator, ``_sides``, builds both sides of a new pair,
-fresh-rich first.  The walk keeps a stack of lazy child iterators, one
-per depth, so a node's children are built only as the walk reaches them.
-A node is counted before the budget is checked, so a stop reports
-budget + 1 nodes.
+scale.  A side of a new pair is its old points, below the next unused
+id u, plus fresh ids, fresh-rich first.  The old part comes from
+``_hitters``: a new A must meet every old B, a new B every old A.  A new B
+must also miss its A.  B's fresh ids follow A's, and its old points lie
+below u, where A has only its old points; so A enters a B candidate only
+through a test against A's mask.  The old parts of B are therefore built
+once per node and filtered for each A, which keeps the order of a scan.
+The walk keeps a stack of lazy child iterators, one per depth, so a
+node's children are built only as the walk reaches them.  A node is
+counted before the budget is checked, so a stop reports budget + 1
+nodes.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -50,22 +58,57 @@ CHECKPOINT_MAGIC = "mifsearch-v1"
 Blocks = tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
-def _subsets(v: int, size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All size-subsets of range(v) with their masks."""
-    return tuple((c, mask_of(c)) for c in combinations(range(v), size))
+def _hitters(v: int, size: int, masks):
+    """The size-subsets of range(v) that meet every mask, with their
+    masks, in combinations() order.
+
+    The picks grow in ascending order.  A prefix is dropped once its
+    first missed mask has no point left above the last pick, and the last
+    pick is read off the AND of the masks the prefix misses, so only sets
+    that cannot be finished are pruned."""
+    if size == 0:
+        if not masks:
+            yield (), 0
+        return
+    below_v = (1 << v) - 1
+    # frames: the next point to try, the picks, their mask and the masks
+    # they miss; a frame's children precede its next sibling
+    stack = [(0, (), 0, masks)]
+    while stack:
+        p, picks, pmask, missed = stack.pop()
+        if len(picks) == size - 1:
+            last = below_v >> p << p
+            for m in missed:
+                last &= m
+            while last:
+                low = last & -last
+                yield picks + (low.bit_length() - 1,), pmask | low
+                last ^= low
+        elif p + size - len(picks) <= v and (not missed or missed[0] >> p):
+            stack.append((p + 1, picks, pmask, missed))
+            bit = 1 << p
+            stack.append((p + 1, picks + (p,), pmask | bit,
+                          [m for m in missed if not m & bit]))
+
+
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """Refuse a value that is no int (a bool is refused too) or is below least."""
+    if type(value) is not int:
+        raise ParameterOutOfRangeError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ParameterOutOfRangeError(f"{name} must be at least {least}, got {value}")
 
 
 def _check_budget(budget: int | None) -> None:
-    if budget is not None and budget < 0:
-        raise ParameterOutOfRangeError(f"the node budget must not be negative, got {budget}")
+    if budget is not None:
+        _check_int("the node budget", budget, 0)
 
 
 def _addable(blocks: Blocks, p_max: int) -> list[tuple[tuple[int, ...], int]]:
     """The blocks a descendant may still add, ascending, with their masks."""
     masks = [mask_of(b) for b in blocks]
-    return [(cand, dm) for cand, dm in _subsets(p_max, len(blocks[0]))
-            if cand > blocks[-1] and all(dm & bm for bm in masks)]
+    return [(cand, dm) for cand, dm in _hitters(p_max, len(blocks[0]), masks)
+            if cand > blocks[-1]]
 
 
 def _node_step(blocks: Blocks, k: int, p_max: int) -> tuple[bool, list[Blocks]]:
@@ -258,14 +301,18 @@ def enumerate_mifs(k: int, p_max: int | None = None, *, budget: int | None = Non
     pending stack and results are written every checkpoint_every nodes and
     on budget exhaustion; a resume path continues such a run, and the
     resumed result and node count equal those of an uninterrupted run."""
+    _check_int("k", k)
     if k not in (2, 3):
         raise UnsupportedKError(f"exhaustive search supports k in {{2, 3}}, got {k}")
     if p_max is None:
         p_max = proven_point_cap(k)
+    _check_int("p_max", p_max)
     if p_max < 2 * k - 1:
         raise ParameterOutOfRangeError(
             f"p_max = {p_max} cannot host a maximal family of {k}-sets (needs {2 * k - 1})")
     _check_budget(budget)
+    if checkpoint_path:
+        _check_int("checkpoint_every", checkpoint_every, 1)
 
     root: Blocks = (tuple(range(k)),)
     if resume_path:
@@ -307,34 +354,33 @@ class IspSearchResult:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
-def _sides(v: int, size: int, avoid: int, must_meet):
-    """Sides of size points, fresh-rich first: size - fresh old points
-    below v that miss avoid, plus the fresh ids v, v+1, ...; yields
-    (points, mask, next unused id) for each side meeting every mask in
-    must_meet."""
-    for fresh in range(size, -1, -1):
-        tail = tuple(range(v, v + fresh))
-        tail_mask = mask_of(tail)
-        for old, old_mask in _subsets(v, size - fresh):
-            mask = old_mask | tail_mask
-            if not old_mask & avoid and all(mask & m for m in must_meet):
-                yield old + tail, mask, v + fresh
-
-
 def _isp_children(k: int, t: int, pairs, amasks, bmasks, u: int):
     """The systems one pair longer, in search order: each new A meets
-    every old B, each new B misses its A and meets every old A."""
-    for a, am, ua in _sides(u, k, 0, bmasks):
-        for b, bm, ub in _sides(ua, t, am, amasks):
-            yield pairs + ((a, b),), amasks + (am,), bmasks + (bm,), ub
+    every old B, each new B misses its A and meets every old A.  A side
+    is its old points below the next unused id plus the fresh ids that
+    follow, fresh-rich first."""
+    # the old parts of a new B, by its fresh count; each A filters them
+    b_olds = [list(_hitters(u, t - fresh, amasks)) for fresh in range(t + 1)]
+    for a_fresh in range(k, -1, -1):
+        ua = u + a_fresh
+        a_tail, a_tail_mask = tuple(range(u, ua)), (1 << ua) - (1 << u)
+        for a_old, a_old_mask in _hitters(u, k - a_fresh, bmasks):
+            a, am = a_old + a_tail, a_old_mask | a_tail_mask
+            for b_fresh in range(t, -1, -1):
+                ub = ua + b_fresh
+                b_tail, b_tail_mask = tuple(range(ua, ub)), (1 << ub) - (1 << ua)
+                for b_old, b_old_mask in b_olds[b_fresh]:
+                    if not b_old_mask & am:
+                        yield (pairs + ((a, b_old + b_tail),), amasks + (am,),
+                               bmasks + (b_old_mask | b_tail_mask,), ub)
 
 
 def search_isp(k: int, t: int, *, budget: int | None = None) -> IspSearchResult:
     """Exhaustive maximum-point search over set-pair systems with sides
     (k, t), at most C(k+t,k) pairs, points numbered by first use.  A
     budget stop reports budget + 1 nodes."""
-    if k < 1 or t < 1:
-        raise ParameterOutOfRangeError(f"set-pair search needs k, t >= 1, got ({k}, {t})")
+    _check_int("k", k, 1)
+    _check_int("t", t, 1)
     _check_budget(budget)
     n_max = comb(k + t, k)
     per_pair_gain = k + t - 2  # later pairs must reuse a point on each side
@@ -366,6 +412,8 @@ def compute_n(k: int, t: int) -> int:
     """Maximum point count of a set-pair system with sides (k, t), by
     exhaustive search.  Parameters outside the desk-scale whitelist are
     refused; search_isp searches any (k, t) under its node budget."""
+    _check_int("k", k)
+    _check_int("t", t)
     if (k, t) not in ISP_WHITELIST:
         raise UnsupportedParamsError(
             f"({k}, {t}) is outside the whitelist {sorted(ISP_WHITELIST)}")

@@ -15,8 +15,9 @@ from miflab.errors import (BudgetExceededError, FormatError, ParameterOutOfRange
 from miflab.family import mask_of
 from miflab.isp import SetPairSystem, bollobas_sum, validate_isp
 from miflab.mif import is_mif, is_one_critical
-from miflab.search import (IspSearchResult, _node_step, _subsets, compute_n, compute_N,
-                           enumerate_mifs, read_checkpoint, search_isp, write_checkpoint)
+from miflab.search import (IspSearchResult, _addable, _hitters, _node_step, compute_n,
+                           compute_N, enumerate_mifs, read_checkpoint, search_isp,
+                           write_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +143,34 @@ def test_node_step_matches_subset_scan_on_random_descents(monkeypatch):
     assert steps > 2500
 
 
+def test_hitters_match_combinations_scan():
+    # the set-pair search filters the hitters by a mask to avoid, which
+    # must leave exactly the hitters among the points outside it, in order
+    rng = random.Random(1402)
+    for _ in range(3000):
+        v = rng.randint(0, 14)
+        size = rng.randint(0, 4)
+        masks = [rng.getrandbits(v + 1) for _ in range(rng.randint(0, 5))]
+        avoid = rng.choice((0, rng.getrandbits(v)))
+        got = [(c, cm) for c, cm in _hitters(v, size, masks) if not cm & avoid]
+        pool = [p for p in range(v) if not avoid >> p & 1]
+        want = [(c, mask_of(c)) for c in combinations(pool, size)
+                if all(mask_of(c) & m for m in masks)]
+        assert got == want, (v, size, masks, avoid)
+
+
+@pytest.mark.parametrize("p_max", range(5, 13))
+def test_addable_matches_subset_scan_on_k3_trees(p_max):
+    stack = [((0, 1, 2),)]
+    while stack:
+        blocks = stack.pop()
+        masks = [mask_of(b) for b in blocks]
+        want = [(c, mask_of(c)) for c in combinations(range(p_max), 3)
+                if c > blocks[-1] and all(mask_of(c) & m for m in masks)]
+        assert _addable(blocks, p_max) == want, blocks
+        stack.extend(_node_step(blocks, 3, p_max)[1])
+
+
 def test_node_step_asks_the_kernel_once(monkeypatch):
     # the threat query also decides maximality: a separate maximality
     # query made this search call the kernel 376 times
@@ -233,6 +262,38 @@ def test_default_cap_is_the_proven_point_cap():
 def test_negative_budget_is_refused(run):
     with pytest.raises(ParameterOutOfRangeError, match="budget"):
         run()
+
+
+@pytest.mark.parametrize("run", [
+    lambda ck: search_isp(True, 1),
+    lambda ck: search_isp(2, True),
+    lambda ck: search_isp(2.0, 1),
+    lambda ck: compute_n(2.0, 1),
+    lambda ck: compute_n(2, True),
+    lambda ck: enumerate_mifs(3.0, 9),
+    lambda ck: enumerate_mifs(3, 9.5),
+    lambda ck: enumerate_mifs(3, True),
+    lambda ck: compute_N(3.0),
+    lambda ck: search_isp(2, 1, budget=2.5),
+    lambda ck: search_isp(2, 1, budget=True),
+    lambda ck: enumerate_mifs(3, 9, budget=2.5),
+    lambda ck: enumerate_mifs(3, 9, budget=True),
+    lambda ck: enumerate_mifs(3, 9, checkpoint_path=ck, checkpoint_every=0),
+    lambda ck: enumerate_mifs(3, 9, checkpoint_path=ck, checkpoint_every=-3),
+    lambda ck: enumerate_mifs(3, 9, checkpoint_path=ck, checkpoint_every=2.5),
+], ids=["isp-bool-k", "isp-bool-t", "isp-float-k", "compute-n-float-k", "compute-n-bool-t",
+        "mif-float-k", "mif-float-cap", "mif-bool-cap", "compute-N-float-k",
+        "isp-float-budget", "isp-bool-budget", "mif-float-budget", "mif-bool-budget",
+        "checkpoint-every-0", "checkpoint-every-negative", "checkpoint-every-float"])
+def test_bad_search_parameter_is_refused(tmp_path, run):
+    ck = tmp_path / "search.log"
+    with pytest.raises(ParameterOutOfRangeError):
+        run(ck)
+    assert not ck.exists()
+
+
+def test_checkpoint_every_needs_no_check_without_a_path():
+    assert enumerate_mifs(2, 3, checkpoint_every=0).nodes == 3
 
 
 def test_budget_checkpoint_resume(tmp_path, search39):
@@ -417,8 +478,8 @@ def reference_search_isp(k, t, *, budget=50_000_000):
         for fresh_a in range(k, -1, -1):
             a_tail = tuple(range(u, u + fresh_a))
             a_tail_mask = mask_of(a_tail)
-            for a_old, a_old_mask in _subsets(u, k - fresh_a):
-                am = a_old_mask | a_tail_mask
+            for a_old in combinations(range(u), k - fresh_a):
+                am = mask_of(a_old) | a_tail_mask
                 if not all(am & bm for bm in bmasks):
                     continue
                 ua = u + fresh_a
@@ -440,6 +501,48 @@ def reference_search_isp(k, t, *, budget=50_000_000):
     dfs(k + t)
     witness = SetPairSystem(best[1], k=k, t=t)
     return IspSearchResult(k, t, best[0], witness, nodes[0])
+
+
+def reference_isp_children(k, t, pairs, amasks, bmasks, u):
+    """Oracle for search._isp_children: scan every old part of each side,
+    the B sides once per A."""
+    for fresh_a in range(k, -1, -1):
+        ua = u + fresh_a
+        a_tail = tuple(range(u, ua))
+        for a_old in combinations(range(u), k - fresh_a):
+            a = a_old + a_tail
+            am = mask_of(a)
+            if not all(am & bm for bm in bmasks):
+                continue
+            for fresh_b in range(t, -1, -1):
+                ub = ua + fresh_b
+                b_tail = tuple(range(ua, ub))
+                for b_old in combinations([p for p in range(ua) if not am >> p & 1],
+                                          t - fresh_b):
+                    bm = mask_of(b_old + b_tail)
+                    if all(om & bm for om in amasks):
+                        yield pairs + ((a, b_old + b_tail),), amasks + (am,), bmasks + (bm,), ub
+
+
+@pytest.mark.parametrize("k, t, budget", [(3, 2, 3000), (2, 3, 5000), (3, 3, 5000),
+                                          (4, 2, 5000)])
+def test_isp_children_match_subset_scan(monkeypatch, k, t, budget):
+    isp_children = search._isp_children
+    seen = [0]
+
+    def checked(*node):
+        want = reference_isp_children(*node)
+        for child in isp_children(*node):
+            assert child == next(want, None)
+            seen[0] += 1
+            yield child
+        assert next(want, None) is None
+
+    monkeypatch.setattr(search, "_isp_children", checked)
+    with pytest.raises(BudgetExceededError) as info:
+        search_isp(k, t, budget=budget)
+    # each node after the root is a child the walk took
+    assert info.value.nodes == budget + 1 == seen[0] + 1
 
 
 @pytest.mark.parametrize("k, t", [(2, 1), (3, 1), (2, 2), (1, 2), (1, 3), (4, 1)])
