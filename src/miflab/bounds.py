@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ParameterOutOfRangeError, VerificationError
+from .errors import ParameterOutOfRangeError, VerificationError, _check_int
 
 
 def binom(n: int, k: int) -> int:
@@ -29,13 +29,13 @@ def _exact_half(value: int, what: str) -> int:
 
 def half_central_binomial(k: int) -> int:
     """C(2k-2, k-1) / 2, exact for k >= 2."""
+    _check_int("k", k, 2)
     return _exact_half(comb(2 * k - 2, k - 1), f"C({2 * k - 2},{k - 1})")
 
 
 def el_lower(k: int) -> int:
     """Erdos-Lovasz lower bound on the maximum point count: 2k-2 + C(2k-2,k-1)/2."""
-    if k < 2:
-        raise ParameterOutOfRangeError(f"bounds need k >= 2, got {k}")
+    _check_int("k", k, 2)
     return 2 * k - 2 + half_central_binomial(k)
 
 
@@ -51,8 +51,7 @@ def central_binomial_sum(upper: int) -> int:
 
 def tuza_nk_upper(k: int) -> int:
     """Tuza's upper bound on the maximum point count: (3/2) sum_{i=1}^{k-1} C(2i,i)."""
-    if k < 2:
-        raise ParameterOutOfRangeError(f"bounds need k >= 2, got {k}")
+    _check_int("k", k, 2)
     s = central_binomial_sum(k - 1)
     return 3 * _exact_half(s, f"sum of central binomials up to i={k - 1}")
 
@@ -78,14 +77,16 @@ def proven_point_cap(k: int) -> int:
 
 def bollobas_pair_bound(k: int, t: int) -> int:
     """Maximum number of pairs in a set-pair system with sides (k, t)."""
-    if k < 0 or t < 0:
-        raise ParameterOutOfRangeError("pair bound needs k, t >= 0")
+    _check_int("k", k, 0)
+    _check_int("t", t, 0)
     return comb(k + t, k)
 
 
 def tuza_nkt_upper(k: int, t: int) -> int:
     """Tuza's bound on the point count of a set-pair system with sides (k, t):
     C(k+t, t+1) - C(2t-1, t+1) + (3/2) sum_{i=1}^{t-1} C(2i, i), for k >= t >= 1."""
+    _check_int("k", k)
+    _check_int("t", t)
     if not k >= t >= 1:
         raise ParameterOutOfRangeError(f"needs k >= t >= 1, got k={k}, t={t}")
     s = central_binomial_sum(t - 1)
@@ -104,6 +105,8 @@ TUZA_NKT_BOUNDARY_CASES = {(2, 1): 4}
 def tuza_conjecture_value(k: int, t: int) -> int:
     """Conjectured exact maximum point count of a set-pair system:
     ceil(k/(t+1)) * C(floor(kt/(t+1)) + t, t) + floor(kt/(t+1)) + t, for k >= t+2."""
+    _check_int("k", k)
+    _check_int("t", t)
     if k < t + 2:
         raise ParameterOutOfRangeError(f"conjectured value needs k >= t+2, got k={k}, t={t}")
     q = -(-k // (t + 1))  # ceil
@@ -148,8 +151,6 @@ class BoundsTable:
 
 
 def eval_bounds(k: int) -> BoundsTable:
-    if k < 2:
-        raise ParameterOutOfRangeError(f"bounds need k >= 2, got {k}")
     return BoundsTable(
         k=k,
         el_lower=el_lower(k),

@@ -245,7 +245,7 @@ def cmd_search_isp(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    report = build_report(skip_search=args.skip == "search", fixtures_dir=args.fixtures)
+    report = build_report(skip_search=args.skip == "search")
     if args.format == "json":
         print(render_json(report))
     else:
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="run the acceptance suite")
     p.add_argument("--skip", choices=("search",),
                    help="skip the criteria that need the k=3 search")
-    p.add_argument("--fixtures", default=None, help="fixtures directory override")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_verify_paper)
 

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import ParameterOutOfRangeError, UniverseOverflowError, UnsupportedOrderError
+from .errors import (ParameterOutOfRangeError, UniverseOverflowError, UnsupportedOrderError,
+                     _check_int)
 from .family import DEFAULT_MAX_UNIVERSE, Family
 
 # order q -> (modulus q^2+q+1, difference set)
@@ -31,15 +32,23 @@ class BgFamily:
     expected_transversals: Family
 
 
-def bg_family(k: int, t: int, max_universe: int | None = None) -> BgFamily:
+def _check_cap(max_universe: int | None) -> None:
+    if max_universe is not None:
+        _check_int("max_universe", max_universe, 0)
+
+
+def bg_family(k: int, t: int, max_universe: int | None = DEFAULT_MAX_UNIVERSE) -> BgFamily:
+    """bg(k,t) on k+t-2+C(k+t-2,k-1) points; max_universe None means no cap."""
+    _check_int("k", k)
+    _check_int("t", t)
+    _check_cap(max_universe)
     if not 2 <= t <= k - 1:
         raise ParameterOutOfRangeError(f"bg(k,t) needs 2 <= t <= k-1, got k={k}, t={t}")
-    cap = DEFAULT_MAX_UNIVERSE if max_universe is None else max_universe
     s_size = k + t - 2
     universe = s_size + comb(s_size, k - 1)
-    if universe > cap:
+    if max_universe is not None and universe > max_universe:
         raise UniverseOverflowError(
-            f"bg({k},{t}) needs {universe} points, cap is {cap}")
+            f"bg({k},{t}) needs {universe} points, cap is {max_universe}")
     s_points = tuple(range(s_size))
     x_points = {a: s_size + i for i, a in enumerate(combinations(s_points, k - 1))}
     blocks = [c for c in combinations(s_points, k)]
@@ -55,6 +64,7 @@ def bg_family(k: int, t: int, max_universe: int | None = None) -> BgFamily:
 def projective_plane(q: int) -> Family:
     """Plane of order q from a cyclic difference set: q^2+q+1 points and
     lines, any two lines meeting in exactly one point."""
+    _check_int("q", q)
     if q not in _DIFFERENCE_SETS:
         raise UnsupportedOrderError(f"projective plane of order {q} is not generated here")
     n, dset = _DIFFERENCE_SETS[q]
@@ -62,15 +72,15 @@ def projective_plane(q: int) -> Family:
     return Family(blocks, n)
 
 
-def complete_family(k: int, max_universe: int | None = None) -> Family:
-    """All k-subsets of a (2k-1)-set; intersecting by counting."""
-    if k < 2:
-        raise ParameterOutOfRangeError(f"complete family needs k >= 2, got {k}")
-    cap = DEFAULT_MAX_UNIVERSE if max_universe is None else max_universe
+def complete_family(k: int, max_universe: int | None = DEFAULT_MAX_UNIVERSE) -> Family:
+    """All k-subsets of a (2k-1)-set; intersecting by counting.  max_universe
+    None means no cap."""
+    _check_int("k", k, 2)
+    _check_cap(max_universe)
     universe = 2 * k - 1
-    if universe > cap:
-        raise ParameterOutOfRangeError(
-            f"complete family for k={k} needs {universe} points, cap is {cap}")
+    if max_universe is not None and universe > max_universe:
+        raise UniverseOverflowError(
+            f"complete family for k={k} needs {universe} points, cap is {max_universe}")
     return Family(combinations(range(universe), k), universe)
 
 

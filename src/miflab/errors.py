@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one check of an
+integer parameter that every layer applies.
 
 Exit-code mapping used by the CLI:
   * math-negative verdicts (1): NotMifError, CoveredPairError, InvalidIspError
@@ -82,3 +83,11 @@ class BudgetExceededError(MiflabError):
 
 class VerificationError(MiflabError):
     """An internal cross-check that is mathematically guaranteed failed."""
+
+
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """Refuse a value that is no int (a bool is refused too) or is below least."""
+    if type(value) is not int:
+        raise ParameterOutOfRangeError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ParameterOutOfRangeError(f"{name} must be at least {least}, got {value}")

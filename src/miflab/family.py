@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FormatError, UniverseOverflowError
+from .errors import FormatError, UniverseOverflowError, _check_int
 
 DEFAULT_MAX_UNIVERSE = 128
 
@@ -40,6 +40,7 @@ class Family:
 
     def __init__(self, blocks: Iterable[Iterable[int]], universe_size: int,
                  labels: Sequence[str] | None = None):
+        _check_int("universe_size", universe_size)
         if universe_size < 0:
             raise FormatError("universe size must be non-negative")
         normalized = sorted({tuple(sorted(set(b))) for b in blocks})

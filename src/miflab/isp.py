@@ -11,7 +11,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import (EmptyBlockError, EmptyFamilyError, FormatError, InvalidIspError,
-                     NotUniformError, VerificationError)
+                     NotUniformError, VerificationError, _check_int)
 from .family import Family, bits_of, mask_of
 from .transversal import _hitting_sets, transversal_family
 
@@ -32,6 +32,9 @@ class SetPairSystem:
                 raise FormatError(f"pair {i}: point ids must be integers >= 0")
             if len(set(a)) < len(a) or len(set(b)) < len(b):
                 raise FormatError(f"pair {i}: a side repeats a point id")
+        for name, size in (("k", k), ("t", t)):
+            if size is not None:
+                _check_int(name, size)
         self.pairs = tuple((tuple(sorted(a)), tuple(sorted(b))) for a, b in pairs)
         self.k = k
         self.t = t

@@ -16,7 +16,8 @@ from math import comb
 
 from .errors import (CoveredPairError, EmptyBlockError, EmptyFamilyError,
                      NotIntersectingError, NotMifError, NotUniformError,
-                     ParameterOutOfRangeError, SamePointError, VerificationError)
+                     ParameterOutOfRangeError, SamePointError, VerificationError,
+                     _check_int)
 from .family import Family, bits_of
 from .isp import SetPairSystem, bollobas_sum, validate_isp
 from .transversal import transversal_family
@@ -120,6 +121,8 @@ def merge(family: Family, alpha: int, beta: int) -> Family:
     both facts are re-verified here, as are the intermediate facts that
     G's transversal size is k-1 and that every transversal of G misses
     some other transversal of G."""
+    _check_int("alpha", alpha)
+    _check_int("beta", beta)
     cert = is_mif(family, cross_check=False)
     if not cert:
         raise NotMifError(f"merge needs a maximal family: {cert.reason}")
@@ -207,6 +210,7 @@ def collapse(family: Family, alpha: int) -> CollapseTrace:
     The emitted system has two pairs per step, is validated as a set-pair
     system with both sides of size k-1, and bounds the number of steps N
     by half of C(2k-2, k-1)."""
+    _check_int("alpha", alpha)
     cert = is_mif(family, cross_check=False)
     if not cert:
         raise NotMifError(f"collapse needs a maximal family: {cert.reason}")

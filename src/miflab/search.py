@@ -48,7 +48,7 @@ from math import comb
 from .bounds import proven_point_cap
 from .canonical import is_least_labeling
 from .errors import (BudgetExceededError, FormatError, ParameterOutOfRangeError,
-                     UnsupportedKError, UnsupportedParamsError)
+                     UnsupportedKError, UnsupportedParamsError, _check_int)
 from .family import Family, bits_of, mask_of
 from .isp import SetPairSystem
 from .transversal import _hitting_sets
@@ -89,14 +89,6 @@ def _hitters(v: int, size: int, masks):
             bit = 1 << p
             stack.append((p + 1, picks + (p,), pmask | bit,
                           [m for m in missed if not m & bit]))
-
-
-def _check_int(name: str, value, least: int | None = None) -> None:
-    """Refuse a value that is no int (a bool is refused too) or is below least."""
-    if type(value) is not int:
-        raise ParameterOutOfRangeError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ParameterOutOfRangeError(f"{name} must be at least {least}, got {value}")
 
 
 def _check_budget(budget: int | None) -> None:

@@ -12,14 +12,13 @@ import json
 import random
 import tempfile
 from dataclasses import dataclass, field
-from importlib import resources
 from itertools import combinations
 from math import comb
 from pathlib import Path
 
 from .bounds import (el_lower, eval_bounds, half_central_binomial, tuza_conjecture_value,
                      tuza_nkt_upper)
-from .constructions import bg_family, projective_plane
+from .constructions import bg_family, complete_family, projective_plane
 from .errors import BudgetExceededError
 from .family import Family
 from .isp import bollobas_sum, validate_isp
@@ -33,13 +32,13 @@ BG_K_MAX = 6           # largest k of criterion 2
 BOUNDS_K_MAX = 12      # largest k of criterion 8
 
 FIXTURE_EXPECTATIONS = [
-    # (file stem, expected block size, expect maximal)
-    ("triangle", 2, True),
-    ("complete_3", 3, True),
-    ("complete_4", 4, True),
-    ("fano", 3, True),
-    ("pg23", 4, True),
-    ("bg_3_2", 3, False),
+    # (name, builder, expected block size, expect maximal)
+    ("triangle", lambda: complete_family(2), 2, True),
+    ("complete_3", lambda: complete_family(3), 3, True),
+    ("complete_4", lambda: complete_family(4), 4, True),
+    ("fano", lambda: projective_plane(2), 3, True),
+    ("pg23", lambda: projective_plane(3), 4, True),
+    ("bg_3_2", lambda: bg_family(3, 2).family, 3, False),
 ]
 
 
@@ -58,10 +57,6 @@ class VerifyReport:
     @property
     def all_pass(self) -> bool:
         return all(item.status != "FAIL" for item in self.items)
-
-
-def default_fixtures_dir() -> Path:
-    return Path(str(resources.files("miflab").joinpath("fixtures")))
 
 
 def random_uniform_family(rng: random.Random, k: int, max_points: int = 12) -> Family:
@@ -110,19 +105,17 @@ def criterion_2_bg_identity() -> str:
             f"k+t-2+C(k+t-2,t-1) points")
 
 
-def criterion_3_mif_fixtures(fixtures_dir: Path | None = None) -> str:
-    fdir = Path(fixtures_dir) if fixtures_dir else default_fixtures_dir()
+def criterion_3_mif_fixtures() -> str:
     lines = []
-    for stem, k, expect_ok in FIXTURE_EXPECTATIONS:
-        fam = Family.from_json((fdir / f"{stem}.json").read_text())
-        cert = is_mif(fam)
+    for name, build, k, expect_ok in FIXTURE_EXPECTATIONS:
+        cert = is_mif(build())
         if cert.ok != expect_ok or cert.k != k:
             raise AssertionError(
-                f"{stem}: got ok={cert.ok} k={cert.k} ({cert.reason}), "
+                f"{name}: got ok={cert.ok} k={cert.k} ({cert.reason}), "
                 f"want ok={expect_ok} k={k}")
-        if stem == "bg_3_2" and cert.tau != 2:
+        if name == "bg_3_2" and cert.tau != 2:
             raise AssertionError(f"bg_3_2: tau {cert.tau} != 2")
-        lines.append(f"{stem}:{'maximal' if cert.ok else cert.reason}")
+        lines.append(f"{name}:{'maximal' if cert.ok else cert.reason}")
     return "; ".join(lines)
 
 
@@ -239,8 +232,7 @@ def criterion_10_determinism(search3: SearchResult) -> str:
             f"its checkpoint: serialized byte-identically to the uninterrupted search")
 
 
-def build_report(skip_search: bool = False,
-                 fixtures_dir: Path | None = None) -> VerifyReport:
+def build_report(skip_search: bool = False) -> VerifyReport:
     """Run the ten criteria in order, sharing one k=3 search.  With
     skip_search the search-backed criteria (4-7 and 10) are reported as
     SKIPPED and no search runs."""
@@ -256,7 +248,7 @@ def build_report(skip_search: bool = False,
     plan = [
         (1, "oracle-equivalence", criterion_1_oracle_equivalence, False),
         (2, "bg-construction-identity", criterion_2_bg_identity, False),
-        (3, "mif-fixtures", lambda: criterion_3_mif_fixtures(fixtures_dir), False),
+        (3, "mif-fixtures", criterion_3_mif_fixtures, False),
         (4, "merge-rewrite", lambda: criterion_4_merge(search3), True),
         (5, "collapse-certificates", lambda: criterion_5_collapse(search3), True),
         (6, "search-max-points", lambda: criterion_6_search_values(search3), True),

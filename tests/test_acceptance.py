@@ -6,10 +6,11 @@ enumeration via a module fixture; the full-report test deliberately
 recomputes everything twice to test determinism for real.
 """
 
-import json
-
 import pytest
 
+from miflab import verify
+from miflab.constructions import projective_plane
+from miflab.family import Family
 from miflab.search import enumerate_mifs
 from miflab.verify import (build_report, criterion_1_oracle_equivalence,
                            criterion_2_bg_identity, criterion_3_mif_fixtures,
@@ -40,22 +41,19 @@ def test_criterion_03_mif_fixtures():
     report(3, criterion_3_mif_fixtures())
 
 
-def test_criterion_03_negative_control(tmp_path):
-    # removing one line from the Fano fixture must fail the fixtures item
-    from miflab.verify import default_fixtures_dir
-    src = default_fixtures_dir()
-    for path in src.glob("*.json"):
-        (tmp_path / path.name).write_text(path.read_text())
-    fano = json.loads((tmp_path / "fano.json").read_text())
-    fano["blocks"] = fano["blocks"][1:]
-    (tmp_path / "fano.json").write_text(json.dumps(fano))
+def test_criterion_03_negative_control(monkeypatch):
+    # Fano minus one block is not maximal, so the fixtures item must fail
+    fano_less_one = Family(projective_plane(2).blocks[1:], 7)
+    broken = [(name, lambda: fano_less_one, k, ok) if name == "fano" else (name, build, k, ok)
+              for name, build, k, ok in verify.FIXTURE_EXPECTATIONS]
+    monkeypatch.setattr(verify, "FIXTURE_EXPECTATIONS", broken)
     with pytest.raises(AssertionError):
-        criterion_3_mif_fixtures(tmp_path)
-    rep = build_report(skip_search=True, fixtures_dir=tmp_path)
+        criterion_3_mif_fixtures()
+    rep = build_report(skip_search=True)
     statuses = {item.name: item.status for item in rep.items}
     assert statuses["mif-fixtures"] == "FAIL"
     assert not rep.all_pass
-    print("PASS criterion 3 negative control: corrupted fixture fails the item")
+    print("PASS criterion 3 negative control: a non-maximal family fails the item")
 
 
 def test_criterion_04_merge(search39):

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 from math import comb
 
@@ -39,6 +40,7 @@ def test_bg_universe_cap():
         bg_family(6, 5)
     bg = bg_family(6, 5, max_universe=256)
     assert bg.family.point_count() == 135
+    assert bg_family(6, 5, max_universe=None).family == bg.family  # None: no cap
 
 
 def test_bg_identities_small():
@@ -93,8 +95,33 @@ def test_complete_family():
     assert is_mif(c4).ok
     with pytest.raises(ParameterOutOfRangeError):
         complete_family(1)
+    # K(3) needs 5 points; K(65) needs 129, one over the default cap
+    assert complete_family(3, max_universe=5) == c3
+    with pytest.raises(UniverseOverflowError):
+        complete_family(3, max_universe=4)
+    with pytest.raises(UniverseOverflowError):
+        complete_family(65)
 
 
 def test_complete_family_blocks_are_all_subsets():
     c3 = complete_family(3)
     assert c3.blocks == tuple(combinations(range(5), 3))
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: complete_family(2),
+     "22f24229f790ab5b82368004666db3808e17098c4547fda696be779656655c7e"),
+    (lambda: complete_family(3),
+     "b256f270638836f41b21a2ccb068d13b096053d18ca91cf0095432565f53decb"),
+    (lambda: complete_family(4),
+     "d6671e24ea1b803b23a19d98cac3f99596806cf956b3a1e9f2ee0a69757c5120"),
+    (lambda: projective_plane(2),
+     "cb048907a505fe2200011a28b9859918fb9239c831d4a2efd836026c73306b4c"),
+    (lambda: projective_plane(3),
+     "0d1f60fc7494a3b6c728df73b46744772b81486b7e3446f789f52fdce226b752"),
+    (lambda: bg_family(3, 2).family,
+     "0863e8ea5e519bd2008ead28086ca2c0569ea3cf1420fe5a69346f56353a421b"),
+], ids=["triangle", "complete_3", "complete_4", "fano", "pg23", "bg_3_2"])
+def test_construction_bytes_are_pinned(build, digest):
+    # a construction's JSON output, plus a newline, keeps its bytes
+    assert hashlib.sha256((build().to_json() + "\n").encode()).hexdigest() == digest

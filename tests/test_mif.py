@@ -5,13 +5,15 @@ from math import comb
 
 import pytest
 
+from miflab.bounds import (bollobas_pair_bound, el_lower, eval_bounds, half_central_binomial,
+                           tuza_conjecture_value, tuza_nkt_upper)
 from miflab.canonical import least_block_list
 from miflab.constructions import bg_family, complete_family, projective_plane, triangle
 from miflab.errors import (CoveredPairError, EmptyBlockError, EmptyFamilyError,
                            NotIntersectingError, NotMifError, NotUniformError,
                            ParameterOutOfRangeError, SamePointError)
 from miflab.family import Family
-from miflab.isp import bollobas_sum, validate_isp
+from miflab.isp import SetPairSystem, bollobas_sum, validate_isp
 from miflab.mif import chromatic_class, collapse, is_mif, is_one_critical, merge
 from miflab.transversal import brute_force_transversals
 from miflab.verify import random_uniform_family
@@ -153,6 +155,34 @@ def test_merge_usage_errors():
         merge(bg_family(3, 2).family, 0, 1)
     with pytest.raises(ParameterOutOfRangeError):
         merge(triangle(), 0, 9)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: el_lower(3.0),
+    lambda: eval_bounds(3.0),
+    lambda: half_central_binomial(1),
+    lambda: tuza_nkt_upper(3, 1.0),
+    lambda: tuza_conjecture_value(4, True),
+    lambda: bollobas_pair_bound(2.0, 1),
+    lambda: complete_family(3.0),
+    lambda: complete_family(3, max_universe=True),
+    lambda: bg_family(4.0, 2),
+    lambda: bg_family(4, 2, max_universe=12.5),
+    lambda: projective_plane(2.0),
+    lambda: merge(MIF6, 4.0, 5),
+    lambda: merge(MIF6, True, 5),
+    lambda: collapse(MIF6, 1.0),
+    lambda: Family([(0, 1)], 3.0),
+    lambda: SetPairSystem([((0,), (1,))], k=True, t=1),
+], ids=["el_lower-float", "eval_bounds-float", "half_central_binomial-1",
+        "tuza_nkt_upper-float", "tuza_conjecture_value-bool", "bollobas_pair_bound-float",
+        "complete_family-float", "complete_family-bool-cap", "bg_family-float",
+        "bg_family-float-cap", "projective_plane-float", "merge-float", "merge-bool",
+        "collapse-float", "family-float-universe", "set-pair-system-bool-k"])
+def test_library_refuses_bad_integer_parameters(call):
+    # every layer applies the search's rule: a bool or a non-int is refused
+    with pytest.raises(ParameterOutOfRangeError):
+        call()
 
 
 def test_merge_removes_one_point():

@@ -319,6 +319,36 @@ def test_budget_resume_in_two_hops(tmp_path, search39):
     assert final.to_json() == search39.to_json()
 
 
+def test_periodic_checkpoint_resumes_to_the_same_result(tmp_path, search39):
+    # 192 nodes written every 7: the last periodic write is at node 189
+    ck = tmp_path / "search.log"
+    done = enumerate_mifs(3, 9, checkpoint_path=ck, checkpoint_every=7)
+    assert done.to_json() == search39.to_json() and done.nodes == 192
+    assert ck.read_text().splitlines()[0] == 'mifsearch-v1 {"k":3,"p_max":9,"nodes":189}'
+    resumed = enumerate_mifs(3, 9, resume_path=ck)
+    assert resumed.to_json() == search39.to_json() and resumed.nodes == 192
+
+
+def test_periodic_checkpoint_survives_a_crash(tmp_path, monkeypatch, search39):
+    # the walk dies in its 50th node step; the write after node 49 stays
+    ck = tmp_path / "search.log"
+    node_step, calls = search._node_step, []
+
+    def crash_on_50th(*args):
+        calls.append(None)
+        if len(calls) == 50:
+            raise RuntimeError("simulated crash")
+        return node_step(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_node_step", crash_on_50th)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            enumerate_mifs(3, 9, checkpoint_path=ck, checkpoint_every=7)
+    assert ck.read_text().splitlines()[0] == 'mifsearch-v1 {"k":3,"p_max":9,"nodes":49}'
+    resumed = enumerate_mifs(3, 9, resume_path=ck)
+    assert resumed.to_json() == search39.to_json() and resumed.nodes == 192
+
+
 def test_checkpoint_format_round_trip(tmp_path):
     path = tmp_path / "ck.log"
     pending = [((0, 1, 2),), ((0, 1, 2), (0, 3, 4))]
