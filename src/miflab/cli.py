@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -24,16 +23,9 @@ from .isp import SetPairSystem, bollobas_sum, extract_isp, validate_isp
 from .mif import chromatic_class, collapse, is_mif, merge
 from .search import enumerate_mifs, search_isp
 from .transversal import INFINITE_TAU, tau_with_nodes, transversal_family
-from .verify import build_report, render_json, render_text
+from .verify import build_report, render_text
 
 EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path and out_path != "-":
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _read_source(path: str) -> str:
@@ -42,15 +34,11 @@ def _read_source(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_family(path: str, max_universe: int) -> Family:
-    text = _read_source(path)
+def _load_family(args) -> Family:
+    text = _read_source(args.family)
     if text.lstrip().startswith("{"):
-        return Family.from_json(text, max_universe=max_universe)
-    return Family.from_text(text, max_universe=max_universe)
-
-
-def _load_isp(path: str) -> SetPairSystem:
-    return SetPairSystem.from_json(_read_source(path))
+        return Family.from_json(text, max_universe=args.max_universe)
+    return Family.from_text(text, max_universe=args.max_universe)
 
 
 def _tau_json_value(t):
@@ -58,8 +46,12 @@ def _tau_json_value(t):
 
 
 # -- command handlers -----------------------------------------------------
+# Each returns (exit code, JSON object, text form); main prints one of the
+# two forms.  isp-extract has no text form.
+Result = tuple[int, dict, str | None]
 
-def cmd_gen(args) -> int:
+
+def cmd_gen(args) -> Result:
     if args.construction == "bg":
         if args.k is None or args.t is None:
             raise MiflabError("gen bg needs --k and --t")
@@ -72,107 +64,69 @@ def cmd_gen(args) -> int:
         if args.k is None:
             raise MiflabError("gen complete needs --k")
         fam = complete_family(args.k, max_universe=args.max_universe)
-    text = fam.to_json() + "\n" if args.format == "json" else fam.to_text()
-    _emit(text, args.out)
-    return EXIT_OK
+    return EXIT_OK, fam.to_json_obj(), fam.to_text()
 
 
-def cmd_tau(args) -> int:
-    fam = _load_family(args.family, args.max_universe)
-    t, nodes = tau_with_nodes(fam)
-    if args.format == "json":
-        print(json.dumps({"tau": _tau_json_value(t), "nodes": nodes},
-                         separators=(",", ":")))
-    else:
-        print(f"tau {_tau_json_value(t)}")
-    return EXIT_OK
+def cmd_tau(args) -> Result:
+    t, nodes = tau_with_nodes(_load_family(args))
+    t = _tau_json_value(t)
+    return EXIT_OK, {"tau": t, "nodes": nodes}, f"tau {t}\n"
 
 
-def cmd_transversals(args) -> int:
-    fam = _load_family(args.family, args.max_universe)
-    report = transversal_family(fam)
-    if args.format == "json":
-        obj = {"tau": _tau_json_value(report.tau),
-               "transversals": [list(b) for b in report.transversals.blocks],
-               "nodes": report.nodes}
-        print(json.dumps(obj, separators=(",", ":")))
-    else:
-        print(f"tau {report.tau}")
-        sys.stdout.write(report.transversals.to_text())
-        print(f"nodes {report.nodes}")
-    return EXIT_OK
+def cmd_transversals(args) -> Result:
+    report = transversal_family(_load_family(args))
+    obj = {"tau": _tau_json_value(report.tau),
+           "transversals": [list(b) for b in report.transversals.blocks],
+           "nodes": report.nodes}
+    text = f"tau {report.tau}\n{report.transversals.to_text()}nodes {report.nodes}\n"
+    return EXIT_OK, obj, text
 
 
-def cmd_check_mif(args) -> int:
-    fam = _load_family(args.family, args.max_universe)
-    cert = is_mif(fam)
-    if args.format == "json":
-        obj = {"ok": cert.ok, "k": cert.k, "tau": _tau_json_value(cert.tau),
-               "transversal_match": cert.transversal_match, "reason": cert.reason}
-        print(json.dumps(obj, separators=(",", ":")))
-    elif cert.ok:
-        print(f"maximal intersecting family, k={cert.k}")
-    else:
-        print(f"not maximal: {cert.reason}")
-    return EXIT_OK if cert.ok else EXIT_NEGATIVE
+def cmd_check_mif(args) -> Result:
+    cert = is_mif(_load_family(args))
+    obj = {"ok": cert.ok, "k": cert.k, "tau": _tau_json_value(cert.tau),
+           "transversal_match": cert.transversal_match, "reason": cert.reason}
+    text = (f"maximal intersecting family, k={cert.k}\n" if cert.ok
+            else f"not maximal: {cert.reason}\n")
+    return (EXIT_OK if cert.ok else EXIT_NEGATIVE), obj, text
 
 
-def cmd_merge(args) -> int:
-    fam = _load_family(args.family, args.max_universe)
-    result = merge(fam, args.alpha, args.beta)
-    text = result.to_json() + "\n" if args.format == "json" else result.to_text()
-    _emit(text, args.out)
-    return EXIT_OK
+def cmd_merge(args) -> Result:
+    result = merge(_load_family(args), args.alpha, args.beta)
+    return EXIT_OK, result.to_json_obj(), result.to_text()
 
 
-def cmd_collapse(args) -> int:
-    fam = _load_family(args.family, args.max_universe)
-    trace = collapse(fam, args.alpha)
-    if args.format == "json":
-        print(trace.to_json())
-    else:
-        print(f"alpha {trace.alpha}")
-        print(f"betas {' '.join(map(str, trace.betas))}")
-        print(f"steps {trace.n_steps}")
-        print(f"g_top_points {trace.g_top_points}")
-        print(f"isp_pairs {len(trace.isp.pairs)}")
-    return EXIT_OK
+def cmd_collapse(args) -> Result:
+    trace = collapse(_load_family(args), args.alpha)
+    text = (f"alpha {trace.alpha}\n"
+            f"betas {' '.join(map(str, trace.betas))}\n"
+            f"steps {trace.n_steps}\n"
+            f"g_top_points {trace.g_top_points}\n"
+            f"isp_pairs {len(trace.isp.pairs)}\n")
+    return EXIT_OK, trace.to_json_obj(), text
 
 
-def cmd_chromatic(args) -> int:
-    fam = _load_family(args.family, args.max_universe)
-    value = chromatic_class(fam)
-    if args.format == "json":
-        print(json.dumps({"chromatic_class": value}, separators=(",", ":")))
-    else:
-        print(f"chromatic {value}")
-    return EXIT_OK
+def cmd_chromatic(args) -> Result:
+    value = chromatic_class(_load_family(args))
+    return EXIT_OK, {"chromatic_class": value}, f"chromatic {value}\n"
 
 
-def cmd_isp_validate(args) -> int:
-    system = _load_isp(args.isp)
+def cmd_isp_validate(args) -> Result:
+    system = SetPairSystem.from_json(_read_source(args.isp))
     verdict = validate_isp(system)
-    total: Fraction | None = bollobas_sum(system) if verdict.ok else None
-    if args.format == "json":
-        obj = {"ok": verdict.ok, "n_pairs": verdict.n_pairs,
-               "points": verdict.point_count,
-               "violation": list(verdict.violation) if verdict.violation else None,
-               "message": verdict.message,
-               "bollobas_sum": str(total) if total is not None else None}
-        print(json.dumps(obj, separators=(",", ":")))
-    elif verdict.ok:
-        print(f"valid: {verdict.n_pairs} pairs, {verdict.point_count} points, "
-              f"sum {total}")
-    else:
-        print(f"invalid: {verdict.message}")
-    return EXIT_OK if verdict.ok else EXIT_NEGATIVE
+    total = bollobas_sum(system) if verdict.ok else None
+    obj = {"ok": verdict.ok, "n_pairs": verdict.n_pairs,
+           "points": verdict.point_count,
+           "violation": list(verdict.violation) if verdict.violation else None,
+           "message": verdict.message,
+           "bollobas_sum": str(total) if total is not None else None}
+    text = (f"valid: {verdict.n_pairs} pairs, {verdict.point_count} points, sum {total}\n"
+            if verdict.ok else f"invalid: {verdict.message}\n")
+    return (EXIT_OK if verdict.ok else EXIT_NEGATIVE), obj, text
 
 
-def cmd_isp_extract(args) -> int:
-    fam = _load_family(args.family, args.max_universe)
-    system = extract_isp(fam)
-    _emit(system.to_json() + "\n", args.out)
-    return EXIT_OK
+def cmd_isp_extract(args) -> Result:
+    return EXIT_OK, extract_isp(_load_family(args)).to_json_obj(), None
 
 
 def _t_section(k: int, t: int) -> dict:
@@ -205,52 +159,37 @@ def _bounds_text(obj: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> Result:
     obj = bounds_mod.eval_bounds(args.k).to_json_obj()
     if args.t is not None:
         obj["t_section"] = _t_section(args.k, args.t)
-    if args.format == "json":
-        print(json.dumps(obj, separators=(",", ":")))
-    else:
-        sys.stdout.write(_bounds_text(obj))
-    return EXIT_OK
+    return EXIT_OK, obj, _bounds_text(obj)
 
 
-def cmd_search_mif(args) -> int:
+def cmd_search_mif(args) -> Result:
     result = enumerate_mifs(args.k, args.max_points, budget=args.budget,
                             checkpoint_path=args.checkpoint,
                             resume_path=args.resume)
-    if args.format == "json":
-        print(result.to_json())
-    else:
-        print(f"k {result.k}")
-        print(f"universe_bound {result.universe_bound}")
-        print(f"classes {len(result.families)}")
-        print(f"max_points {result.max_points}")
-        for v, c in sorted(result.counts_by_point_count.items()):
-            print(f"  on {v} points: {c}")
-        print(f"nodes {result.nodes}")
-    return EXIT_OK
+    lines = [f"k {result.k}", f"universe_bound {result.universe_bound}",
+             f"classes {len(result.families)}", f"max_points {result.max_points}"]
+    lines += [f"  on {v} points: {c}" for v, c in sorted(result.counts_by_point_count.items())]
+    lines.append(f"nodes {result.nodes}")
+    text = "\n".join(lines) + "\n"
+    return EXIT_OK, result.to_json_obj(), text
 
 
-def cmd_search_isp(args) -> int:
+def cmd_search_isp(args) -> Result:
     result = search_isp(args.k, args.t, budget=args.budget)
-    if args.format == "json":
-        print(result.to_json())
-    else:
-        print(f"n({result.k},{result.t}) {result.max_points}")
-        print(f"witness_pairs {len(result.witness.pairs)}")
-        print(f"nodes {result.nodes}")
-    return EXIT_OK
+    text = (f"n({result.k},{result.t}) {result.max_points}\n"
+            f"witness_pairs {len(result.witness.pairs)}\n"
+            f"nodes {result.nodes}\n")
+    return EXIT_OK, result.to_json_obj(), text
 
 
-def cmd_verify_paper(args) -> int:
+def cmd_verify_paper(args) -> Result:
     report = build_report(skip_search=args.skip == "search")
-    if args.format == "json":
-        print(render_json(report))
-    else:
-        sys.stdout.write(render_text(report))
-    return EXIT_OK if report.all_pass else EXIT_NEGATIVE
+    code = EXIT_OK if report.all_pass else EXIT_NEGATIVE
+    return code, report.to_json_obj(), render_text(report)
 
 
 # -- parser ----------------------------------------------------------------
@@ -352,7 +291,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code, obj, text = args.handler(args)
+        if getattr(args, "format", "json") == "json":
+            text = json.dumps(obj, separators=(",", ":")) + "\n"
+        out = getattr(args, "out", None)
+        if out and out != "-":
+            Path(out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET

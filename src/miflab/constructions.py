@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import (ParameterOutOfRangeError, UniverseOverflowError, UnsupportedOrderError,
-                     _check_int)
+from .errors import (ParameterOutOfRangeError, UnsupportedOrderError, _check_int,
+                     _check_universe)
 from .family import DEFAULT_MAX_UNIVERSE, Family
 
 # order q -> (modulus q^2+q+1, difference set)
@@ -27,8 +27,6 @@ class BgFamily:
     k: int
     t: int
     family: Family
-    s_points: tuple[int, ...]
-    x_points: dict[tuple[int, ...], int]
     expected_transversals: Family
 
 
@@ -46,9 +44,7 @@ def bg_family(k: int, t: int, max_universe: int | None = DEFAULT_MAX_UNIVERSE) -
         raise ParameterOutOfRangeError(f"bg(k,t) needs 2 <= t <= k-1, got k={k}, t={t}")
     s_size = k + t - 2
     universe = s_size + comb(s_size, k - 1)
-    if max_universe is not None and universe > max_universe:
-        raise UniverseOverflowError(
-            f"bg({k},{t}) needs {universe} points, cap is {max_universe}")
+    _check_universe(universe, max_universe, f"bg({k},{t})")
     s_points = tuple(range(s_size))
     x_points = {a: s_size + i for i, a in enumerate(combinations(s_points, k - 1))}
     blocks = [c for c in combinations(s_points, k)]
@@ -58,7 +54,7 @@ def bg_family(k: int, t: int, max_universe: int | None = DEFAULT_MAX_UNIVERSE) -
     expected = [c for c in combinations(s_points, t)]
     expected += [(x,) + tuple(sorted(s_set - set(a))) for a, x in x_points.items()]
     expected_transversals = Family(expected, universe)
-    return BgFamily(k, t, family, s_points, x_points, expected_transversals)
+    return BgFamily(k, t, family, expected_transversals)
 
 
 def projective_plane(q: int) -> Family:
@@ -78,9 +74,7 @@ def complete_family(k: int, max_universe: int | None = DEFAULT_MAX_UNIVERSE) -> 
     _check_int("k", k, 2)
     _check_cap(max_universe)
     universe = 2 * k - 1
-    if max_universe is not None and universe > max_universe:
-        raise UniverseOverflowError(
-            f"complete family for k={k} needs {universe} points, cap is {max_universe}")
+    _check_universe(universe, max_universe, f"complete family for k={k}")
     return Family(combinations(range(universe), k), universe)
 
 

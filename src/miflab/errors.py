@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one check of an
-integer parameter that every layer applies.
+"""Exception types shared across the package, and the input checks that
+more than one layer applies: an integer parameter, a universe size against
+its cap, and a JSON document.
 
 Exit-code mapping used by the CLI:
   * math-negative verdicts (1): NotMifError, CoveredPairError, InvalidIspError
@@ -8,6 +9,8 @@ Exit-code mapping used by the CLI:
 VerificationError signals an internal re-verification failure and is never
 caught; it means a solver bug, not bad input.
 """
+
+import json
 
 
 class MiflabError(Exception):
@@ -91,3 +94,21 @@ def _check_int(name: str, value, least: int | None = None) -> None:
         raise ParameterOutOfRangeError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ParameterOutOfRangeError(f"{name} must be at least {least}, got {value}")
+
+
+def _check_universe(universe: int, max_universe: int | None, what: str | None = None) -> None:
+    """Refuse a universe above max_universe (None means no cap); what names
+    the construction that needs it."""
+    if max_universe is not None and universe > max_universe:
+        raise UniverseOverflowError(
+            f"{what} needs {universe} points, cap is {max_universe}" if what
+            else f"universe {universe} exceeds the configured cap {max_universe}")
+
+
+def _load_json(text: str):
+    """json.loads, with a parse error reported as FormatError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(
+            f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc

@@ -10,9 +10,10 @@ tuple of bitmasks supports fast intersection arithmetic.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FormatError, UniverseOverflowError, _check_int
+from .errors import FormatError, _check_int, _check_universe, _load_json
 
 DEFAULT_MAX_UNIVERSE = 128
 
@@ -43,6 +44,12 @@ class Family:
         _check_int("universe_size", universe_size)
         if universe_size < 0:
             raise FormatError("universe size must be non-negative")
+        blocks = list(map(tuple, blocks))
+        # type() and not isinstance(): bool is an int subclass, and True is no
+        # point id
+        if not set(map(type, chain.from_iterable(blocks))) <= {int}:
+            bad = next(b for b in blocks if not all(type(p) is int for p in b))
+            raise FormatError(f"bad block {list(bad)!r}: expected a list of integers")
         normalized = sorted({tuple(sorted(set(b))) for b in blocks})
         for b in normalized:
             if b and (b[0] < 0 or b[-1] >= universe_size):
@@ -161,14 +168,12 @@ class Family:
         # is no integer
         if type(universe) is not int:
             raise FormatError('"universe" must be an integer')
-        if max_universe is not None and universe > max_universe:
-            raise UniverseOverflowError(
-                f"universe {universe} exceeds the configured cap {max_universe}")
+        _check_universe(universe, max_universe)
         blocks = obj["blocks"]
         if not isinstance(blocks, list):
             raise FormatError('"blocks" must be a list of point lists')
         for b in blocks:
-            if not isinstance(b, list) or not all(type(p) is int for p in b):
+            if not isinstance(b, list):
                 raise FormatError(f"bad block {b!r}: expected a list of integers")
         labels = obj.get("labels")
         if labels is not None and (not isinstance(labels, list)
@@ -178,12 +183,7 @@ class Family:
 
     @classmethod
     def from_json(cls, text: str, max_universe: int | None = DEFAULT_MAX_UNIVERSE) -> "Family":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-        return cls.from_json_obj(obj, max_universe=max_universe)
+        return cls.from_json_obj(_load_json(text), max_universe=max_universe)
 
     def to_text(self) -> str:
         return "".join("b " + " ".join(str(p) for p in blk) + "\n" if blk else "b\n"
@@ -215,7 +215,5 @@ class Family:
                 top = max(top, p)
             blocks.append(pts)
         universe = top + 1
-        if max_universe is not None and universe > max_universe:
-            raise UniverseOverflowError(
-                f"universe {universe} exceeds the configured cap {max_universe}")
+        _check_universe(universe, max_universe)
         return cls(blocks, universe)

@@ -11,7 +11,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import (EmptyBlockError, EmptyFamilyError, FormatError, InvalidIspError,
-                     NotUniformError, VerificationError, _check_int)
+                     NotUniformError, VerificationError, _check_int, _load_json)
 from .family import Family, bits_of, mask_of
 from .transversal import _hitting_sets, transversal_family
 
@@ -89,12 +89,7 @@ class SetPairSystem:
 
     @classmethod
     def from_json(cls, text: str) -> "SetPairSystem":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-        return cls.from_json_obj(obj)
+        return cls.from_json_obj(_load_json(text))
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,11 @@ class VerifyReport:
     def all_pass(self) -> bool:
         return all(item.status != "FAIL" for item in self.items)
 
+    def to_json_obj(self) -> dict:
+        return {"items": [{"index": i.index, "name": i.name, "status": i.status,
+                           "detail": i.detail} for i in self.items],
+                "all_pass": self.all_pass}
+
 
 def random_uniform_family(rng: random.Random, k: int, max_points: int = 12) -> Family:
     v = rng.randint(k, max_points)
@@ -235,7 +240,9 @@ def criterion_10_determinism(search3: SearchResult) -> str:
 def build_report(skip_search: bool = False) -> VerifyReport:
     """Run the ten criteria in order, sharing one k=3 search.  With
     skip_search the search-backed criteria (4-7 and 10) are reported as
-    SKIPPED and no search runs."""
+    SKIPPED and no search runs.  If the shared search fails, the criteria
+    that read it (4-6 and 10) fail; criterion 7 runs set-pair searches of
+    its own."""
     report = VerifyReport()
     search3: SearchResult | None = None
     search_error: Exception | None = None
@@ -245,29 +252,31 @@ def build_report(skip_search: bool = False) -> VerifyReport:
         except Exception as exc:
             search_error = exc
 
+    # (index, name, check, search): search is None, "own" (runs a search of
+    # its own) or "shared" (takes the shared k=3 search)
     plan = [
-        (1, "oracle-equivalence", criterion_1_oracle_equivalence, False),
-        (2, "bg-construction-identity", criterion_2_bg_identity, False),
-        (3, "mif-fixtures", criterion_3_mif_fixtures, False),
-        (4, "merge-rewrite", lambda: criterion_4_merge(search3), True),
-        (5, "collapse-certificates", lambda: criterion_5_collapse(search3), True),
-        (6, "search-max-points", lambda: criterion_6_search_values(search3), True),
-        (7, "isp-brute-force", criterion_7_isp_values, True),
-        (8, "bounds-identities", criterion_8_bounds_identities, False),
-        (9, "chromatic-classes", criterion_9_chromatic, False),
-        (10, "determinism", lambda: criterion_10_determinism(search3), True),
+        (1, "oracle-equivalence", criterion_1_oracle_equivalence, None),
+        (2, "bg-construction-identity", criterion_2_bg_identity, None),
+        (3, "mif-fixtures", criterion_3_mif_fixtures, None),
+        (4, "merge-rewrite", criterion_4_merge, "shared"),
+        (5, "collapse-certificates", criterion_5_collapse, "shared"),
+        (6, "search-max-points", criterion_6_search_values, "shared"),
+        (7, "isp-brute-force", criterion_7_isp_values, "own"),
+        (8, "bounds-identities", criterion_8_bounds_identities, None),
+        (9, "chromatic-classes", criterion_9_chromatic, None),
+        (10, "determinism", criterion_10_determinism, "shared"),
     ]
-    for index, name, fn, needs_search in plan:
-        if needs_search and skip_search:
+    for index, name, fn, search in plan:
+        if search and skip_search:
             report.items.append(VerifyItem(index, name, "SKIPPED", "skipped: search"))
             continue
-        if needs_search and search_error is not None:
+        if search == "shared" and search_error is not None:
             report.items.append(VerifyItem(
                 index, name, "FAIL",
                 f"shared search failed: {type(search_error).__name__}: {search_error}"))
             continue
         try:
-            detail = fn()
+            detail = fn(search3) if search == "shared" else fn()
             status = "PASS"
         except Exception as exc:  # a criterion failure, whatever raised it
             detail = f"{type(exc).__name__}: {exc}"
@@ -285,9 +294,4 @@ def render_text(report: VerifyReport) -> str:
 
 
 def render_json(report: VerifyReport) -> str:
-    obj = {
-        "items": [{"index": i.index, "name": i.name, "status": i.status,
-                   "detail": i.detail} for i in report.items],
-        "all_pass": report.all_pass,
-    }
-    return json.dumps(obj, separators=(",", ":"))
+    return json.dumps(report.to_json_obj(), separators=(",", ":"))

@@ -102,3 +102,19 @@ def test_skip_search_marks_items_skipped():
     assert statuses[4] == statuses[5] == statuses[6] == statuses[7] == statuses[10] == "SKIPPED"
     assert rep.all_pass
     print("PASS: --skip search leaves the suite green with search items SKIPPED")
+
+
+def test_shared_search_failure_fails_only_the_criteria_that_read_it(monkeypatch):
+    def failing_search(*args, **kwargs):
+        raise RuntimeError("no search")
+
+    monkeypatch.setattr(verify, "enumerate_mifs", failing_search)
+    rep = build_report()
+    items = {item.index: item for item in rep.items}
+    for index in (4, 5, 6, 10):
+        assert items[index].status == "FAIL"
+        assert items[index].detail == "shared search failed: RuntimeError: no search"
+    # criterion 7 runs set-pair searches of its own
+    assert [items[i].status for i in (1, 2, 3, 7, 8, 9)] == ["PASS"] * 6
+    assert not rep.all_pass
+    print("PASS: a failed shared search fails criteria 4-6 and 10 only")

@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from miflab.cli import main
 from miflab.constructions import bg_family, projective_plane
 from miflab.family import Family
+from miflab.isp import extract_isp
 
 
 @pytest.fixture()
@@ -357,3 +359,191 @@ def test_verify_paper_process_level_determinism(fmt, passed):
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert passed in first.stdout
+
+
+# Exact exit code and output bytes of every subcommand in both formats, as
+# the CLI printed them before its handlers shared one output path.  With -o
+# FILE the bytes are the file's and stdout stays empty.
+PINNED = [
+    (("gen", "--construction", "complete", "--k", "2"), 0,
+     '{"universe":3,"blocks":[[0,1],[0,2],[1,2]]}\n'),
+    (("gen", "--construction", "complete", "--k", "2", "--format", "text"), 0,
+     ('b 0 1\n'
+      'b 0 2\n'
+      'b 1 2\n')),
+    (("gen", "--construction", "plane", "--q", "2", "-o", "{out}"), 0,
+     ('{"universe":7,"blocks":[[0,1,3],[0,2,6],[0,4,5],[1,2,4],[1,5,6],[2,3,5],'
+      '[3,4,6]]}\n')),
+    (("tau", "{bg}"), 0,
+     '{"tau":2,"nodes":7}\n'),
+    (("tau", "{bg}", "--format", "text"), 0,
+     'tau 2\n'),
+    (("transversals", "{bg}"), 0,
+     ('{"tau":2,"transversals":[[0,1],[0,2],[0,5],[1,2],[1,4],[2,3]],'
+      '"nodes":10}\n')),
+    (("transversals", "{bg}", "--format", "text"), 0,
+     ('tau 2\n'
+      'b 0 1\n'
+      'b 0 2\n'
+      'b 0 5\n'
+      'b 1 2\n'
+      'b 1 4\n'
+      'b 2 3\n'
+      'nodes 10\n')),
+    (("check-mif", "{fano}"), 0,
+     'maximal intersecting family, k=3\n'),
+    (("check-mif", "{bg}", "--format", "json"), 1,
+     ('{"ok":false,"k":3,"tau":2,"transversal_match":false,'
+      '"reason":"tau=2 != k=3"}\n')),
+    (("merge", "{mif6}", "--alpha", "4", "--beta", "5"), 0,
+     ('{"universe":6,"labels":["a","b","c","d","e","f"],"blocks":[[0,1,2],[0,1,'
+      '3],[0,1,4],[0,2,3],[0,2,4],[0,3,4],[1,2,3],[1,2,4],[1,3,4],[2,3,4]]}\n')),
+    (("merge", "{mif6}", "--alpha", "4", "--beta", "5", "--format", "text"), 0,
+     ('b 0 1 2\n'
+      'b 0 1 3\n'
+      'b 0 1 4\n'
+      'b 0 2 3\n'
+      'b 0 2 4\n'
+      'b 0 3 4\n'
+      'b 1 2 3\n'
+      'b 1 2 4\n'
+      'b 1 3 4\n'
+      'b 2 3 4\n')),
+    (("merge", "{mif6}", "--alpha", "4", "--beta", "5", "-o", "{out}"), 0,
+     ('{"universe":6,"labels":["a","b","c","d","e","f"],"blocks":[[0,1,2],[0,1,'
+      '3],[0,1,4],[0,2,3],[0,2,4],[0,3,4],[1,2,3],[1,2,4],[1,3,4],[2,3,4]]}\n')),
+    (("collapse", "{fano}", "--alpha", "3"), 0,
+     ('{"alpha":3,"betas":[3],"chain":[{"universe":7,"blocks":[[0,1,3],[0,2,6],'
+      '[0,4,5],[1,2,4],[1,5,6],[2,3,5],[3,4,6]]}],"pairs":[[[0,1,3],[2,3,5]]],'
+      '"isp":{"pairs":[{"A":[0,1],"B":[2,5]},{"A":[2,5],"B":[0,1]}],"k":2,'
+      '"t":2},"g_top_points":6}\n')),
+    (("collapse", "{fano}", "--alpha", "3", "--format", "text"), 0,
+     ('alpha 3\n'
+      'betas 3\n'
+      'steps 1\n'
+      'g_top_points 6\n'
+      'isp_pairs 2\n')),
+    (("chromatic", "{fano}"), 0,
+     'chromatic 3\n'),
+    (("chromatic", "{fano}", "--format", "json"), 0,
+     '{"chromatic_class":3}\n'),
+    (("isp-validate", "{isp}"), 0,
+     'valid: 6 pairs, 7 points, sum 3/5\n'),
+    (("isp-validate", "{isp}", "--format", "json"), 0,
+     ('{"ok":true,"n_pairs":6,"points":7,"violation":null,"message":"valid",'
+      '"bollobas_sum":"3/5"}\n')),
+    (("isp-extract", "{fano}"), 0,
+     ('{"pairs":[{"A":[0,2,6],"B":[4,5]},{"A":[0,4,5],"B":[2,6]},{"A":[1,2,4],'
+      '"B":[5,6]},{"A":[1,5,6],"B":[2,4]},{"A":[2,3,5],"B":[4,6]},{"A":[3,4,6],'
+      '"B":[2,5]}],"k":3,"t":2}\n')),
+    (("isp-extract", "{fano}", "-o", "{out}"), 0,
+     ('{"pairs":[{"A":[0,2,6],"B":[4,5]},{"A":[0,4,5],"B":[2,6]},{"A":[1,2,4],'
+      '"B":[5,6]},{"A":[1,5,6],"B":[2,4]},{"A":[2,3,5],"B":[4,6]},{"A":[3,4,6],'
+      '"B":[2,5]}],"k":3,"t":2}\n')),
+    (("isp-extract", "{fano}", "-o", "-"), 0,
+     ('{"pairs":[{"A":[0,2,6],"B":[4,5]},{"A":[0,4,5],"B":[2,6]},{"A":[1,2,4],'
+      '"B":[5,6]},{"A":[1,5,6],"B":[2,4]},{"A":[2,3,5],"B":[4,6]},{"A":[3,4,6],'
+      '"B":[2,5]}],"k":3,"t":2}\n')),
+    (("bounds", "--k", "2", "--t", "1"), 0,
+     ('k = 2\n'
+      '  el_lower                 3\n'
+      '  tuza_Nk_upper            3\n'
+      '  improved_upper           2\n'
+      '  half_central_binomial    1\n'
+      '  conjectured_N            3\n'
+      '  main_upper               1 + n(2,0)\n'
+      't = 1\n'
+      '  bollobas_pair_bound      3\n'
+      '  tuza_nkt_upper           3\n'
+      '  note: an explicit system with 4 points exists at (2,'
+      '1); the simplified sum is below it at this boundary\n')),
+    (("bounds", "--k", "2", "--t", "1", "--format", "json"), 0,
+     ('{"k":2,"el_lower":3,"tuza_Nk_upper":3,"improved_upper":2,'
+      '"half_central_binomial":1,"conjectured_N":3,'
+      '"main_upper":{"expr":"1 + n(2,0)","half_term":1,"n_params":[2,0]},'
+      '"t_section":{"t":1,"bollobas_pair_bound":3,"tuza_nkt_upper":3,'
+      '"boundary_witness_points":4}}\n')),
+    (("search", "mif", "--k", "2"), 0,
+     ('{"k":2,"universe_bound":3,"max_points":3,'
+      '"counts_by_point_count":{"3":1},"mifs":[[[0,1],[0,2],[1,2]]],"nodes":3}\n')),
+    (("search", "mif", "--k", "2", "--format", "text"), 0,
+     ('k 2\n'
+      'universe_bound 3\n'
+      'classes 1\n'
+      'max_points 3\n'
+      '  on 3 points: 1\n'
+      'nodes 3\n')),
+    (("search", "isp", "--k", "2", "--t", "1"), 0,
+     ('{"k":2,"t":1,"max_points":4,"witness":{"pairs":[{"A":[0,1],"B":[2]},'
+      '{"A":[2,3],"B":[0]}],"k":2,"t":1},"nodes":5}\n')),
+    (("search", "isp", "--k", "2", "--t", "1", "--format", "text"), 0,
+     ('n(2,1) 4\n'
+      'witness_pairs 2\n'
+      'nodes 5\n')),
+    (("verify-paper", "--skip", "search"), 0,
+     ('PASS     1 oracle-equivalence: 500 random uniform families (k in 2..4,'
+      ' <=12 points): solver == oracle; count <= k^tau throughout (worst fill '
+      '1.000)\n'
+      'PASS     2 bg-construction-identity: 10 parameter pairs (2 <= t <= k-1 '
+      '<= 5): tau = t and the enumerated transversal family equals the closed '
+      'form on k+t-2+C(k+t-2,t-1) points\n'
+      'PASS     3 mif-fixtures: triangle:maximal; complete_3:maximal; '
+      'complete_4:maximal; fano:maximal; pg23:maximal; bg_3_2:tau=2 != k=3\n'
+      'SKIPPED  4 merge-rewrite: skipped: search\n'
+      'SKIPPED  5 collapse-certificates: skipped: search\n'
+      'SKIPPED  6 search-max-points: skipped: search\n'
+      'SKIPPED  7 isp-brute-force: skipped: search\n'
+      'PASS     8 bounds-identities: k = 2..12: improved_upper = tuza_Nk_upper '
+      '- C(2k-2,k-1)/2, el_lower = conjectured_N, all halvings exact\n'
+      'PASS     9 chromatic-classes: Fano plane -> 3; order-3 plane -> 2\n'
+      'SKIPPED 10 determinism: skipped: search\n'
+      'RESULT  all criteria passed\n')),
+    (("verify-paper", "--skip", "search", "--format", "json"), 0,
+     ('{"items":[{"index":1,"name":"oracle-equivalence","status":"PASS",'
+      '"detail":"500 random uniform families (k in 2..4,'
+      ' <=12 points): solver == oracle; count <= k^tau throughout (worst fill '
+      '1.000)"},{"index":2,"name":"bg-construction-identity","status":"PASS",'
+      '"detail":"10 parameter pairs (2 <= t <= k-1 <= 5): tau = t and the '
+      'enumerated transversal family equals the closed form on k+t-2+C(k+t-2,'
+      't-1) points"},{"index":3,"name":"mif-fixtures","status":"PASS",'
+      '"detail":"triangle:maximal; complete_3:maximal; complete_4:maximal; '
+      'fano:maximal; pg23:maximal; bg_3_2:tau=2 != k=3"},{"index":4,'
+      '"name":"merge-rewrite","status":"SKIPPED","detail":"skipped: search"},'
+      '{"index":5,"name":"collapse-certificates","status":"SKIPPED",'
+      '"detail":"skipped: search"},{"index":6,"name":"search-max-points",'
+      '"status":"SKIPPED","detail":"skipped: search"},{"index":7,'
+      '"name":"isp-brute-force","status":"SKIPPED","detail":"skipped: search"},'
+      '{"index":8,"name":"bounds-identities","status":"PASS",'
+      '"detail":"k = 2..12: improved_upper = tuza_Nk_upper - C(2k-2,k-1)/2,'
+      ' el_lower = conjectured_N, all halvings exact"},{"index":9,'
+      '"name":"chromatic-classes","status":"PASS",'
+      '"detail":"Fano plane -> 3; order-3 plane -> 2"},{"index":10,'
+      '"name":"determinism","status":"SKIPPED","detail":"skipped: search"}],'
+      '"all_pass":true}\n')),
+]
+
+
+@pytest.fixture()
+def pinned_inputs(tmp_path):
+    mif6 = Family([(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4),
+                   (0, 3, 5), (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 3, 4)], 6,
+                  labels=list("abcdef"))
+    files = {"fano": projective_plane(2).to_json() + "\n",
+             "bg": bg_family(3, 2).family.to_json() + "\n",
+             "mif6": mif6.to_json(),
+             "isp": extract_isp(projective_plane(2)).to_json()}
+    paths = {"out": str(tmp_path / "out")}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    return paths
+
+
+@pytest.mark.parametrize("argv, code, expected", PINNED,
+                         ids=[" ".join(argv) for argv, _, _ in PINNED])
+def test_cli_output_bytes_pinned(capsys, pinned_inputs, argv, code, expected):
+    got_code, out, err = run(capsys, *[a.format(**pinned_inputs) for a in argv])
+    if "{out}" in argv:
+        assert out == ""
+        out = Path(pinned_inputs["out"]).read_text()
+    assert (got_code, out, err) == (code, expected, "")

@@ -13,9 +13,8 @@ from miflab.transversal import transversal_family
 
 def test_bg_3_2_structure():
     bg = bg_family(3, 2)
-    assert bg.s_points == (0, 1, 2)
+    # S = {0, 1, 2}; the x points 3, 4, 5 extend the pairs 01, 02, 12
     assert bg.family.blocks == ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 2, 5))
-    assert bg.x_points == {(0, 1): 3, (0, 2): 4, (1, 2): 5}
     assert len(bg.expected_transversals) == 6
     assert bg.expected_transversals.point_count() == 6
 

@@ -168,6 +168,14 @@ def test_json_rejects_bool_as_integer():
         Family.from_json('{"universe": true, "blocks": [[0]]}')
 
 
+@pytest.mark.parametrize("blocks", [[(0, True)], [(1, True)], [(0, 1.5)], [(0, "1")]],
+                         ids=["bool", "bool-equal-to-a-point", "float", "str"])
+def test_constructor_rejects_non_integer_points(blocks):
+    # a bool point would serialise as JSON true, which from_json refuses
+    with pytest.raises(FormatError, match="expected a list of integers"):
+        Family(blocks, 3)
+
+
 def test_universe_cap():
     big = json.dumps({"universe": 200, "blocks": [[0, 1]]})
     with pytest.raises(UniverseOverflowError):
