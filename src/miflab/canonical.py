@@ -51,11 +51,25 @@ An automorphism that moves a point to another cell of the level is not
 used there, since it may map a tried block onto a block whose subtree
 produces other lists.  The bookkeeping starts with the first stored
 automorphism, so a family with a trivial group pays almost nothing for it.
+
+Seeded automorphisms.  The argument above uses only that a stored map is
+an automorphism of the family, not that the walk found it, so the test
+may start from automorphisms the caller already knows (the search passes
+those it derives from the parent's group); they prune from the first tied
+level on.  A wrong seed would prune a subtree that holds a smaller list,
+so each one is checked against the blocks first.  When the test accepts,
+the caller's list gets the automorphisms the walk found and one
+transposition per pair of adjacent twin points, points that lie in
+exactly the same blocks.  The walk never branches inside a cell and twins
+are never separated, so it cannot find those swaps itself; with them the
+list generates the whole automorphism group of the family.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+from .errors import ParameterOutOfRangeError
 
 
 def _split(order: list[int], cell: list[int], size: list[int], block: tuple[int, ...]) -> None:
@@ -117,12 +131,53 @@ def _in_tried_orbit(level: list, emit: int, autos: list[list[int]],
     return False
 
 
-def _minimize(blocks: Sequence[Sequence[int]], test_only: bool) -> tuple[tuple[int, ...], ...] | bool:
+def _block_masks(ident: tuple[tuple[int, ...], ...], v: int,
+                 automorphisms: Sequence[Sequence[int]]) -> dict[int, int]:
+    """The index of each block by its mask, after checking that every
+    automorphism, given as the list of images of 0..v-1, permutes the
+    points and maps each block onto a block."""
+    by_mask = {sum(1 << p for p in b): bi for bi, b in enumerate(ident)}
+    points = set(range(v))
+    for g in automorphisms:
+        try:
+            ok = (all(type(q) is int for q in g) and len(g) == v and set(g) == points
+                  and all(sum(1 << g[p] for p in b) in by_mask for b in ident))
+        except (TypeError, IndexError):  # no sequence, or a block point beyond v
+            ok = False
+        if not ok:
+            raise ParameterOutOfRangeError(
+                f"{g!r} is not an automorphism of the blocks on points 0..{v - 1}")
+    return by_mask
+
+
+def _twin_swaps(members: tuple[tuple[int, ...], ...], v: int) -> list[list[int]]:
+    """One transposition per pair of adjacent points that lie in exactly
+    the same blocks."""
+    where = [0] * v
+    for bi, b in enumerate(members):
+        for p in b:
+            where[p] |= 1 << bi
+    swaps: list[list[int]] = []
+    last: dict[int, int] = {}
+    for p, blocks_of_p in enumerate(where):
+        q = last.get(blocks_of_p)
+        if q is not None:
+            g = list(range(v))
+            g[p], g[q] = q, p
+            swaps.append(g)
+        last[blocks_of_p] = p
+    return swaps
+
+
+def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
+              seed: list | None = None) -> tuple[tuple[int, ...], ...] | bool:
     ident = tuple(sorted({tuple(sorted(set(b))) for b in blocks}))
-    if not ident:
-        return True if test_only else ()
     points = sorted({p for b in ident for p in b})
     v = len(points)
+    if seed is not None:
+        by_mask = _block_masks(ident, v, seed)
+    if not ident:
+        return True if test_only else ()
     if test_only and points != list(range(v)):
         return False  # the least list labels its points 0..v-1
     index = {p: i for i, p in enumerate(points)}
@@ -130,11 +185,15 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool) -> tuple[tuple[i
 
     out: list[tuple[int, ...]] = []
     # The identity labeling gives members; best_order is the point order
-    # of the labeling that gave best, and autos holds the automorphisms
-    # found so far, each as the list of point images.
+    # of the labeling that gave best, and autos holds the seeded
+    # automorphisms and those found so far, each as the list of point
+    # images.  A seed implies test_only, so members is ident.
     best, best_order = list(members), list(range(v))
-    autos: list[list[int]] = []
-    by_mask: dict[int, int] = {}
+    if seed is None:
+        autos: list = []
+        by_mask: dict[int, int] = {}
+    else:
+        autos = list(seed)
     # The branch being explored: order lists the points by label position,
     # cell[p] is the start of p's cell, size[start] that cell's size, and
     # remaining holds the blocks not yet emitted.  It is a list, not a
@@ -188,7 +247,12 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool) -> tuple[tuple[i
                 levels.pop()
                 out.pop()
             if not levels:
-                return True if test_only else tuple(best)
+                if not test_only:
+                    return tuple(best)
+                if seed is not None:
+                    seed += autos[len(seed):]
+                    seed += _twin_swaps(members, v)
+                return True
             level = levels[-1]
             taken = level[5]
             emit = level[4][taken]
@@ -211,6 +275,13 @@ def least_block_list(blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     return result
 
 
-def is_least_labeling(blocks: Sequence[Sequence[int]]) -> bool:
-    """True iff the blocks, as labeled, already form the least list."""
-    return bool(_minimize(blocks, test_only=True))
+def is_least_labeling(blocks: Sequence[Sequence[int]],
+                      automorphisms: list | None = None) -> bool:
+    """True iff the blocks, as labeled, already form the least list.
+
+    automorphisms, if given, is a list of automorphisms of the blocks, each
+    the list of images of the points 0..v-1; they prune the test from the
+    start, and an entry that is not one raises ParameterOutOfRangeError.
+    On True the list is extended to generators of the blocks' whole
+    automorphism group; on False it is left as it was."""
+    return bool(_minimize(blocks, True, automorphisms))

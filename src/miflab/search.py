@@ -20,6 +20,22 @@ If T has fewer than k points, or is a non-block k-set that can no longer
 be added (it precedes the last block), no descendant is maximal and the
 node is pruned.
 
+The walk carries each node's automorphism group, as generators of
+permutations of its points; the test that accepts a child returns them
+(``canonical.py``).  Two uses follow for a candidate block b whose fresh
+points are the next unused ids, with the node's automorphisms extended
+by fixing the points from v on.  If some automorphism g maps b onto a
+block that sorts below b, b is skipped: g relabels F + b as F + g(b),
+whose sorted list is smaller, as g(b) is no block of F and b follows
+every block of F, so F + b is not least whatever F is.  Otherwise b is
+least in its orbit and is tested with the stabiliser of b in the node's
+group as seed automorphisms of the child: they fix F and b, so they are
+automorphisms of F + b.  The stabiliser is generated by the Schreier
+generators t_y^-1 g t_x over the orbit's transversal (t_x sends b to x,
+y = g(x)).  Skipping a candidate only drops a child the test rejects and
+a seed only prunes the test, so the tree and its node count are those
+of a walk without groups.
+
 Set-pair systems are searched directly over pair sequences: the pair count
 is capped by C(k+t, k), fresh points are introduced in first-use order,
 and the first pair is fixed, which quotients out enough symmetry at desk
@@ -41,6 +57,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -103,8 +120,50 @@ def _addable(blocks: Blocks, p_max: int) -> list[tuple[tuple[int, ...], int]]:
             if cand > blocks[-1]]
 
 
-def _node_step(blocks: Blocks, k: int, p_max: int) -> tuple[bool, list[Blocks]]:
-    """Classify one canonical node: (is maximal, canonical children)."""
+def _stabiliser(block: tuple[int, ...], group: Sequence[Sequence[int]], v: int,
+                width: int) -> list[list[int]] | None:
+    """Generators of the stabiliser of block in the group that group's
+    permutations of range(v) generate, each extended by the identity to
+    range(width); None if an image of block sorts below it.
+
+    The orbit is walked breadth first, keeping for each image x a map t_x
+    that sends block to x, and its inverse.  The Schreier generators
+    t_y^-1 g t_x, for each image x and generator g with y = g(x),
+    generate the stabiliser; the identity and repeats are dropped."""
+    fixed = list(range(v, width))
+    gens = [list(g) + fixed for g in group]
+    identity = list(range(width))
+    maps = {block: (identity, identity)}  # x -> (t_x, t_x^-1)
+    orbit = [block]
+    seen = {tuple(identity)}
+    schreier: list[list[int]] = []
+    for x in orbit:  # the list grows while it is walked
+        t_x = maps[x][0]
+        for g in gens:
+            y = tuple(sorted(map(g.__getitem__, x)))
+            if y in maps:
+                t_y_inv = maps[y][1]
+                s = [t_y_inv[g[p]] for p in t_x]
+                if tuple(s) not in seen:
+                    seen.add(tuple(s))
+                    schreier.append(s)
+            elif y < block:
+                return None
+            else:  # t_y = g t_x, whose Schreier generator is the identity
+                t_y = [g[p] for p in t_x]
+                t_y_inv = [0] * width
+                for p, q in enumerate(t_y):
+                    t_y_inv[q] = p
+                maps[y] = t_y, t_y_inv
+                orbit.append(y)
+    return schreier
+
+
+def _node_step(blocks: Blocks, k: int, p_max: int, group: Sequence[Sequence[int]] = ()
+               ) -> tuple[bool, list[Blocks], list[list[list[int]]]]:
+    """Classify one canonical node: (is maximal, canonical children, their
+    automorphism groups).  group holds automorphisms of the node, as lists
+    of point images; the default, none, stands for the trivial group."""
     last = blocks[-1]
     masks = [mask_of(b) for b in blocks]
     v = max(b[-1] for b in blocks) + 1
@@ -118,18 +177,23 @@ def _node_step(blocks: Blocks, k: int, p_max: int) -> tuple[bool, list[Blocks]]:
     # addable block's used part is a hitter of < k points or a non-block
     # k-set (it follows last), so a node with one is never maximal
     if not addable and t == k and len(threats) == len(blocks):
-        return True, []  # maximal; and no extension of it can be
+        return True, [], []  # maximal; and no extension of it can be
     if t < k or any(tm not in masks and bits_of(tm) <= last for tm in threats):
-        return False, []
+        return False, [], []
 
     children: list[Blocks] = []
+    groups: list[list[list[int]]] = []
     for cand, dm in addable:
         fresh = dm >> v
         if fresh & (fresh + 1) == 0:  # its new points are the next unused ids
+            seeds = _stabiliser(cand, group, v, max(v, cand[-1] + 1)) if group else []
+            if seeds is None:
+                continue  # an automorphism maps cand below itself
             child = blocks + (cand,)
-            if is_least_labeling(child):
+            if is_least_labeling(child, seeds):
                 children.append(child)
-    return False, children
+                groups.append(seeds)
+    return False, children, groups
 
 
 def _walk(stack: list[Blocks], found: list[Blocks], nodes: int, k: int, p_max: int,
@@ -141,7 +205,12 @@ def _walk(stack: list[Blocks], found: list[Blocks], nodes: int, k: int, p_max: i
     stack as the checkpoint and raises BudgetExceededError with the node
     count, which is the budget unless the walk started beyond it.  With a
     checkpoint path the stack and results are also written every
-    checkpoint_every nodes."""
+    checkpoint_every nodes.
+
+    Beside the stack the walk keeps each pending node's automorphism
+    group, as generators; a node from the caller's stack has none yet
+    and gets it from one seedless test when it is visited."""
+    groups: list[list[list[int]] | None] = [None] * len(stack)
     since_checkpoint = 0
     while stack:
         if budget is not None and nodes >= budget:
@@ -149,13 +218,17 @@ def _walk(stack: list[Blocks], found: list[Blocks], nodes: int, k: int, p_max: i
                 write_checkpoint(checkpoint_path, k, p_max, nodes, stack, found)
             raise BudgetExceededError(f"node budget {budget} exhausted", nodes=nodes,
                                       checkpoint_path=checkpoint_path)
-        blocks = stack.pop()
+        blocks, group = stack.pop(), groups.pop()
         nodes += 1
-        full, children = _node_step(blocks, k, p_max)
+        if group is None:
+            group = []
+            is_least_labeling(blocks, group)
+        full, children, child_groups = _node_step(blocks, k, p_max, group)
         if full:
             found.append(blocks)
         else:
             stack.extend(reversed(children))
+            groups.extend(reversed(child_groups))
         since_checkpoint += 1
         if checkpoint_path and since_checkpoint >= checkpoint_every:
             write_checkpoint(checkpoint_path, k, p_max, nodes, stack, found)

@@ -1,9 +1,12 @@
 import random
 from itertools import combinations, permutations
 
+import pytest
+
 from miflab import canonical
 from miflab.canonical import is_least_labeling, least_block_list
 from miflab.constructions import bg_family, complete_family, projective_plane, triangle
+from miflab.errors import ParameterOutOfRangeError
 from miflab.family import Family
 
 
@@ -381,3 +384,84 @@ def test_orbit_pruning_bounds_work_on_complete_family_4(monkeypatch):
 def test_repeated_point_in_a_block_is_read_as_a_set():
     assert least_block_list([(0, 0, 1), (1, 2, 3)]) == least_block_list([(0, 1), (1, 2, 3)])
     assert is_least_labeling([(0, 0, 1), (1, 2, 3)]) == is_least_labeling([(0, 1), (1, 2, 3)])
+
+
+def automorphisms_by_scan(blocks, v):
+    """Every permutation of range(v), as a list of images, that maps the
+    blocks onto themselves."""
+    as_set = {tuple(sorted(set(b))) for b in blocks}
+    return [list(perm) for perm in permutations(range(v))
+            if all(tuple(sorted(perm[p] for p in b)) in as_set for b in as_set)]
+
+
+def generated_order(gens, v):
+    identity = tuple(range(v))
+    seen, frontier = {identity}, [identity]
+    for h in frontier:
+        for g in gens:
+            gh = tuple(g[p] for p in h)
+            if gh not in seen:
+                seen.add(gh)
+                frontier.append(gh)
+    return len(seen)
+
+
+def test_seeded_test_agrees_and_returns_the_whole_group():
+    # any automorphisms may seed the test without changing its answer; on
+    # True the list comes back generating the group a scan finds, and on
+    # False it comes back as it was
+    rng = random.Random(1414)
+    accepted = 0
+    for _ in range(150):
+        v = rng.randint(1, 6)
+        base = [tuple(sorted(rng.sample(range(v), rng.randint(1, v))))
+                for _ in range(rng.randint(1, 7))]
+        base += [tuple(range(v))]  # every point is used
+        for blocks in (base, list(least_block_list(base)), shuffle_points(rng, base)):
+            group = automorphisms_by_scan(blocks, v)
+            seed = rng.sample(group, rng.randint(0, min(4, len(group))))
+            given = [g[:] for g in seed]
+            result = is_least_labeling(blocks, given)
+            assert result == is_least_labeling(blocks), blocks
+            if not result:
+                assert given == seed
+                continue
+            accepted += 1
+            assert given[:len(seed)] == seed
+            assert all(g in group for g in given)
+            assert generated_order(given, v) == len(group), blocks
+    assert accepted > 150
+
+
+def test_symmetric_families_return_their_whole_group():
+    # K(3): S5 of order 120; Fano: order 168; both from an empty seed
+    for blocks, order in ((complete_family(3).blocks, 120),
+                          (least_block_list(projective_plane(2).blocks), 168)):
+        gens = []
+        assert is_least_labeling(blocks, gens)
+        assert generated_order(gens, max(b[-1] for b in blocks) + 1) == order
+
+
+@pytest.mark.parametrize("seed", [
+    [[0, 1, 2]],                 # too short
+    [[0, 1, 2, 3, 3]],           # a repeated image
+    [[0, 1, 2, 3, 5]],           # an image beyond the points
+    [[0, 1, 2, 4, True]],        # a bool is no point
+    [[0, 1, 2, 3, 4.0]],         # nor is a float
+    [[0, 1, 2, 3, "4"]],
+    [7],                         # no sequence
+    [[1, 0, 2, 3, 4], [0, 1, 2, 3, 4]],  # the first maps (0,2,3) onto (1,2,3)
+])
+def test_bad_seed_is_refused(seed):
+    # K(3) minus one block on 0..4; a wrong seed could prune the subtree
+    # that holds a smaller list, so it is refused before the walk
+    blocks = [b for b in complete_family(3).blocks if b != (1, 2, 3)]
+    with pytest.raises(ParameterOutOfRangeError, match="automorphism"):
+        is_least_labeling(blocks, seed)
+
+
+def test_seed_on_points_other_than_0_to_v_minus_1_is_refused():
+    with pytest.raises(ParameterOutOfRangeError):
+        is_least_labeling([(0, 2), (2, 5)], [[0, 1, 2]])
+    gens = []
+    assert not is_least_labeling([(0, 2), (2, 5)], gens) and gens == []

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from miflab import search
+from miflab import canonical, search
 from miflab.bounds import (improved_upper, proven_point_cap, tuza_conjecture_value,
                            tuza_nkt_upper)
 from miflab.canonical import least_block_list
@@ -18,6 +18,7 @@ from miflab.mif import is_mif, is_one_critical
 from miflab.search import (IspSearchResult, _addable, _hitters, _node_step, compute_n,
                            compute_N, enumerate_mifs, read_checkpoint, search_isp,
                            write_checkpoint)
+from test_canonical import automorphisms_by_scan, generated_order
 
 
 @pytest.fixture(scope="module")
@@ -106,27 +107,56 @@ def reference_node_step(blocks, k, p_max):
     return False, children
 
 
+def walk_with_groups(k, p_max):
+    """Every node of the search tree with the automorphism group the walk
+    carries to it, in the order _walk visits them."""
+    stack = [((tuple(range(k)),), None)]
+    while stack:
+        blocks, group = stack.pop()
+        if group is None:
+            group = []
+            assert search.is_least_labeling(blocks, group)
+        yield blocks, group
+        _, children, groups = _node_step(blocks, k, p_max, group)
+        stack.extend(reversed(list(zip(children, groups))))
+
+
 @pytest.mark.parametrize("k, p_max, total", [
     (2, 3, 3), (2, 4, 4), (2, 5, 4),
     (3, 5, 20), (3, 6, 97), (3, 7, 158), (3, 8, 182), (3, 9, 192),
+    (3, 10, 192), (3, 11, 192), (3, 12, 192),
 ])
-def test_node_step_matches_subset_scan_on_whole_trees(k, p_max, total):
-    stack = [(tuple(range(k)),)]
-    nodes = 0
-    while stack:
-        blocks = stack.pop()
+def test_node_step_matches_subset_scan_on_whole_trees(monkeypatch, k, p_max, total):
+    # the children of each node, with the group the walk carries, are the
+    # scan's; every candidate the orbit filter skips fails the seedless test
+    skipped = []
+    stabiliser = search._stabiliser
+
+    def recording_stabiliser(block, group, v, width):
+        seeds = stabiliser(block, group, v, width)
+        if seeds is None:
+            skipped.append(block)
+        return seeds
+
+    monkeypatch.setattr(search, "_stabiliser", recording_stabiliser)
+    nodes = n_skipped = 0
+    for node, group in walk_with_groups(k, p_max):
         nodes += 1
-        step = _node_step(blocks, k, p_max)
-        assert step == reference_node_step(blocks, k, p_max), blocks
-        stack.extend(step[1])
+        skipped.clear()
+        full, children, _ = _node_step(node, k, p_max, group)
+        assert (full, children) == reference_node_step(node, k, p_max), node
+        assert not any(canonical.is_least_labeling(node + (cand,)) for cand in skipped), node
+        n_skipped += len(skipped)
     assert nodes == total
     assert enumerate_mifs(k, p_max).nodes == total
+    assert n_skipped  # the filter is exercised on every tree
 
 
 def test_node_step_matches_subset_scan_on_random_descents(monkeypatch):
     # every fresh-id child is kept, so the descents reach nodes that are
-    # not least-labeled, and k = 4, which the search refuses
-    monkeypatch.setattr(search, "is_least_labeling", lambda blocks: True)
+    # not least-labeled, and k = 4, which the search refuses; with no
+    # group given no candidate is skipped
+    monkeypatch.setattr(search, "is_least_labeling", lambda blocks, automorphisms=None: True)
     rng = random.Random(20140)
     steps = 0
     for _ in range(1000):
@@ -134,13 +164,42 @@ def test_node_step_matches_subset_scan_on_random_descents(monkeypatch):
         p_max = rng.randint(2 * k - 1, 2 * k + 4)
         blocks = (tuple(range(k)),)
         while True:
-            step = _node_step(blocks, k, p_max)
-            assert step == reference_node_step(blocks, k, p_max), (k, p_max, blocks)
+            full, children, _ = _node_step(blocks, k, p_max)
+            assert (full, children) == reference_node_step(blocks, k, p_max), (k, p_max, blocks)
             steps += 1
-            if not step[1]:
+            if not children:
                 break
-            blocks = rng.choice(step[1])
+            blocks = rng.choice(children)
     assert steps > 2500
+
+
+@pytest.mark.parametrize("k, p_max", [(2, 5), (3, 6)])
+def test_carried_groups_are_whole_automorphism_groups(k, p_max):
+    # each node's generators are automorphisms, and they generate the group
+    # a scan of every permutation of its points finds
+    nodes = 0
+    for blocks, group in walk_with_groups(k, p_max):
+        v = max(b[-1] for b in blocks) + 1
+        scanned = automorphisms_by_scan(blocks, v)
+        assert all(g in scanned for g in group), blocks
+        assert generated_order(group, v) == len(scanned), blocks
+        nodes += 1
+    assert nodes == enumerate_mifs(k, p_max).nodes
+
+
+def test_orbit_filter_bounds_the_canonical_tests(monkeypatch):
+    # a deterministic work count: without the carried groups this search
+    # made 399 canonical tests, 208 of them rejected
+    calls = []
+    is_least = search.is_least_labeling
+
+    def counting(blocks, automorphisms=None):
+        calls.append(None)
+        return is_least(blocks, automorphisms)
+
+    monkeypatch.setattr(search, "is_least_labeling", counting)
+    assert enumerate_mifs(3, 9).nodes == 192
+    assert len(calls) <= 215
 
 
 def test_hitters_match_combinations_scan():
