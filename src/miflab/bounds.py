@@ -90,10 +90,7 @@ def tuza_nkt_upper(k: int, t: int) -> int:
     if not k >= t >= 1:
         raise ParameterOutOfRangeError(f"needs k >= t >= 1, got k={k}, t={t}")
     s = central_binomial_sum(t - 1)
-    scaled = 3 * s
-    if scaled % 2:
-        raise VerificationError(f"3 * {s} is odd; the scaled sum must halve exactly")
-    return binom(k + t, t + 1) - binom(2 * t - 1, t + 1) + scaled // 2
+    return binom(k + t, t + 1) - binom(2 * t - 1, t + 1) + _exact_half(3 * s, f"3 * {s}")
 
 
 #: Explicit 4-point witness showing the (k,t) = (2,1) evaluation of the

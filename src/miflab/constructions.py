@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import (ParameterOutOfRangeError, UnsupportedOrderError, _check_int,
-                     _check_universe)
+from .errors import (ParameterOutOfRangeError, UnsupportedOrderError, _check_count,
+                     _check_int, _check_universe)
 from .family import DEFAULT_MAX_UNIVERSE, Family
 
 # order q -> (modulus q^2+q+1, difference set)
@@ -30,16 +30,11 @@ class BgFamily:
     expected_transversals: Family
 
 
-def _check_cap(max_universe: int | None) -> None:
-    if max_universe is not None:
-        _check_int("max_universe", max_universe, 0)
-
-
 def bg_family(k: int, t: int, max_universe: int | None = DEFAULT_MAX_UNIVERSE) -> BgFamily:
     """bg(k,t) on k+t-2+C(k+t-2,k-1) points; max_universe None means no cap."""
     _check_int("k", k)
     _check_int("t", t)
-    _check_cap(max_universe)
+    _check_count("max_universe", max_universe)
     if not 2 <= t <= k - 1:
         raise ParameterOutOfRangeError(f"bg(k,t) needs 2 <= t <= k-1, got k={k}, t={t}")
     s_size = k + t - 2
@@ -72,7 +67,7 @@ def complete_family(k: int, max_universe: int | None = DEFAULT_MAX_UNIVERSE) -> 
     """All k-subsets of a (2k-1)-set; intersecting by counting.  max_universe
     None means no cap."""
     _check_int("k", k, 2)
-    _check_cap(max_universe)
+    _check_count("max_universe", max_universe)
     universe = 2 * k - 1
     _check_universe(universe, max_universe, f"complete family for k={k}")
     return Family(combinations(range(universe), k), universe)

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the input checks that
-more than one layer applies: an integer parameter, a universe size against
-its cap, and a JSON document.
+more than one layer applies: an integer parameter, an optional count, a
+universe size against its cap, and a JSON document.
 
 Exit-code mapping used by the CLI:
   * math-negative verdicts (1): NotMifError, CoveredPairError, InvalidIspError
@@ -94,6 +94,12 @@ def _check_int(name: str, value, least: int | None = None) -> None:
         raise ParameterOutOfRangeError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ParameterOutOfRangeError(f"{name} must be at least {least}, got {value}")
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse an optional count that is not None and is no int >= 0."""
+    if value is not None:
+        _check_int(name, value, 0)
 
 
 def _check_universe(universe: int, max_universe: int | None, what: str | None = None) -> None:

@@ -28,13 +28,15 @@ by fixing the points from v on.  If some automorphism g maps b onto a
 block that sorts below b, b is skipped: g relabels F + b as F + g(b),
 whose sorted list is smaller, as g(b) is no block of F and b follows
 every block of F, so F + b is not least whatever F is.  Otherwise b is
-least in its orbit and is tested with the stabiliser of b in the node's
-group as seed automorphisms of the child: they fix F and b, so they are
-automorphisms of F + b.  The stabiliser is generated by the Schreier
-generators t_y^-1 g t_x over the orbit's transversal (t_x sends b to x,
-y = g(x)).  Skipping a candidate only drops a child the test rejects and
-a seed only prunes the test, so the tree and its node count are those
-of a walk without groups.
+least in its orbit and is tested with the node's generators that map b
+onto itself as seed automorphisms of the child: each maps F onto F and
+b onto b, so it maps F + b onto itself.  The seeds need not generate the
+child's whole group: the test's orbit pruning holds for any set of
+automorphisms, and its walk finds the ones the seeds do not generate,
+so the list it returns still generates the whole group.  Skipping a
+candidate only drops a child the test rejects and a seed only prunes
+the test, so the tree and its node count are those of a walk without
+groups.
 
 Set-pair systems are searched directly over pair sequences: the pair count
 is capped by C(k+t, k), fresh points are introduced in first-use order,
@@ -65,7 +67,7 @@ from math import comb
 from .bounds import proven_point_cap
 from .canonical import is_least_labeling
 from .errors import (BudgetExceededError, FormatError, ParameterOutOfRangeError,
-                     UnsupportedKError, UnsupportedParamsError, _check_int)
+                     UnsupportedKError, UnsupportedParamsError, _check_count, _check_int)
 from .family import Family, bits_of, mask_of
 from .isp import SetPairSystem
 from .transversal import _hitting_sets
@@ -108,11 +110,6 @@ def _hitters(v: int, size: int, masks):
                           [m for m in missed if not m & bit]))
 
 
-def _check_budget(budget: int | None) -> None:
-    if budget is not None:
-        _check_int("the node budget", budget, 0)
-
-
 def _addable(blocks: Blocks, p_max: int) -> list[tuple[tuple[int, ...], int]]:
     """The blocks a descendant may still add, ascending, with their masks."""
     masks = [mask_of(b) for b in blocks]
@@ -120,43 +117,23 @@ def _addable(blocks: Blocks, p_max: int) -> list[tuple[tuple[int, ...], int]]:
             if cand > blocks[-1]]
 
 
-def _stabiliser(block: tuple[int, ...], group: Sequence[Sequence[int]], v: int,
-                width: int) -> list[list[int]] | None:
-    """Generators of the stabiliser of block in the group that group's
-    permutations of range(v) generate, each extended by the identity to
-    range(width); None if an image of block sorts below it.
-
-    The orbit is walked breadth first, keeping for each image x a map t_x
-    that sends block to x, and its inverse.  The Schreier generators
-    t_y^-1 g t_x, for each image x and generator g with y = g(x),
-    generate the stabiliser; the identity and repeats are dropped."""
+def _fixing_generators(block: tuple[int, ...], group: Sequence[Sequence[int]], v: int,
+                       width: int) -> list[list[int]] | None:
+    """The members of group, permutations of range(v), that map block onto
+    itself, each extended by the identity to range(width); None if the
+    group they generate maps block onto a block that sorts below it."""
     fixed = list(range(v, width))
     gens = [list(g) + fixed for g in group]
-    identity = list(range(width))
-    maps = {block: (identity, identity)}  # x -> (t_x, t_x^-1)
-    orbit = [block]
-    seen = {tuple(identity)}
-    schreier: list[list[int]] = []
+    orbit, seen = [block], {block}
     for x in orbit:  # the list grows while it is walked
-        t_x = maps[x][0]
         for g in gens:
             y = tuple(sorted(map(g.__getitem__, x)))
-            if y in maps:
-                t_y_inv = maps[y][1]
-                s = [t_y_inv[g[p]] for p in t_x]
-                if tuple(s) not in seen:
-                    seen.add(tuple(s))
-                    schreier.append(s)
-            elif y < block:
-                return None
-            else:  # t_y = g t_x, whose Schreier generator is the identity
-                t_y = [g[p] for p in t_x]
-                t_y_inv = [0] * width
-                for p, q in enumerate(t_y):
-                    t_y_inv[q] = p
-                maps[y] = t_y, t_y_inv
+            if y not in seen:
+                if y < block:
+                    return None
+                seen.add(y)
                 orbit.append(y)
-    return schreier
+    return [g for g in gens if tuple(sorted(map(g.__getitem__, block))) == block]
 
 
 def _node_step(blocks: Blocks, k: int, p_max: int, group: Sequence[Sequence[int]] = ()
@@ -186,7 +163,7 @@ def _node_step(blocks: Blocks, k: int, p_max: int, group: Sequence[Sequence[int]
     for cand, dm in addable:
         fresh = dm >> v
         if fresh & (fresh + 1) == 0:  # its new points are the next unused ids
-            seeds = _stabiliser(cand, group, v, max(v, cand[-1] + 1)) if group else []
+            seeds = _fixing_generators(cand, group, v, max(v, cand[-1] + 1)) if group else []
             if seeds is None:
                 continue  # an automorphism maps cand below itself
             child = blocks + (cand,)
@@ -375,7 +352,7 @@ def enumerate_mifs(k: int, p_max: int | None = None, *, budget: int | None = Non
     if p_max < 2 * k - 1:
         raise ParameterOutOfRangeError(
             f"p_max = {p_max} cannot host a maximal family of {k}-sets (needs {2 * k - 1})")
-    _check_budget(budget)
+    _check_count("the node budget", budget)
     if checkpoint_path:
         _check_int("checkpoint_every", checkpoint_every, 1)
 
@@ -446,7 +423,7 @@ def search_isp(k: int, t: int, *, budget: int | None = None) -> IspSearchResult:
     budget stop reports budget + 1 nodes."""
     _check_int("k", k, 1)
     _check_int("t", t, 1)
-    _check_budget(budget)
+    _check_count("the node budget", budget)
     n_max = comb(k + t, k)
     per_pair_gain = k + t - 2  # later pairs must reuse a point on each side
     a, b = tuple(range(k)), tuple(range(k, k + t))

@@ -166,6 +166,7 @@ def test_merge_usage_errors():
     lambda: bollobas_pair_bound(2.0, 1),
     lambda: complete_family(3.0),
     lambda: complete_family(3, max_universe=True),
+    lambda: complete_family(3, max_universe=-1),
     lambda: bg_family(4.0, 2),
     lambda: bg_family(4, 2, max_universe=12.5),
     lambda: projective_plane(2.0),
@@ -176,9 +177,9 @@ def test_merge_usage_errors():
     lambda: SetPairSystem([((0,), (1,))], k=True, t=1),
 ], ids=["el_lower-float", "eval_bounds-float", "half_central_binomial-1",
         "tuza_nkt_upper-float", "tuza_conjecture_value-bool", "bollobas_pair_bound-float",
-        "complete_family-float", "complete_family-bool-cap", "bg_family-float",
-        "bg_family-float-cap", "projective_plane-float", "merge-float", "merge-bool",
-        "collapse-float", "family-float-universe", "set-pair-system-bool-k"])
+        "complete_family-float", "complete_family-bool-cap", "complete_family-negative-cap",
+        "bg_family-float", "bg_family-float-cap", "projective_plane-float", "merge-float",
+        "merge-bool", "collapse-float", "family-float-universe", "set-pair-system-bool-k"])
 def test_library_refuses_bad_integer_parameters(call):
     # every layer applies the search's rule: a bool or a non-int is refused
     with pytest.raises(ParameterOutOfRangeError):
