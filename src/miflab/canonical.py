@@ -7,26 +7,62 @@ blocks onto the other's, which is what "up to isomorphism" means here.
 
 The minimization builds the output list entry by entry and hands labels
 out in cells.  A cell is a set of points that share the label interval
-[start, start + size) in an order not yet fixed; at first all v used
-points form the one cell [0, v).  The key of a block is the lowest
+[start, end] in an order not yet fixed; at first all v used points form
+the one cell [0, v - 1].  The label tuple of a block is the lowest
 |b & C| labels of each cell C it meets: per block, the componentwise (and
 so lexicographic) minimum over every labeling that refines the cells.
-The next entry of the output is the least key over the unemitted blocks.
-Emitting a block splits every cell C it meets into b & C followed by
-C - b, so the block takes exactly its key's labels under every refinement.
+The next entry of the output is the least label tuple over the unemitted
+blocks.  Emitting a block splits every cell C it meets into b & C
+followed by C - b, so the block takes exactly its tuple's labels under
+every refinement.
 
 Why the result is still the exact least list.  Splitting only narrows the
-refinements, so keys never fall, and every refinement of a branch's cells
-yields a list that starts with the entries the branch emitted.  Take a
-least labeling; it refines the starting cell.  If it refines the cells of
-a branch that emitted the first j entries of its list, the block it maps
-to entry j has a key no larger than that entry, which is the least
-possible next entry, so the block ties at the least key, and emitting it
-leaves cells the least labeling still refines.  Branching over the blocks
-that tie at the least key, with pruning against the best complete list
-found so far, therefore reaches the least list, and never branches over
-the orderings of the points inside a cell.  The branches live on an
-explicit stack, so deep inputs do not grow the Python stack.
+refinements, so tuples never fall, and every refinement of a branch's
+cells yields a list that starts with the entries the branch emitted.
+Take a least labeling; it refines the starting cell.  If it refines the
+cells of a branch that emitted the first j entries of its list, the block
+it maps to entry j has a tuple no larger than that entry, which is the
+least possible next entry, so the block ties at the least tuple, and
+emitting it leaves cells the least labeling still refines.  Branching
+over the blocks that tie at the least tuple, with pruning against the
+best complete list found so far, therefore reaches the least list, and
+never branches over the orderings of the points inside a cell.  The
+branches live on an explicit stack, so deep inputs do not grow the
+Python stack.
+
+Cells by name.  A cell is named by its end, the last label position in
+it.  A split gives b & C the first positions of C and the new name
+start + |b & C| - 1, while C - b keeps the name end, so a split rewrites
+at most |b| points.
+
+Integer keys.  Let D = 2^bit_length(largest block size), so D exceeds
+every block size.  The cell named e weighs D^(v-1-e), and a block's key
+is the sum of the weights of its points' cells.  Read in base D, the key
+counts the block's points in each cell, the first cell as the most
+significant digit, and no digit carries, as none reaches D.  Take two
+blocks of one size and the first cell where their counts differ.  The
+block with more points there has the larger key; the other block's next
+point lies in a later cell, so its sorted list of cells, and with it its
+label tuple, is the larger from that position on.  So among blocks of
+one size the largest key belongs exactly to the least label tuple, and
+equal keys mean equal tuples.  A point that moves adds the change of its
+weight to the key of every block through it.  Every key lies in
+[0, D^v), so it grows by less than D^v along a branch; an emitted
+block's key is set to -D^v and stays below every other.
+
+Blocks of several sizes.  Lexicographic order with its prefix rule is not
+additive: no key on cell counts makes both (0) < (0, 1) and (1, 2) < (2).
+So blocks are numbered by size, each size's keys form one slice of the
+key list, and only the leaders of the slices are turned into label
+tuples and compared.  Equal keys have equal digits and so equal sizes,
+which keeps the ties of the least entry inside one slice.
+
+The point order of a complete branch.  A split keeps the block's points
+in ascending order and the rest in their previous order, so by induction
+the points of every cell stay ascending.  The branch's labeling lists
+its points by position, which is therefore the points sorted by cell
+name, ties by point: what an array of the points by label position,
+rewritten at every split, would hold.
 
 Finding automorphisms.  The search starts from the identity labeling's
 list as best and keeps the point order of the branch that set best.  A
@@ -43,10 +79,11 @@ a block emitted above the level became a union of cells when it was
 emitted, and cells only split, so such an automorphism g fixes every
 emitted block and hence the set of remaining blocks.  It maps the tied
 block b onto a tied block g(b), and the cells left by emitting g(b) are
-the images under g of those left by emitting b, with the same starts and
-sizes.  Keys depend on cell starts alone, so the two subtrees produce the
-same lists, and the subtree of b, already walked, holds anything the
-subtree of g(b) could find: a smaller list, or in test mode a refutation.
+the images under g of those left by emitting b, with the same names and
+sizes.  Keys and tuples depend on the cells' positions alone, so the two
+subtrees produce the same lists, and the subtree of b, already walked,
+holds anything the subtree of g(b) could find: a smaller list, or in
+test mode a refutation.
 An automorphism that moves a point to another cell of the level is not
 used there, since it may map a tried block onto a block whose subtree
 produces other lists.  The bookkeeping starts with the first stored
@@ -72,22 +109,37 @@ from typing import Sequence
 from .errors import ParameterOutOfRangeError
 
 
-def _split(order: list[int], cell: list[int], size: list[int], block: tuple[int, ...]) -> None:
-    """Split every cell the block meets into its part in the block followed
-    by the rest, in place."""
+def _split(cell: list[int], size: list[int], key: list[int], weight: list[int],
+           incidence: list[list[int]], block: tuple[int, ...]) -> None:
+    """Split every cell the block meets into its part in the block, which
+    takes the cell's first labels and a new name, followed by the rest,
+    which keeps the name; the keys of the blocks through each moved point
+    follow.  In place."""
     parts: dict[int, list[int]] = {}
     for p in block:
         parts.setdefault(cell[p], []).append(p)
-    for start, inside in parts.items():
-        n_in, total = len(inside), size[start]
+    for end, inside in parts.items():
+        n_in, total = len(inside), size[end]
         if n_in == total:
             continue
-        rest = [p for p in order[start:start + total] if p not in inside]
-        order[start:start + total] = inside + rest
-        size[start] = n_in
-        size[start + n_in] = total - n_in
-        for p in rest:
-            cell[p] = start + n_in
+        new = end - total + n_in
+        size[new] = n_in
+        size[end] = total - n_in
+        delta = weight[new] - weight[end]
+        for p in inside:
+            cell[p] = new
+            for bi in incidence[p]:
+                key[bi] += delta
+
+
+def _labels(block: tuple[int, ...], cell: list[int], size: list[int]) -> tuple[int, ...]:
+    """The lowest labels the block can take: the first |b & C| of each
+    cell C it meets."""
+    labels = [end - size[end] + 1 for end in sorted(map(cell.__getitem__, block))]
+    for i in range(1, len(labels)):
+        if labels[i] <= labels[i - 1]:  # the next label of the same cell
+            labels[i] = labels[i - 1] + 1
+    return tuple(labels)
 
 
 def _close(covered: set[int], frontier: list[int], stab: list[list[int]],
@@ -107,18 +159,18 @@ def _in_tried_orbit(level: list, emit: int, autos: list[list[int]],
                     members: tuple[tuple[int, ...], ...], by_mask: dict[int, int]) -> bool:
     """True iff emit lies in the orbit of a candidate already tried at the
     level, under the stored automorphisms that fix each of its cells."""
-    orbits = level[6]
+    orbits = level[5]
     if orbits is None:
         # [automorphisms tested so far, those that fix every cell, the
         # orbits of the tried candidates under them]
-        orbits = level[6] = [0, [], set()]
+        orbits = level[5] = [0, [], set()]
     seen, stab, covered = orbits
     if seen < len(autos):
-        cell = level[1]
+        cell = level[0]
         new = [g for g in autos[seen:] if all(cell[q] == c for q, c in zip(g, cell))]
         orbits[0] = len(autos)
         if new:
-            frontier = list(covered) if stab else level[4][:level[5] - 1]
+            frontier = list(covered) if stab else level[3][:level[4] - 1]
             stab += new
             covered.update(frontier)
             _close(covered, frontier, stab, members, by_mask)
@@ -131,17 +183,17 @@ def _in_tried_orbit(level: list, emit: int, autos: list[list[int]],
     return False
 
 
-def _block_masks(ident: tuple[tuple[int, ...], ...], v: int,
+def _block_masks(blocks: list[tuple[int, ...]], v: int,
                  automorphisms: Sequence[Sequence[int]]) -> dict[int, int]:
     """The index of each block by its mask, after checking that every
     automorphism, given as the list of images of 0..v-1, permutes the
     points and maps each block onto a block."""
-    by_mask = {sum(1 << p for p in b): bi for bi, b in enumerate(ident)}
+    by_mask = {sum(1 << p for p in b): bi for bi, b in enumerate(blocks)}
     points = set(range(v))
     for g in automorphisms:
         try:
             ok = (all(type(q) is int for q in g) and len(g) == v and set(g) == points
-                  and all(sum(1 << g[p] for p in b) in by_mask for b in ident))
+                  and all(sum(1 << g[p] for p in b) in by_mask for b in blocks))
         except (TypeError, IndexError):  # no sequence, or a block point beyond v
             ok = False
         if not ok:
@@ -174,41 +226,54 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
     ident = tuple(sorted({tuple(sorted(set(b))) for b in blocks}))
     points = sorted({p for b in ident for p in b})
     v = len(points)
+    # Blocks of one size are numbered consecutively, so their keys form
+    # one slice of the key list.
+    by_size = sorted(ident, key=len)
     if seed is not None:
-        by_mask = _block_masks(ident, v, seed)
+        by_mask = _block_masks(by_size, v, seed)
     if not ident:
         return True if test_only else ()
     if test_only and points != list(range(v)):
         return False  # the least list labels its points 0..v-1
     index = {p: i for i, p in enumerate(points)}
-    members = tuple(tuple(index[p] for p in b) for b in ident)
+    members = tuple(tuple(index[p] for p in b) for b in by_size)
+    n = len(members)
+    sizes = [len(b) for b in members]
+    cuts = [bi for bi in range(1, n) if sizes[bi] != sizes[bi - 1]]
+    groups = list(zip([0] + cuts, cuts + [n]))
+    shift = sizes[-1].bit_length()
+    weight = [1 << shift * (v - 1 - end) for end in range(v)]
+    # below every key a block reaches, whatever it gains after its emission
+    emitted = -1 << shift * v
+    incidence: list[list[int]] = [[] for _ in range(v)]
+    for bi, b in enumerate(members):
+        for p in b:
+            incidence[p].append(bi)
 
     out: list[tuple[int, ...]] = []
-    # The identity labeling gives members; best_order is the point order
-    # of the labeling that gave best, and autos holds the seeded
+    # The identity labeling gives sorted(members); best_order is the point
+    # order of the labeling that gave best, and autos holds the seeded
     # automorphisms and those found so far, each as the list of point
-    # images.  A seed implies test_only, so members is ident.
-    best, best_order = list(members), list(range(v))
+    # images.  A seed implies test_only, so members is by_size.
+    best, best_order = sorted(members), list(range(v))
     if seed is None:
         autos: list = []
         by_mask: dict[int, int] = {}
     else:
         autos = list(seed)
-    # The branch being explored: order lists the points by label position,
-    # cell[p] is the start of p's cell, size[start] that cell's size, and
-    # remaining holds the blocks not yet emitted.  It is a list, not a
-    # tuple: CPython keeps up to 2000 freed tuples of each length below 20,
-    # which raised the peak memory of a run of many calls by 3.6 MB.
-    order, cell, size = list(range(v)), [0] * v, [v] + [0] * (v - 1)
-    remaining = list(range(len(ident)))
+    # The branch being explored: cell[p] is the last label position of p's
+    # cell, size[end] that cell's size, and key[bi] the key of block bi, or
+    # below every key once bi is emitted.
+    cell, size, key = [v - 1] * v, [0] * (v - 1) + [v], sizes[:]
     # One level per entry of out: the branch state before that entry was
     # emitted, the blocks tied there, how many of them were taken, and the
     # orbit bookkeeping of _in_tried_orbit.
     levels: list[list] = []
     while True:
-        if not remaining:
+        if len(out) == n:
+            order = sorted(range(v), key=cell.__getitem__)
             if out < best:
-                best, best_order = out[:], order[:]
+                best, best_order = out[:], order
             elif order != best_order:
                 # out == best: both labelings give the same list
                 g = [0] * v
@@ -218,32 +283,34 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
                 if not by_mask:
                     by_mask = {sum(1 << p for p in b): bi for bi, b in enumerate(members)}
         else:
-            # Blocks are ranked by the sorted cell starts of their points,
-            # which orders them as their keys do; only the least is turned
-            # into labels.
-            least = None
-            cands: list[int] = []
-            start_of = cell.__getitem__
-            for bi in remaining:
-                starts = sorted(map(start_of, members[bi]))
-                if least is None or starts < least:
-                    least = starts
-                    cands = [bi]
-                elif starts == least:
-                    cands.append(bi)
-            for i in range(1, len(least)):
-                if least[i] <= least[i - 1]:  # the next label of the same cell
-                    least[i] = least[i - 1] + 1
-            out.append(tuple(least))
+            # The largest key of a size is its least label tuple; only the
+            # leaders of the sizes are turned into labels.
+            if len(groups) == 1:
+                top = max(key)
+                least = _labels(members[key.index(top)], cell, size)
+            else:
+                least = None
+                for lo, hi in groups:
+                    lead = max(key[lo:hi])
+                    if lead < 0:
+                        continue  # every block of this size is emitted
+                    labels = _labels(members[key.index(lead, lo, hi)], cell, size)
+                    if least is None or labels < least:
+                        least, top = labels, lead
+            if key.count(top) == 1:
+                cands = [key.index(top)]
+            else:
+                cands = [bi for bi, x in enumerate(key) if x == top]
+            out.append(least)
             bound = best[:len(out)]
             if out > bound:
                 out.pop()
             elif test_only and out < bound:
                 return False
             else:
-                levels.append([order, cell, size, remaining, cands, 0, None])
+                levels.append([cell, size, key, cands, 0, None])
         while True:
-            while levels and levels[-1][5] == len(levels[-1][4]):
+            while levels and levels[-1][4] == len(levels[-1][3]):
                 levels.pop()
                 out.pop()
             if not levels:
@@ -254,18 +321,18 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
                     seed += _twin_swaps(members, v)
                 return True
             level = levels[-1]
-            taken = level[5]
-            emit = level[4][taken]
-            level[5] = taken + 1
+            taken = level[4]
+            emit = level[3][taken]
+            level[4] = taken + 1
             if not (taken and autos and _in_tried_orbit(level, emit, autos, members, by_mask)):
                 break
-        order, cell, size, remaining = level[:4]
-        if level[5] < len(level[4]):
-            order, cell, size = order[:], cell[:], size[:]
+        cell, size, key = level[:3]
+        if level[4] < len(level[3]):
+            cell, size, key = cell[:], size[:], key[:]
         else:  # the last branch takes the lists over
-            level[:4] = None, None, None, None
-        _split(order, cell, size, members[emit])
-        remaining = [bi for bi in remaining if bi != emit]
+            level[:3] = None, None, None
+        _split(cell, size, key, weight, incidence, members[emit])
+        key[emit] = emitted
 
 
 def least_block_list(blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

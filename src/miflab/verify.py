@@ -8,7 +8,6 @@ numbers.
 
 from __future__ import annotations
 
-import json
 import random
 import tempfile
 from dataclasses import dataclass, field
@@ -291,7 +290,3 @@ def render_text(report: VerifyReport) -> str:
     lines.append("RESULT  " + ("all criteria passed" if report.all_pass
                                else "FAILURES PRESENT"))
     return "\n".join(lines) + "\n"
-
-
-def render_json(report: VerifyReport) -> str:
-    return json.dumps(report.to_json_obj(), separators=(",", ":"))

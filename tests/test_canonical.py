@@ -280,6 +280,51 @@ def test_empty_and_degenerate():
     assert is_least_labeling([])
 
 
+@pytest.mark.parametrize("blocks", [
+    [(0,), (0, 1)],                       # a block and its one-point prefix
+    [(2,), (1, 2), (0,), (0, 1)],         # (0) < (0, 1) but (1, 2) < (2)
+    [(), (0, 1), (1, 2), (2,)],           # a size-0 block among others
+    [(0,), (1, 2), (0, 3, 4), (1, 3, 4, 5), (0, 2, 4, 5, 6), (0, 1, 2, 3, 4, 5)],
+    [(3,), (0, 3), (0, 1, 2), (2, 4, 5, 6), (1, 3, 5, 6), (0, 1, 2, 3, 4, 5)],
+])
+def test_blocks_of_several_sizes_match_brute_force(blocks):
+    # blocks of one size are ranked by an additive key, which cannot rank
+    # a block against its own prefix, so each size is ranked apart
+    rng = random.Random(len(blocks))
+    shown = [blocks] + [shuffle_points(rng, blocks) for _ in range(4)]
+    for labeled in shown:
+        least = brute_least(labeled)
+        assert least_block_list(labeled) == least, labeled
+        as_labeled = tuple(sorted({tuple(sorted(b)) for b in labeled}))
+        assert is_least_labeling(labeled) == (as_labeled == least), labeled
+        assert is_least_labeling(least)
+
+
+def test_blocks_of_sizes_one_to_six_match_brute_force():
+    rng = random.Random(1606)
+    for _ in range(30):
+        v = rng.randint(6, 7)
+        blocks = [tuple(rng.sample(range(v), rng.randint(1, 6)))
+                  for _ in range(rng.randint(3, 7))]
+        blocks += [tuple(rng.sample(range(v), size)) for size in range(1, 7)]
+        assert least_block_list(blocks) == brute_least(blocks), blocks
+
+
+def test_uniform_family_on_many_points_matches_reference():
+    # on 40 points the keys of 3-sets outgrow a machine word
+    rng = random.Random(4040)
+    blocks = [(i, (i + 1) % 40, (i + 3 + i % 5) % 40) for i in range(40)]
+    blocks += [tuple(rng.sample(range(40), 3)) for _ in range(10)]
+    expected = reference_cell_minimize(blocks, False)
+    assert least_block_list(blocks) == expected
+    assert is_least_labeling(expected)
+    for _ in range(2):
+        shown = shuffle_points(rng, blocks)
+        assert least_block_list(shown) == expected
+        as_labeled = tuple(sorted({tuple(sorted(b)) for b in shown}))
+        assert is_least_labeling(shown) == (as_labeled == expected)
+
+
 def test_differential_random_nonuniform():
     rng = random.Random(2014)
     for _ in range(400):

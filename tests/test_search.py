@@ -218,6 +218,25 @@ def test_seeds_bound_the_cell_splits(monkeypatch):
     assert len(calls) <= 5328
 
 
+def test_k4_cap_7_finds_only_the_complete_family(monkeypatch):
+    # the k=4 anchor, walked below enumerate_mifs's k guard: 182 nodes,
+    # every one an accepted canonical test, and a deterministic work count
+    # of 158 106 cell splits
+    calls = []
+    split = canonical._split
+
+    def counting_split(*args):
+        calls.append(None)
+        return split(*args)
+
+    monkeypatch.setattr(canonical, "_split", counting_split)
+    found = []
+    assert search._walk([((0, 1, 2, 3),)], found, 0, 4, 7, None) == 182
+    assert len(calls) <= 158106
+    assert [least_block_list(f) for f in found] == [
+        least_block_list(complete_family(4).blocks)]
+
+
 def test_hitters_match_combinations_scan():
     # the set-pair search filters the hitters by a mask to avoid, which
     # must leave exactly the hitters among the points outside it, in order
