@@ -42,16 +42,30 @@ Set-pair systems are searched directly over pair sequences: the pair count
 is capped by C(k+t, k), fresh points are introduced in first-use order,
 and the first pair is fixed, which quotients out enough symmetry at desk
 scale.  A side of a new pair is its old points, below the next unused
-id u, plus fresh ids, fresh-rich first.  The old part comes from
-``_hitters``: a new A must meet every old B, a new B every old A.  A new B
-must also miss its A.  B's fresh ids follow A's, and its old points lie
-below u, where A has only its old points; so A enters a B candidate only
-through a test against A's mask.  The old parts of B are therefore built
-once per node and filtered for each A, which keeps the order of a scan.
-The walk keeps a stack of lazy child iterators, one per depth, so a
-node's children are built only as the walk reaches them.  A node is
-counted before the budget is checked, so a stop reports budget + 1
-nodes.
+id u, plus fresh ids, fresh-rich first.  The old parts come from two
+families of candidate lists that an expanded node keeps, each in
+combinations() order: HA[s] holds the s-subsets of range(u) that meet
+every B, the old parts of a new A, and HB[s] the s-subsets that meet
+every A, the old parts of a new B.  A new B must also miss its A.  B's
+fresh ids follow A's, and its old points lie below u, where A has only
+its old points; so a test against A's mask filters HB for each A, which
+keeps the order of a scan.
+
+Only the root's lists are built by ``_hitters``; a child's lists are
+derived from its parent's.  The derivation is exact because every older
+mask lies below the parent's u, and the new pair's points, from u on,
+lie only in the new masks.  So an s-subset of the child's points is an
+old part S from the parent's list of size s - j plus j new points, and
+it meets every older mask iff S does; it is kept iff it also meets the
+new B (for HA) or the new A (for HB).  Sorting restores combinations()
+order, so the children come in the order of a scan.  A node's lists are
+derived only when it is expanded, that is when it passes the point-count
+bound, and the walk keeps them beside the node's lazy child iterator,
+one per depth, so a node's children are built only as the walk reaches
+them.  As an expanded node holds its lists, (k, t) whose lists one pair
+below the root could exceed ISP_MAX_LIST_ENTRIES subsets are refused
+before anything is built.  A node is counted before the budget is
+checked, so a stop reports budget + 1 nodes.
 """
 
 from __future__ import annotations
@@ -378,6 +392,7 @@ def compute_N(k: int) -> int:
 # -- set-pair system search ----------------------------------------------
 
 ISP_WHITELIST = {(2, 1), (3, 1), (2, 2)}
+ISP_MAX_LIST_ENTRIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -396,22 +411,55 @@ class IspSearchResult:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
-def _isp_children(k: int, t: int, pairs, amasks, bmasks, u: int):
+def _extend_hitters(lists, u: int, w: int, mask: int):
+    """The lists of a child node from its parent's: lists[s] holds the
+    s-subsets of range(u) that meet some masks below u, with their masks,
+    in combinations() order; the result holds, for each s, the s-subsets
+    of range(w) that meet those masks and mask, in the same order.
+
+    A new subset is an old one, from the list of its size, plus j of the
+    new points range(u, w), which no old mask contains; so it meets the
+    old masks iff its old part does.  Each j gives one sorted run, and a
+    sort merges them."""
+    extended = [[e for e in old if e[1] & mask] for old in lists]  # j = 0
+    tails = [((), 0)]
+    for j in range(1, min(len(lists) - 1, w - u) + 1):
+        # the j-subsets of the new points, in combinations() order
+        tails = [(tl + (p,), tm | 1 << p) for tl, tm in tails
+                 for p in range(tl[-1] + 1 if tl else u, w)]
+        hit_tails = [e for e in tails if e[1] & mask]
+        for s in range(j, len(lists)):
+            got = extended[s]
+            for c, cm in lists[s - j]:
+                got += [(c + tl, cm | tm) for tl, tm in (tails if cm & mask else hit_tails)]
+    if w > u:
+        for got in extended:
+            got.sort()
+    return extended
+
+
+def _isp_children(k: int, t: int, pairs, amasks, bmasks, u: int, ha, hb):
     """The systems one pair longer, in search order: each new A meets
     every old B, each new B misses its A and meets every old A.  A side
     is its old points below the next unused id plus the fresh ids that
-    follow, fresh-rich first."""
-    # the old parts of a new B, by its fresh count; each A filters them
-    b_olds = [list(_hitters(u, t - fresh, amasks)) for fresh in range(t + 1)]
+    follow, fresh-rich first.  ha[s] and hb[s] are the s-subsets of
+    range(u) that meet every B and every A, with their masks, in
+    combinations() order: the old parts of a new A and of a new B."""
     for a_fresh in range(k, -1, -1):
+        a_olds = ha[k - a_fresh]
+        if not a_olds:
+            continue
         ua = u + a_fresh
         a_tail, a_tail_mask = tuple(range(u, ua)), (1 << ua) - (1 << u)
-        for a_old, a_old_mask in _hitters(u, k - a_fresh, bmasks):
+        # the B sides after this A, fresh-rich first: old parts, fresh
+        # tail, its mask and the next unused id
+        b_sides = [(hb[t - b_fresh], tuple(range(ua, ua + b_fresh)),
+                    (1 << ua + b_fresh) - (1 << ua), ua + b_fresh)
+                   for b_fresh in range(t, -1, -1) if hb[t - b_fresh]]
+        for a_old, a_old_mask in a_olds:
             a, am = a_old + a_tail, a_old_mask | a_tail_mask
-            for b_fresh in range(t, -1, -1):
-                ub = ua + b_fresh
-                b_tail, b_tail_mask = tuple(range(ua, ub)), (1 << ub) - (1 << ua)
-                for b_old, b_old_mask in b_olds[b_fresh]:
+            for b_olds, b_tail, b_tail_mask, ub in b_sides:
+                for b_old, b_old_mask in b_olds:
                     if not b_old_mask & am:
                         yield (pairs + ((a, b_old + b_tail),), amasks + (am,),
                                bmasks + (b_old_mask | b_tail_mask,), ub)
@@ -420,23 +468,40 @@ def _isp_children(k: int, t: int, pairs, amasks, bmasks, u: int):
 def search_isp(k: int, t: int, *, budget: int | None = None) -> IspSearchResult:
     """Exhaustive maximum-point search over set-pair systems with sides
     (k, t), at most C(k+t,k) pairs, points numbered by first use.  A
-    budget stop reports budget + 1 nodes."""
+    budget stop reports budget + 1 nodes.
+
+    An expanded node holds its candidate lists, and a node one pair below
+    the root may use 2(k+t) points; (k, t) is refused with
+    UnsupportedParamsError, before anything is built, when the sum over
+    s <= k and over s <= t of C(2(k+t), s) exceeds ISP_MAX_LIST_ENTRIES."""
     _check_int("k", k, 1)
     _check_int("t", t, 1)
     _check_count("the node budget", budget)
+    entries = 0
+    for side in (k, t):
+        for s in range(side + 1):
+            entries += comb(2 * (k + t), s)
+            if entries > ISP_MAX_LIST_ENTRIES:  # stop early: huge (k, t) stay cheap
+                raise UnsupportedParamsError(
+                    f"({k}, {t}) is too large for the set-pair search: a node's "
+                    f"candidate lists may hold more than {ISP_MAX_LIST_ENTRIES} subsets")
     n_max = comb(k + t, k)
     per_pair_gain = k + t - 2  # later pairs must reuse a point on each side
     a, b = tuple(range(k)), tuple(range(k, k + t))
     root = (((a, b),), (mask_of(a),), (mask_of(b),), k + t)
     best_points, best_pairs = k + t, root[0]
     nodes = 0
-    stack = [iter([root])]  # one lazy iterator of children per depth
+    # per depth, a lazy iterator of children and the (u, ha, hb) of their
+    # parent, None for the root's iterator
+    stack = [iter([root])]
+    lists = [None]
     while stack:
         node = next(stack[-1], None)
         if node is None:
             stack.pop()
+            lists.pop()
             continue
-        pairs, _, _, u = node
+        pairs, amasks, bmasks, u = node
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceededError(f"set-pair search exceeded {budget} nodes",
@@ -445,7 +510,15 @@ def search_isp(k: int, t: int, *, budget: int | None = None) -> IspSearchResult:
             best_points, best_pairs = u, pairs
         depth = len(pairs)
         if depth < n_max and u + (n_max - depth) * per_pair_gain > best_points:
-            stack.append(_isp_children(k, t, *node))
+            if lists[-1] is None:
+                ha = [list(_hitters(u, s, bmasks)) for s in range(k + 1)]
+                hb = [list(_hitters(u, s, amasks)) for s in range(t + 1)]
+            else:
+                pu, pha, phb = lists[-1]
+                ha = _extend_hitters(pha, pu, u, bmasks[-1])
+                hb = _extend_hitters(phb, pu, u, amasks[-1])
+            stack.append(_isp_children(k, t, *node, ha, hb))
+            lists.append((u, ha, hb))
     witness = SetPairSystem(best_pairs, k=k, t=t)
     return IspSearchResult(k, t, best_points, witness, nodes)
 

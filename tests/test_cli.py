@@ -232,6 +232,16 @@ def test_search_isp(capsys):
     assert code == 0 and json.loads(out)["max_points"] == 6
 
 
+def test_search_isp_too_large_is_a_usage_error():
+    # refused before the search allocates anything: without the refusal the
+    # child process dies of MemoryError under its address-space cap
+    from test_search import run_with_address_limit
+    run = run_with_address_limit("-m", "miflab.cli", "search", "isp", "--k", "9", "--t", "9",
+                                 "--budget", "5")
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: (9, 9) is too large") and run.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("search", "isp", "--k", "2", "--t", "1", "--checkpoint", "ck.log", "--workers", "4",
      "--max-points", "3"),

@@ -1,4 +1,6 @@
+import os
 import random
+import subprocess
 import sys
 from itertools import combinations
 from math import comb
@@ -15,9 +17,9 @@ from miflab.errors import (BudgetExceededError, FormatError, ParameterOutOfRange
 from miflab.family import mask_of
 from miflab.isp import SetPairSystem, bollobas_sum, validate_isp
 from miflab.mif import is_mif, is_one_critical
-from miflab.search import (IspSearchResult, _addable, _hitters, _node_step, compute_n,
-                           compute_N, enumerate_mifs, read_checkpoint, search_isp,
-                           write_checkpoint)
+from miflab.search import (ISP_MAX_LIST_ENTRIES, IspSearchResult, _addable, _extend_hitters,
+                           _hitters, _node_step, compute_n, compute_N, enumerate_mifs,
+                           read_checkpoint, search_isp, write_checkpoint)
 from test_canonical import automorphisms_by_scan, generated_order
 
 
@@ -251,6 +253,20 @@ def test_hitters_match_combinations_scan():
         want = [(c, mask_of(c)) for c in combinations(pool, size)
                 if all(mask_of(c) & m for m in masks)]
         assert got == want, (v, size, masks, avoid)
+
+
+def test_extended_hitters_match_hitters():
+    # a child's lists, derived from its parent's, equal the lists built
+    # from scratch over the child's points and masks
+    rng = random.Random(1701)
+    for _ in range(3000):
+        w = rng.randint(1, 16)
+        u = rng.randint(0, w)
+        old = [rng.getrandbits(u) for _ in range(rng.randint(0, 4))]
+        new = rng.getrandbits(w)
+        lists = [list(_hitters(u, s, old)) for s in range(5)]
+        got = _extend_hitters(lists, u, w, new)
+        assert got == [list(_hitters(w, s, old + [new])) for s in range(5)], (u, w, old, new)
 
 
 @pytest.mark.parametrize("p_max", range(5, 13))
@@ -649,13 +665,15 @@ def reference_isp_children(k, t, pairs, amasks, bmasks, u):
 
 
 @pytest.mark.parametrize("k, t, budget", [(3, 2, 3000), (2, 3, 5000), (3, 3, 5000),
-                                          (4, 2, 5000)])
+                                          (4, 2, 5000), (4, 3, 2000), (5, 2, 2000),
+                                          (1, 4, 3000)])
 def test_isp_children_match_subset_scan(monkeypatch, k, t, budget):
     isp_children = search._isp_children
     seen = [0]
 
     def checked(*node):
-        want = reference_isp_children(*node)
+        # node is the parent's (k, t, pairs, amasks, bmasks, u) and its lists
+        want = reference_isp_children(*node[:6])
         for child in isp_children(*node):
             assert child == next(want, None)
             seen[0] += 1
@@ -663,10 +681,32 @@ def test_isp_children_match_subset_scan(monkeypatch, k, t, budget):
         assert next(want, None) is None
 
     monkeypatch.setattr(search, "_isp_children", checked)
-    with pytest.raises(BudgetExceededError) as info:
-        search_isp(k, t, budget=budget)
+    try:
+        nodes = search_isp(k, t, budget=budget).nodes
+    except BudgetExceededError as info:
+        nodes = info.nodes
+        assert nodes == budget + 1
+    else:
+        assert (k, t, nodes) == (1, 4, 741)  # the one tree within its budget
     # each node after the root is a child the walk took
-    assert info.value.nodes == budget + 1 == seen[0] + 1
+    assert nodes == seen[0] + 1
+
+
+def test_isp_lists_are_built_only_at_the_root(monkeypatch):
+    # every other node derives its lists from its parent's: rebuilding
+    # them at each node made _hitters the bulk of the search
+    calls = [0]
+    hitters = search._hitters
+
+    def counting_hitters(*args):
+        calls[0] += 1
+        return hitters(*args)
+
+    monkeypatch.setattr(search, "_hitters", counting_hitters)
+    with pytest.raises(BudgetExceededError) as info:
+        search_isp(3, 2, budget=3000)
+    assert info.value.nodes == 3001
+    assert calls[0] == (3 + 1) + (2 + 1)
 
 
 @pytest.mark.parametrize("k, t", [(2, 1), (3, 1), (2, 2), (1, 2), (1, 3), (4, 1)])
@@ -677,12 +717,64 @@ def test_search_isp_matches_recursive_reference(k, t):
 @pytest.mark.parametrize("budget", [1, 10, 3000])
 def test_search_isp_budget_stop_matches_recursive_reference(budget):
     # a node is counted before the budget is checked: a stop reports budget + 1
-    stops = []
-    for run in (search_isp, reference_search_isp):
-        with pytest.raises(BudgetExceededError) as info:
-            run(3, 2, budget=budget)
-        stops.append(info.value.nodes)
-    assert stops == [budget + 1] * 2
+    for k, t in [(3, 2), (4, 2), (2, 3)]:
+        stops = []
+        for run in (search_isp, reference_search_isp):
+            with pytest.raises(BudgetExceededError) as info:
+                run(k, t, budget=budget)
+            stops.append(info.value.nodes)
+        assert stops == [budget + 1] * 2, (k, t)
+
+
+def test_isp_list_guard():
+    # refused iff the lists of a node one pair below the root could exceed
+    # the limit; a zero budget stops at the root, before anything is built
+    refused = set()
+    for k in range(1, 13):
+        for t in range(1, 13):
+            try:
+                search_isp(k, t, budget=0)
+            except UnsupportedParamsError:
+                refused.add((k, t))
+            except BudgetExceededError:
+                pass
+
+    def entries(k, t):
+        return sum(comb(2 * (k + t), s) for side in (k, t) for s in range(side + 1))
+
+    assert refused == {(k, t) for k in range(1, 13) for t in range(1, 13)
+                       if entries(k, t) > ISP_MAX_LIST_ENTRIES}
+    assert (6, 6) not in refused and (7, 7) in refused
+
+
+ADDRESS_LIMIT = 512 << 20
+
+
+def run_with_address_limit(*args):
+    """Run the interpreter on args in a child process whose address space is
+    capped, so a runaway allocation ends there in a MemoryError instead of
+    exhausting the host."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_LIMIT, ADDRESS_LIMIT))
+
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, preexec_fn=cap, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_huge_isp_is_refused_before_allocating():
+    code = ("from miflab.errors import UnsupportedParamsError\n"
+            "from miflab.search import search_isp\n"
+            "try:\n"
+            "    search_isp(9, 9, budget=5)\n"
+            "except UnsupportedParamsError as exc:\n"
+            "    print('refused:', exc)\n")
+    run = run_with_address_limit("-c", code)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    assert run.stdout.startswith("refused: (9, 9) is too large")
 
 
 def test_isp_budget():
