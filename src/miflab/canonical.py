@@ -229,14 +229,18 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
     # Blocks of one size are numbered consecutively, so their keys form
     # one slice of the key list.
     by_size = sorted(ident, key=len)
-    if seed is not None:
-        by_mask = _block_masks(by_size, v, seed)
-    if not ident:
-        return True if test_only else ()
     if test_only and points != list(range(v)):
+        # checked before any mask is built, as a point id may be huge
+        if seed:
+            raise ParameterOutOfRangeError(
+                f"{seed[0]!r} is not an automorphism of the blocks on points 0..{v - 1}")
         return False  # the least list labels its points 0..v-1
     index = {p: i for i, p in enumerate(points)}
     members = tuple(tuple(index[p] for p in b) for b in by_size)
+    if seed is not None:
+        by_mask = _block_masks(members, v, seed)
+    if not ident:
+        return True if test_only else ()
     n = len(members)
     sizes = [len(b) for b in members]
     cuts = [bi for bi in range(1, n) if sizes[bi] != sizes[bi - 1]]

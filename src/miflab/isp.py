@@ -112,7 +112,8 @@ def validate_isp(system: SetPairSystem) -> IspValidation:
     "size" (declared parameter mismatch, j = -1)."""
     pairs = system.pairs
     n = len(pairs)
-    pts = system.point_count()
+    points = system.point_set()
+    pts = len(points)
 
     def fail(i, j, kind, msg):
         return IspValidation(False, n, pts, (i, j, kind), msg)
@@ -122,8 +123,11 @@ def validate_isp(system: SetPairSystem) -> IspValidation:
             return fail(i, -1, "size", f"#A_{i} = {len(a)} != declared k = {system.k}")
         if system.t is not None and len(b) != system.t:
             return fail(i, -1, "size", f"#B_{i} = {len(b)} != declared t = {system.t}")
-    amasks = [mask_of(a) for a, _ in pairs]
-    bmasks = [mask_of(b) for _, b in pairs]
+    # masks over each point's rank, so their size follows the point count
+    # and not the largest id
+    rank = {p: r for r, p in enumerate(points)}
+    amasks = [mask_of(map(rank.__getitem__, a)) for a, _ in pairs]
+    bmasks = [mask_of(map(rank.__getitem__, b)) for _, b in pairs]
     for i in range(n):
         for j in range(n):
             meets = bool(amasks[i] & bmasks[j])

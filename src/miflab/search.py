@@ -9,8 +9,11 @@ deleting the largest block of a least-labeled family leaves a
 least-labeled family.
 
 A node's addable blocks are the k-sets below the point cap that follow
-its last block and meet every block; ``_hitters`` generates the k-sets
-that meet every block, in ascending order, without scanning the others.
+its last block and meet every block, in ascending order.  A child F + b
+filters its parent's list: a k-set meets every block of F + b iff it
+meets those of F and b, so it keeps the entries that follow b and meet
+it.  Only the root, and a node read from a checkpoint, build the list
+from scratch, by ``_extend_hitters`` from the empty system.
 One kernel call per node (``transversal.py``) finds the hitting sets T of
 at most k used points for the blocks plus the used parts of the addable
 blocks; T then hits every block of every descendant.  A maximal
@@ -51,8 +54,9 @@ fresh ids follow A's, and its old points lie below u, where A has only
 its old points; so a test against A's mask filters HB for each A, which
 keeps the order of a scan.
 
-Only the root's lists are built by ``_hitters``; a child's lists are
-derived from its parent's.  The derivation is exact because every older
+Every node's lists are derived from its parent's by ``_extend_hitters``,
+the root's from those of the empty system, which spans no points and
+holds only the empty set.  The derivation is exact because every older
 mask lies below the parent's u, and the new pair's points, from u on,
 lie only in the new masks.  So an s-subset of the child's points is an
 old part S from the parent's list of size s - j plus j new points, and
@@ -91,44 +95,43 @@ CHECKPOINT_MAGIC = "mifsearch-v1"
 Blocks = tuple[tuple[int, ...], ...]
 
 
-def _hitters(v: int, size: int, masks):
-    """The size-subsets of range(v) that meet every mask, with their
-    masks, in combinations() order.
+def _extend_hitters(lists, u: int, w: int, mask: int):
+    """The candidate lists of a child node from its parent's: lists[s]
+    holds the s-subsets of range(u) that meet some masks below u, with
+    their masks, in combinations() order; the result holds, for each s,
+    the s-subsets of range(w) that meet those masks and mask, in the same
+    order.  With w = u it only filters.
 
-    The picks grow in ascending order.  A prefix is dropped once its
-    first missed mask has no point left above the last pick, and the last
-    pick is read off the AND of the masks the prefix misses, so only sets
-    that cannot be finished are pruned."""
-    if size == 0:
-        if not masks:
-            yield (), 0
-        return
-    below_v = (1 << v) - 1
-    # frames: the next point to try, the picks, their mask and the masks
-    # they miss; a frame's children precede its next sibling
-    stack = [(0, (), 0, masks)]
-    while stack:
-        p, picks, pmask, missed = stack.pop()
-        if len(picks) == size - 1:
-            last = below_v >> p << p
-            for m in missed:
-                last &= m
-            while last:
-                low = last & -last
-                yield picks + (low.bit_length() - 1,), pmask | low
-                last ^= low
-        elif p + size - len(picks) <= v and (not missed or missed[0] >> p):
-            stack.append((p + 1, picks, pmask, missed))
-            bit = 1 << p
-            stack.append((p + 1, picks + (p,), pmask | bit,
-                          [m for m in missed if not m & bit]))
+    A new subset is an old one, from the list of its size, plus j of the
+    new points range(u, w), which no old mask contains; so it meets the
+    old masks iff its old part does.  Each j gives one sorted run, and a
+    sort merges them."""
+    extended = [[e for e in old if e[1] & mask] for old in lists]  # j = 0
+    tails = [((), 0)]
+    for j in range(1, min(len(lists) - 1, w - u) + 1):
+        # the j-subsets of the new points, in combinations() order
+        tails = [(tl + (p,), tm | 1 << p) for tl, tm in tails
+                 for p in range(tl[-1] + 1 if tl else u, w)]
+        hit_tails = [e for e in tails if e[1] & mask]
+        for s in range(j, len(lists)):
+            got = extended[s]
+            for c, cm in lists[s - j]:
+                got += [(c + tl, cm | tm) for tl, tm in (tails if cm & mask else hit_tails)]
+    if w > u:
+        for got in extended:
+            got.sort()
+    return extended
 
 
 def _addable(blocks: Blocks, p_max: int) -> list[tuple[tuple[int, ...], int]]:
-    """The blocks a descendant may still add, ascending, with their masks."""
-    masks = [mask_of(b) for b in blocks]
-    return [(cand, dm) for cand, dm in _hitters(p_max, len(blocks[0]), masks)
-            if cand > blocks[-1]]
+    """The blocks a descendant may still add, ascending, with their masks:
+    the lists of the empty system, which span no points, extended by each
+    block, the first one adding every point below p_max."""
+    k, u = len(blocks[0]), 0
+    lists = [[((), 0)]] + [[] for _ in range(k)]
+    for b in blocks:
+        lists, u = _extend_hitters(lists, u, p_max, mask_of(b)), p_max
+    return [e for e in lists[k] if e[0] > blocks[-1]]
 
 
 def _fixing_generators(block: tuple[int, ...], group: Sequence[Sequence[int]], v: int,
@@ -150,16 +153,17 @@ def _fixing_generators(block: tuple[int, ...], group: Sequence[Sequence[int]], v
     return [g for g in gens if tuple(sorted(map(g.__getitem__, block))) == block]
 
 
-def _node_step(blocks: Blocks, k: int, p_max: int, group: Sequence[Sequence[int]] = ()
+def _node_step(blocks: Blocks, k: int, group: Sequence[Sequence[int]],
+               addable: list[tuple[tuple[int, ...], int]]
                ) -> tuple[bool, list[Blocks], list[list[list[int]]]]:
     """Classify one canonical node: (is maximal, canonical children, their
     automorphism groups).  group holds automorphisms of the node, as lists
-    of point images; the default, none, stands for the trivial group."""
+    of point images, an empty one standing for the trivial group, and
+    addable is the node's _addable list."""
     last = blocks[-1]
     masks = [mask_of(b) for b in blocks]
     v = max(b[-1] for b in blocks) + 1
 
-    addable = _addable(blocks, p_max)
     # a set of used points meets an addable block iff it meets its used part
     used = (1 << v) - 1
     t, threats, _ = _hitting_sets(masks + [dm & used for _, dm in addable], True, k)
@@ -199,9 +203,12 @@ def _walk(stack: list[Blocks], found: list[Blocks], nodes: int, k: int, p_max: i
     checkpoint_every nodes.
 
     Beside the stack the walk keeps each pending node's automorphism
-    group, as generators; a node from the caller's stack has none yet
-    and gets it from one seedless test when it is visited."""
+    group, as generators, and its parent's addable list, from which the
+    node's own is filtered when it is visited.  A node from the caller's
+    stack has neither: it gets its group from one seedless test and its
+    list from _addable."""
     groups: list[list[list[int]] | None] = [None] * len(stack)
+    parents: list[list[tuple[tuple[int, ...], int]] | None] = [None] * len(stack)
     since_checkpoint = 0
     while stack:
         if budget is not None and nodes >= budget:
@@ -209,17 +216,22 @@ def _walk(stack: list[Blocks], found: list[Blocks], nodes: int, k: int, p_max: i
                 write_checkpoint(checkpoint_path, k, p_max, nodes, stack, found)
             raise BudgetExceededError(f"node budget {budget} exhausted", nodes=nodes,
                                       checkpoint_path=checkpoint_path)
-        blocks, group = stack.pop(), groups.pop()
+        blocks, group, parent = stack.pop(), groups.pop(), parents.pop()
         nodes += 1
         if group is None:
             group = []
             is_least_labeling(blocks, group)
-        full, children, child_groups = _node_step(blocks, k, p_max, group)
+            addable = _addable(blocks, p_max)
+        else:  # a k-set meets every block of F + b iff it meets those of F and b
+            last, last_mask = blocks[-1], mask_of(blocks[-1])
+            addable = [e for e in parent if e[0] > last and e[1] & last_mask]
+        full, children, child_groups = _node_step(blocks, k, group, addable)
         if full:
             found.append(blocks)
         else:
             stack.extend(reversed(children))
             groups.extend(reversed(child_groups))
+            parents.extend([addable] * len(children))
         since_checkpoint += 1
         if checkpoint_path and since_checkpoint >= checkpoint_every:
             write_checkpoint(checkpoint_path, k, p_max, nodes, stack, found)
@@ -336,7 +348,8 @@ def read_checkpoint(path, k: int, p_max: int):
         # a record the leaf test calls maximal joins the result, so it must be
         # least; any other adds nothing if not least, as a least child has a
         # least parent.  Without an addable block the test builds no child
-        leaf = not _addable(blocks, p_max) and _node_step(blocks, k, p_max)[0]
+        addable = _addable(blocks, p_max)
+        leaf = not addable and _node_step(blocks, k, [], addable)[0]
         if tag == "M" and not leaf:
             raise FormatError(f"bad checkpoint record {rest!r}: not a maximal family")
         if leaf and not is_least_labeling(blocks):
@@ -411,33 +424,6 @@ class IspSearchResult:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
-def _extend_hitters(lists, u: int, w: int, mask: int):
-    """The lists of a child node from its parent's: lists[s] holds the
-    s-subsets of range(u) that meet some masks below u, with their masks,
-    in combinations() order; the result holds, for each s, the s-subsets
-    of range(w) that meet those masks and mask, in the same order.
-
-    A new subset is an old one, from the list of its size, plus j of the
-    new points range(u, w), which no old mask contains; so it meets the
-    old masks iff its old part does.  Each j gives one sorted run, and a
-    sort merges them."""
-    extended = [[e for e in old if e[1] & mask] for old in lists]  # j = 0
-    tails = [((), 0)]
-    for j in range(1, min(len(lists) - 1, w - u) + 1):
-        # the j-subsets of the new points, in combinations() order
-        tails = [(tl + (p,), tm | 1 << p) for tl, tm in tails
-                 for p in range(tl[-1] + 1 if tl else u, w)]
-        hit_tails = [e for e in tails if e[1] & mask]
-        for s in range(j, len(lists)):
-            got = extended[s]
-            for c, cm in lists[s - j]:
-                got += [(c + tl, cm | tm) for tl, tm in (tails if cm & mask else hit_tails)]
-    if w > u:
-        for got in extended:
-            got.sort()
-    return extended
-
-
 def _isp_children(k: int, t: int, pairs, amasks, bmasks, u: int, ha, hb):
     """The systems one pair longer, in search order: each new A meets
     every old B, each new B misses its A and meets every old A.  A side
@@ -492,9 +478,9 @@ def search_isp(k: int, t: int, *, budget: int | None = None) -> IspSearchResult:
     best_points, best_pairs = k + t, root[0]
     nodes = 0
     # per depth, a lazy iterator of children and the (u, ha, hb) of their
-    # parent, None for the root's iterator
+    # parent; the root's parent is the empty system, which spans no points
     stack = [iter([root])]
-    lists = [None]
+    lists = [(0, [[((), 0)]] + [[] for _ in range(k)], [[((), 0)]] + [[] for _ in range(t)])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -510,13 +496,9 @@ def search_isp(k: int, t: int, *, budget: int | None = None) -> IspSearchResult:
             best_points, best_pairs = u, pairs
         depth = len(pairs)
         if depth < n_max and u + (n_max - depth) * per_pair_gain > best_points:
-            if lists[-1] is None:
-                ha = [list(_hitters(u, s, bmasks)) for s in range(k + 1)]
-                hb = [list(_hitters(u, s, amasks)) for s in range(t + 1)]
-            else:
-                pu, pha, phb = lists[-1]
-                ha = _extend_hitters(pha, pu, u, bmasks[-1])
-                hb = _extend_hitters(phb, pu, u, amasks[-1])
+            pu, pha, phb = lists[-1]
+            ha = _extend_hitters(pha, pu, u, bmasks[-1])
+            hb = _extend_hitters(phb, pu, u, amasks[-1])
             stack.append(_isp_children(k, t, *node, ha, hb))
             lists.append((u, ha, hb))
     witness = SetPairSystem(best_pairs, k=k, t=t)

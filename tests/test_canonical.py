@@ -510,3 +510,19 @@ def test_seed_on_points_other_than_0_to_v_minus_1_is_refused():
         is_least_labeling([(0, 2), (2, 5)], [[0, 1, 2]])
     gens = []
     assert not is_least_labeling([(0, 2), (2, 5)], gens) and gens == []
+
+
+def test_seeded_test_on_a_huge_point_id_allocates_nothing():
+    # the points are checked before a seed is: masks over the raw ids ended
+    # in a MemoryError under the cap
+    from test_search import run_with_address_limit
+    code = ("from miflab.canonical import is_least_labeling\n"
+            "from miflab.errors import ParameterOutOfRangeError\n"
+            "try:\n"
+            "    is_least_labeling([[0, 10**11]], [[0, 1]])\n"
+            "except ParameterOutOfRangeError:\n"
+            "    print('refused')\n"
+            "print(is_least_labeling([[0, 10**11]], []))\n")
+    run = run_with_address_limit("-c", code)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    assert run.stdout == "refused\nFalse\n"

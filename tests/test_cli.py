@@ -166,6 +166,17 @@ def test_isp_validate_repeated_point_is_usage_error(capsys, tmp_path):
     assert code == 2 and "repeats" in err and out == ""
 
 
+def test_isp_validate_large_point_ids(tmp_path):
+    # masks over the raw ids ended in a MemoryError under the cap
+    from test_search import run_with_address_limit
+    path = tmp_path / "big.json"
+    path.write_text('{"pairs":[{"A":[100000000000],"B":[100000000001]},'
+                    '{"A":[100000000001],"B":[100000000000]}]}')
+    run = run_with_address_limit("-m", "miflab.cli", "isp-validate", str(path))
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    assert run.stdout == "valid: 2 pairs, 2 points, sum 1\n"
+
+
 def test_bounds_text_table(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "3")
     assert code == 0

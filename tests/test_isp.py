@@ -50,6 +50,21 @@ def test_validate_empty_b_side():
     assert not validate_isp(SetPairSystem([((0, 1), ()), ((2, 3), ())])).ok
 
 
+def test_validate_large_point_ids_allocates_nothing():
+    # masks over the raw ids took 12.5 GB each here; over the points'
+    # ranks they fit in the child's capped address space
+    from test_search import run_with_address_limit
+    code = ("from miflab.isp import SetPairSystem, validate_isp\n"
+            "big = 10**11\n"
+            "for pairs in ([((big,), (big + 1,)), ((big + 1,), (big,))],\n"
+            "              [((big,), (big + 1,)), ((big + 2,), (big + 3,))]):\n"
+            "    verdict = validate_isp(SetPairSystem(pairs))\n"
+            "    print(verdict.ok, verdict.point_count, verdict.violation)\n")
+    run = run_with_address_limit("-c", code)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    assert run.stdout == "True 2 None\nFalse 4 (0, 1, 'disjoint')\n"
+
+
 def test_bollobas_sum_tight():
     sys_ = SetPairSystem([((0,), (1,)), ((1,), (0,))])
     assert bollobas_sum(sys_) == 1

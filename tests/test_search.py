@@ -18,8 +18,8 @@ from miflab.family import mask_of
 from miflab.isp import SetPairSystem, bollobas_sum, validate_isp
 from miflab.mif import is_mif, is_one_critical
 from miflab.search import (ISP_MAX_LIST_ENTRIES, IspSearchResult, _addable, _extend_hitters,
-                           _hitters, _node_step, compute_n, compute_N, enumerate_mifs,
-                           read_checkpoint, search_isp, write_checkpoint)
+                           _node_step, compute_n, compute_N, enumerate_mifs, read_checkpoint,
+                           search_isp, write_checkpoint)
 from test_canonical import automorphisms_by_scan, generated_order
 
 
@@ -119,7 +119,7 @@ def walk_with_groups(k, p_max):
             group = []
             assert search.is_least_labeling(blocks, group)
         yield blocks, group
-        _, children, groups = _node_step(blocks, k, p_max, group)
+        _, children, groups = _node_step(blocks, k, group, _addable(blocks, p_max))
         stack.extend(reversed(list(zip(children, groups))))
 
 
@@ -145,7 +145,7 @@ def test_node_step_matches_subset_scan_on_whole_trees(monkeypatch, k, p_max, tot
     for node, group in walk_with_groups(k, p_max):
         nodes += 1
         skipped.clear()
-        full, children, _ = _node_step(node, k, p_max, group)
+        full, children, _ = _node_step(node, k, group, _addable(node, p_max))
         assert (full, children) == reference_node_step(node, k, p_max), node
         assert not any(canonical.is_least_labeling(node + (cand,)) for cand in skipped), node
         n_skipped += len(skipped)
@@ -166,7 +166,7 @@ def test_node_step_matches_subset_scan_on_random_descents(monkeypatch):
         p_max = rng.randint(2 * k - 1, 2 * k + 4)
         blocks = (tuple(range(k)),)
         while True:
-            full, children, _ = _node_step(blocks, k, p_max)
+            full, children, _ = _node_step(blocks, k, (), _addable(blocks, p_max))
             assert (full, children) == reference_node_step(blocks, k, p_max), (k, p_max, blocks)
             steps += 1
             if not children:
@@ -239,20 +239,26 @@ def test_k4_cap_7_finds_only_the_complete_family(monkeypatch):
         least_block_list(complete_family(4).blocks)]
 
 
+def hitters_by_scan(v, size, masks):
+    """The size-subsets of range(v) that meet every mask, with their masks,
+    by a combinations() scan."""
+    return [(c, mask_of(c)) for c in combinations(range(v), size)
+            if all(mask_of(c) & m for m in masks)]
+
+
 def test_hitters_match_combinations_scan():
-    # the set-pair search filters the hitters by a mask to avoid, which
-    # must leave exactly the hitters among the points outside it, in order
+    # the lists folded from the empty system hold exactly the k-sets that
+    # meet every block and follow the last, in order, also for sequences
+    # that are not least-labeled or skip points, as checkpoint records may
     rng = random.Random(1402)
     for _ in range(3000):
-        v = rng.randint(0, 14)
-        size = rng.randint(0, 4)
-        masks = [rng.getrandbits(v + 1) for _ in range(rng.randint(0, 5))]
-        avoid = rng.choice((0, rng.getrandbits(v)))
-        got = [(c, cm) for c, cm in _hitters(v, size, masks) if not cm & avoid]
-        pool = [p for p in range(v) if not avoid >> p & 1]
-        want = [(c, mask_of(c)) for c in combinations(pool, size)
-                if all(mask_of(c) & m for m in masks)]
-        assert got == want, (v, size, masks, avoid)
+        k = rng.randint(1, 4)
+        p_max = rng.randint(k, 14)
+        pool = list(combinations(range(p_max), k))
+        blocks = tuple(sorted(rng.sample(pool, rng.randint(1, min(6, len(pool))))))
+        masks = [mask_of(b) for b in blocks]
+        want = [e for e in hitters_by_scan(p_max, k, masks) if e[0] > blocks[-1]]
+        assert _addable(blocks, p_max) == want, (p_max, blocks)
 
 
 def test_extended_hitters_match_hitters():
@@ -264,9 +270,9 @@ def test_extended_hitters_match_hitters():
         u = rng.randint(0, w)
         old = [rng.getrandbits(u) for _ in range(rng.randint(0, 4))]
         new = rng.getrandbits(w)
-        lists = [list(_hitters(u, s, old)) for s in range(5)]
+        lists = [hitters_by_scan(u, s, old) for s in range(5)]
         got = _extend_hitters(lists, u, w, new)
-        assert got == [list(_hitters(w, s, old + [new])) for s in range(5)], (u, w, old, new)
+        assert got == [hitters_by_scan(w, s, old + [new]) for s in range(5)], (u, w, old, new)
 
 
 @pytest.mark.parametrize("p_max", range(5, 13))
@@ -278,7 +284,34 @@ def test_addable_matches_subset_scan_on_k3_trees(p_max):
         want = [(c, mask_of(c)) for c in combinations(range(p_max), 3)
                 if c > blocks[-1] and all(mask_of(c) & m for m in masks)]
         assert _addable(blocks, p_max) == want, blocks
-        stack.extend(_node_step(blocks, 3, p_max)[1])
+        stack.extend(_node_step(blocks, 3, (), _addable(blocks, p_max))[1])
+
+
+@pytest.mark.parametrize("k, p_max, total", [(2, 5, 4), (3, 7, 158), (3, 9, 192),
+                                             (3, 12, 192), (4, 7, 182)])
+def test_walk_derives_each_addable_list_from_the_parents(monkeypatch, k, p_max, total):
+    # the list each node gets from its parent's equals the one built from
+    # scratch, and only the root's is built from scratch
+    built, steps = [], [0]
+    addable, node_step = search._addable, search._node_step
+
+    def counting_addable(blocks, cap):
+        built.append(blocks)
+        return addable(blocks, cap)
+
+    def checked_node_step(blocks, k, group, given):
+        assert given == addable(blocks, p_max), blocks
+        steps[0] += 1
+        return node_step(blocks, k, group, given)
+
+    monkeypatch.setattr(search, "_addable", counting_addable)
+    monkeypatch.setattr(search, "_node_step", checked_node_step)
+    if k == 4:  # below enumerate_mifs's k guard
+        assert search._walk([((0, 1, 2, 3),)], [], 0, k, p_max, None) == total
+    else:
+        assert enumerate_mifs(k, p_max).nodes == total
+    assert built == [tuple([tuple(range(k))])]
+    assert steps[0] == total
 
 
 def test_node_step_asks_the_kernel_once(monkeypatch):
@@ -644,23 +677,33 @@ def reference_search_isp(k, t, *, budget=50_000_000):
 
 
 def reference_isp_children(k, t, pairs, amasks, bmasks, u):
-    """Oracle for search._isp_children: scan every old part of each side,
-    the B sides once per A."""
+    """Oracle for search._isp_children: scan every old part of each side
+    once per node, then pair each A with the old parts of B that miss it."""
+    def old_parts(size, masks):
+        # the size-subsets of the points below u that meet every mask
+        parts = []
+        for c in combinations(range(u), size):
+            cm = mask_of(c)
+            if all(cm & m for m in masks):
+                parts.append((c, cm))
+        return parts
+
+    # a fresh point lies in no older mask, so a side meets those masks iff
+    # its old part does; B's old points lie below u, outside A's fresh ones
+    a_olds = [old_parts(s, bmasks) for s in range(k + 1)]
+    b_olds = [old_parts(s, amasks) for s in range(t + 1)]
     for fresh_a in range(k, -1, -1):
         ua = u + fresh_a
         a_tail = tuple(range(u, ua))
-        for a_old in combinations(range(u), k - fresh_a):
+        for a_old, _ in a_olds[k - fresh_a]:
             a = a_old + a_tail
             am = mask_of(a)
-            if not all(am & bm for bm in bmasks):
-                continue
             for fresh_b in range(t, -1, -1):
                 ub = ua + fresh_b
                 b_tail = tuple(range(ua, ub))
-                for b_old in combinations([p for p in range(ua) if not am >> p & 1],
-                                          t - fresh_b):
-                    bm = mask_of(b_old + b_tail)
-                    if all(om & bm for om in amasks):
+                for b_old, b_old_mask in b_olds[t - fresh_b]:
+                    if not b_old_mask & am:
+                        bm = mask_of(b_old + b_tail)
                         yield pairs + ((a, b_old + b_tail),), amasks + (am,), bmasks + (bm,), ub
 
 
@@ -693,20 +736,22 @@ def test_isp_children_match_subset_scan(monkeypatch, k, t, budget):
 
 
 def test_isp_lists_are_built_only_at_the_root(monkeypatch):
-    # every other node derives its lists from its parent's: rebuilding
-    # them at each node made _hitters the bulk of the search
-    calls = [0]
-    hitters = search._hitters
+    # only the root's two lists start from the empty system, at u = 0;
+    # every other node derives its lists from its parent's, whose u > 0.
+    # Rebuilding them from scratch at each node was the bulk of the search
+    starts = []
+    extend_hitters = search._extend_hitters
 
-    def counting_hitters(*args):
-        calls[0] += 1
-        return hitters(*args)
+    def recording_extend_hitters(lists, u, w, mask):
+        starts.append(u)
+        return extend_hitters(lists, u, w, mask)
 
-    monkeypatch.setattr(search, "_hitters", counting_hitters)
+    monkeypatch.setattr(search, "_extend_hitters", recording_extend_hitters)
     with pytest.raises(BudgetExceededError) as info:
         search_isp(3, 2, budget=3000)
     assert info.value.nodes == 3001
-    assert calls[0] == (3 + 1) + (2 + 1)
+    assert starts.count(0) == 2 and starts[:2] == [0, 0]
+    assert len(starts) > 2
 
 
 @pytest.mark.parametrize("k, t", [(2, 1), (3, 1), (2, 2), (1, 2), (1, 3), (4, 1)])
