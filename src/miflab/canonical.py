@@ -64,19 +64,42 @@ its points by position, which is therefore the points sorted by cell
 name, ties by point: what an array of the points by label position,
 rewritten at every split, would hold.
 
+Deciding a level by keys.  An entry fixes how its block splits every cell
+it meets: the block takes the first |b & C| labels of each cell C, and
+the entry's labels in C's interval say how many.  So two branches whose
+entries so far are equal have the same cell names and sizes, and for a
+family of one block size the top key then names the same label tuple on
+both.  The first complete branch and every branch that sets a new best
+leave, per level, the top key of best's branch there (its target).  At a
+level whose prefix equals best's, a top key equal to the target means
+the entry is best's own, one below it means a larger entry, so the
+branch is pruned, and one above it means a smaller entry: the test
+rejects, and the least list search marks the branch as below best and
+builds its label tuples from there on, since the leaf will set best.  So
+label tuples are built only on the first branch and below best, and no
+level compares a prefix of best.  In test mode the first branch is the
+identity labeling's (each level emits the lowest-numbered tied block,
+which is the identity's next block while the prefixes agree), and it
+either rejects or reaches best.  Keys of different sizes do not compare,
+so a family of several block sizes compares label tuples at every level.
+
 Finding automorphisms.  The search starts from the identity labeling's
 list as best and keeps the point order of the branch that set best.  A
 complete branch whose list equals best labels the blocks as best's
 labeling does, so the map sending the point at each position of best's
 order to the point at the same position of the branch's order is an
-automorphism of the family.  Every such map but the identity is stored.
+automorphism of the family.  Every such map but the identity is stored,
+with its block images: the block best's branch emitted at each level
+goes to the block the branch emitted there, as both take that level's
+labels.
 
 Skipping tied blocks by orbits.  Before a level emits its next tied block,
 it takes the stored automorphisms that fix every cell of its partition
-setwise, and skips the block if the group they generate maps it onto a
-block already tried at that level.  Why this keeps the exact least list:
-a block emitted above the level became a union of cells when it was
-emitted, and cells only split, so such an automorphism g fixes every
+setwise, and skips the block if the group their block images generate
+maps it onto a block already tried at that level; the orbits are closed
+by looking blocks up in those images.  Why this keeps the exact least
+list: a block emitted above the level became a union of cells when it
+was emitted, and cells only split, so such an automorphism g fixes every
 emitted block and hence the set of remaining blocks.  It maps the tied
 block b onto a tied block g(b), and the cells left by emitting g(b) are
 the images under g of those left by emitting b, with the same names and
@@ -94,7 +117,8 @@ an automorphism of the family, not that the walk found it, so the test
 may start from automorphisms the caller already knows (the search passes
 those it derives from the parent's group); they prune from the first tied
 level on.  A wrong seed would prune a subtree that holds a smaller list,
-so each one is checked against the blocks first.  When the test accepts,
+so each one is checked against the blocks first, which maps every block
+through it and so gives its block images.  When the test accepts,
 the caller's list gets the automorphisms the walk found and one
 transposition per pair of adjacent twin points, points that lie in
 exactly the same blocks.  The walk never branches inside a cell and twins
@@ -142,64 +166,66 @@ def _labels(block: tuple[int, ...], cell: list[int], size: list[int]) -> tuple[i
     return tuple(labels)
 
 
-def _close(covered: set[int], frontier: list[int], stab: list[list[int]],
-           members: tuple[tuple[int, ...], ...], by_mask: dict[int, int]) -> None:
+def _close(covered: set[int], frontier: list[int], stab: list[list[int]]) -> None:
     """Add to covered the orbits of the frontier blocks under the group
-    that stab generates."""
+    that stab, a list of block permutations, generates."""
     while frontier:
-        b = members[frontier.pop()]
-        for g in stab:
-            image = by_mask[sum(1 << g[p] for p in b)]
+        b = frontier.pop()
+        for images in stab:
+            image = images[b]
             if image not in covered:
                 covered.add(image)
                 frontier.append(image)
 
 
 def _in_tried_orbit(level: list, emit: int, autos: list[list[int]],
-                    members: tuple[tuple[int, ...], ...], by_mask: dict[int, int]) -> bool:
+                    images: list[list[int]]) -> bool:
     """True iff emit lies in the orbit of a candidate already tried at the
     level, under the stored automorphisms that fix each of its cells."""
     orbits = level[5]
     if orbits is None:
-        # [automorphisms tested so far, those that fix every cell, the
-        # orbits of the tried candidates under them]
+        # [automorphisms tested so far, the block images of those that fix
+        # every cell, the orbits of the tried candidates under them]
         orbits = level[5] = [0, [], set()]
     seen, stab, covered = orbits
     if seen < len(autos):
         cell = level[0]
-        new = [g for g in autos[seen:] if all(cell[q] == c for q, c in zip(g, cell))]
+        new = [blocks_to for g, blocks_to in zip(autos[seen:], images[seen:])
+               if all(cell[q] == c for q, c in zip(g, cell))]
         orbits[0] = len(autos)
         if new:
             frontier = list(covered) if stab else level[3][:level[4] - 1]
             stab += new
             covered.update(frontier)
-            _close(covered, frontier, stab, members, by_mask)
+            _close(covered, frontier, stab)
     if not stab:
         return False
     if emit in covered:
         return True
     covered.add(emit)
-    _close(covered, [emit], stab, members, by_mask)
+    _close(covered, [emit], stab)
     return False
 
 
-def _block_masks(blocks: list[tuple[int, ...]], v: int,
-                 automorphisms: Sequence[Sequence[int]]) -> dict[int, int]:
-    """The index of each block by its mask, after checking that every
-    automorphism, given as the list of images of 0..v-1, permutes the
-    points and maps each block onto a block."""
-    by_mask = {sum(1 << p for p in b): bi for bi, b in enumerate(blocks)}
+def _block_images(members: tuple[tuple[int, ...], ...], v: int,
+                  automorphisms: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The index of the image of each block under each automorphism, after
+    checking that every automorphism, given as the list of images of
+    0..v-1, permutes the points and maps each block onto a block."""
+    by_mask = {sum(1 << p for p in b): bi for bi, b in enumerate(members)}
     points = set(range(v))
+    images = []
     for g in automorphisms:
         try:
-            ok = (all(type(q) is int for q in g) and len(g) == v and set(g) == points
-                  and all(sum(1 << g[p] for p in b) in by_mask for b in blocks))
+            ok = all(type(q) is int for q in g) and len(g) == v and set(g) == points
+            blocks_to = [by_mask.get(sum(1 << g[p] for p in b)) for b in members] if ok else [None]
         except (TypeError, IndexError):  # no sequence, or a block point beyond v
-            ok = False
-        if not ok:
+            blocks_to = [None]
+        if None in blocks_to:
             raise ParameterOutOfRangeError(
                 f"{g!r} is not an automorphism of the blocks on points 0..{v - 1}")
-    return by_mask
+        images.append(blocks_to)
+    return images
 
 
 def _twin_swaps(members: tuple[tuple[int, ...], ...], v: int) -> list[list[int]]:
@@ -237,14 +263,17 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
         return False  # the least list labels its points 0..v-1
     index = {p: i for i, p in enumerate(points)}
     members = tuple(tuple(index[p] for p in b) for b in by_size)
-    if seed is not None:
-        by_mask = _block_masks(members, v, seed)
+    # autos holds the seeded automorphisms and those found so far, each as
+    # the list of point images, and images the block images of each
+    autos: list = [] if seed is None else list(seed)
+    images = [] if seed is None else _block_images(members, v, seed)
     if not ident:
         return True if test_only else ()
     n = len(members)
     sizes = [len(b) for b in members]
     cuts = [bi for bi in range(1, n) if sizes[bi] != sizes[bi - 1]]
     groups = list(zip([0] + cuts, cuts + [n]))
+    one_size = len(groups) == 1
     shift = sizes[-1].bit_length()
     weight = [1 << shift * (v - 1 - end) for end in range(v)]
     # below every key a block reaches, whatever it gains after its emission
@@ -255,68 +284,93 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
             incidence[p].append(bi)
 
     out: list[tuple[int, ...]] = []
-    # The identity labeling gives sorted(members); best_order is the point
-    # order of the labeling that gave best, and autos holds the seeded
-    # automorphisms and those found so far, each as the list of point
-    # images.  A seed implies test_only, so members is by_size.
+    # The identity labeling gives sorted(members).  The first complete
+    # branch and every branch with a smaller list set best, and with it
+    # best_order, the point order of the branch's labeling, and per level
+    # its top key (target) and the block it emitted (best_emits).  A seed
+    # implies test_only, so members is by_size.
     best, best_order = sorted(members), list(range(v))
-    if seed is None:
-        autos: list = []
-        by_mask: dict[int, int] = {}
-    else:
-        autos = list(seed)
+    target: list[int] = []
+    best_emits: list[int] = []
+    # the level whose entry fell below best's, None while out is a prefix
+    # of best
+    below = None
     # The branch being explored: cell[p] is the last label position of p's
     # cell, size[end] that cell's size, and key[bi] the key of block bi, or
     # below every key once bi is emitted.
     cell, size, key = [v - 1] * v, [0] * (v - 1) + [v], sizes[:]
     # One level per entry of out: the branch state before that entry was
-    # emitted, the blocks tied there, how many of them were taken, and the
-    # orbit bookkeeping of _in_tried_orbit.
+    # emitted, the blocks tied there, how many of them were taken, the
+    # orbit bookkeeping of _in_tried_orbit, and the top key.
     levels: list[list] = []
     while True:
-        if len(out) == n:
+        depth = len(out)
+        if depth == n:
             order = sorted(range(v), key=cell.__getitem__)
-            if out < best:
-                best, best_order = out[:], order
+            emits = [level[3][level[4] - 1] for level in levels]
+            if below is not None or not target:
+                best, best_order, below = out[:], order, None
+                target = [level[6] for level in levels]
+                best_emits = emits
             elif order != best_order:
-                # out == best: both labelings give the same list
+                # out == best: both labelings give the same list, and the
+                # blocks emitted at a level take the same labels
                 g = [0] * v
                 for p, q in zip(best_order, order):
                     g[p] = q
+                blocks_to = [0] * n
+                for bi, image in zip(best_emits, emits):
+                    blocks_to[bi] = image
                 autos.append(g)
-                if not by_mask:
-                    by_mask = {sum(1 << p for p in b): bi for bi, b in enumerate(members)}
+                images.append(blocks_to)
         else:
-            # The largest key of a size is its least label tuple; only the
-            # leaders of the sizes are turned into labels.
-            if len(groups) == 1:
+            if one_size and target and below is None:
+                # out is best's prefix, so the cells are those of best's
+                # branch at this level and the top keys rank the entries
                 top = max(key)
-                least = _labels(members[key.index(top)], cell, size)
+                if top == target[depth]:
+                    least = best[depth]
+                elif top < target[depth]:
+                    least = None
+                elif test_only:
+                    return False
+                else:
+                    least, below = _labels(members[key.index(top)], cell, size), depth
             else:
-                least = None
-                for lo, hi in groups:
-                    lead = max(key[lo:hi])
-                    if lead < 0:
-                        continue  # every block of this size is emitted
-                    labels = _labels(members[key.index(lead, lo, hi)], cell, size)
-                    if least is None or labels < least:
-                        least, top = labels, lead
-            if key.count(top) == 1:
-                cands = [key.index(top)]
-            else:
-                cands = [bi for bi, x in enumerate(key) if x == top]
-            out.append(least)
-            bound = best[:len(out)]
-            if out > bound:
-                out.pop()
-            elif test_only and out < bound:
-                return False
-            else:
-                levels.append([cell, size, key, cands, 0, None])
+                # The largest key of a size is its least label tuple; only
+                # the leaders of the sizes are turned into labels.
+                if one_size:
+                    top = max(key)
+                    least = _labels(members[key.index(top)], cell, size)
+                else:
+                    least = None
+                    for lo, hi in groups:
+                        lead = max(key[lo:hi])
+                        if lead < 0:
+                            continue  # every block of this size is emitted
+                        labels = _labels(members[key.index(lead, lo, hi)], cell, size)
+                        if least is None or labels < least:
+                            least, top = labels, lead
+                if below is None:
+                    if least > best[depth]:
+                        least = None
+                    elif least < best[depth]:
+                        if test_only:
+                            return False
+                        below = depth
+            if least is not None:
+                if key.count(top) == 1:
+                    cands = [key.index(top)]
+                else:
+                    cands = [bi for bi, x in enumerate(key) if x == top]
+                out.append(least)
+                levels.append([cell, size, key, cands, 0, None, top])
         while True:
             while levels and levels[-1][4] == len(levels[-1][3]):
                 levels.pop()
                 out.pop()
+            if below is not None and below >= len(levels):
+                below = None
             if not levels:
                 if not test_only:
                     return tuple(best)
@@ -328,7 +382,7 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
             taken = level[4]
             emit = level[3][taken]
             level[4] = taken + 1
-            if not (taken and autos and _in_tried_orbit(level, emit, autos, members, by_mask)):
+            if not (taken and autos and _in_tried_orbit(level, emit, autos, images)):
                 break
         cell, size, key = level[:3]
         if level[4] < len(level[3]):

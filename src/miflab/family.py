@@ -125,8 +125,7 @@ class Family:
 
     def is_blocking_set(self, points: Iterable[int]) -> bool:
         """True iff the given point set meets every block."""
-        m = mask_of(points)
-        return all(m & bm for bm in self.masks)
+        return all(map(mask_of(points).__and__, self.masks))
 
     def uncovered_pairs(self) -> list[tuple[int, int]]:
         """Point pairs of the family that appear together in no block."""

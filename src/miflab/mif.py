@@ -67,7 +67,7 @@ def is_mif(family: Family, cross_check: bool = True) -> MifCertificate:
             raise VerificationError("self-transversal family failed the intersecting check")
         block_set = set(family.blocks)
         for cand in combinations(sorted(family.point_set()), k):
-            if family.is_blocking_set(cand) and cand not in block_set:
+            if cand not in block_set and family.is_blocking_set(cand):
                 raise VerificationError(
                     f"blocking {k}-subset {cand} missing from a family with tau=k")
     return MifCertificate(True, k, report.tau, True)

@@ -401,6 +401,61 @@ def test_differential_symmetric_relabelings():
             assert is_least_labeling(blocks) == (as_labeled == expected), blocks
 
 
+def test_key_decisions_match_reference_on_relabelings():
+    # after the first complete branch a level whose prefix equals best's is
+    # decided by its top key against the top key of best's branch there;
+    # on these relabelings least_block_list sets best 2 to 23 times per
+    # call (median 7), so a call compares keys against several branches
+    rng = random.Random(1919)
+    bases = [random_intersecting(rng, k, v, n_blocks)
+             for k, v, n_blocks in ((3, 7, 6), (3, 9, 10), (3, 12, 14),
+                                    (4, 8, 10), (4, 10, 14), (4, 12, 18))]
+    plane = list(projective_plane(3).blocks)
+    k4 = list(complete_family(4).blocks)
+    bases += [rng.sample(plane, len(plane) - removed) for removed in (5, 8)]
+    bases += [rng.sample(k4, len(k4) - 8),
+              list(bg_family(4, 2).expected_transversals.blocks),
+              list(bg_family(4, 3).expected_transversals.blocks)]
+    for base in bases:
+        expected = reference_cell_minimize(base, False)
+        for _ in range(6):
+            assert least_block_list(relabel(rng, base)) == expected, base
+            shown = shuffle_points(rng, base)
+            as_labeled = tuple(sorted({tuple(sorted(b)) for b in shown}))
+            assert is_least_labeling(shown) == (as_labeled == expected), shown
+
+
+def test_rejections_past_the_first_branch_match_brute_force(monkeypatch):
+    # the first branch of a test is the identity labeling's; a test that
+    # rejects only after it made one split per block rejected on a later
+    # branch, whose top key exceeded best's at a level
+    calls = [0]
+    split = canonical._split
+
+    def counting_split(*args):
+        calls[0] += 1
+        split(*args)
+
+    monkeypatch.setattr(canonical, "_split", counting_split)
+    rng = random.Random(1907)
+    late = 0
+    for _ in range(60):
+        v, k = rng.randint(4, 7), rng.randint(2, 3)
+        cands = list(combinations(range(v), k))
+        rng.shuffle(cands)
+        base = cands[:rng.randint(3, min(len(cands), 12))]
+        least = brute_least(base)
+        assert is_least_labeling(least)
+        for _ in range(4):
+            shown = shuffle_points(rng, base)
+            as_labeled = tuple(sorted({tuple(sorted(b)) for b in shown}))
+            calls[0] = 0
+            verdict = is_least_labeling(shown)
+            assert verdict == (as_labeled == least), shown
+            late += not verdict and calls[0] >= len(as_labeled)
+    assert late >= 30
+
+
 def test_complete_family_5_least_form():
     rng = random.Random(5)
     k5 = list(complete_family(5).blocks)

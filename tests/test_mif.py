@@ -11,11 +11,11 @@ from miflab.canonical import least_block_list
 from miflab.constructions import bg_family, complete_family, projective_plane, triangle
 from miflab.errors import (CoveredPairError, EmptyBlockError, EmptyFamilyError,
                            NotIntersectingError, NotMifError, NotUniformError,
-                           ParameterOutOfRangeError, SamePointError)
+                           ParameterOutOfRangeError, SamePointError, VerificationError)
 from miflab.family import Family
 from miflab.isp import SetPairSystem, bollobas_sum, validate_isp
 from miflab.mif import chromatic_class, collapse, is_mif, is_one_critical, merge
-from miflab.transversal import brute_force_transversals
+from miflab.transversal import TransversalReport, brute_force_transversals
 from miflab.verify import random_uniform_family
 
 # a maximal family of triples on 6 points whose pair {4,5} lies in no block;
@@ -53,6 +53,20 @@ def test_is_mif_errors():
 def test_is_mif_mixed_sizes_is_a_negative_verdict():
     cert = is_mif(Family([[0, 1], [0, 1, 2]], 3))
     assert not cert.ok and cert.k is None and "mixed" in cert.reason
+
+
+def test_cross_check_raises_on_a_missing_blocking_set(monkeypatch):
+    # a faulty kernel that reports a family as its own transversal family:
+    # Fano minus one line then passes tau = k and the comparison, and only
+    # the cross-check finds a blocking 3-subset that is no block (the
+    # removed line is one, and (0, 1, 2) comes first)
+    fano = projective_plane(2)
+    fam = Family(fano.blocks[:-1], fano.universe_size)
+    monkeypatch.setattr("miflab.mif.transversal_family",
+                        lambda family: TransversalReport(3, family, 0))
+    with pytest.raises(VerificationError,
+                       match=r"^blocking 3-subset \(0, 1, 2\) missing"):
+        is_mif(fam)
 
 
 def characterization_oracle(fam):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -218,6 +220,27 @@ def test_seeds_bound_the_cell_splits(monkeypatch):
     monkeypatch.setattr(canonical, "_split", counting_split)
     assert enumerate_mifs(3, 9).nodes == 192
     assert len(calls) <= 5328
+
+
+def test_seeded_tests_return_the_pinned_generators(monkeypatch):
+    # every canonical test of enumerate_mifs(3, 9) as (blocks, seeds in,
+    # verdict, seeds out), pinned by digest: the generators a test returns
+    # are the automorphisms its walk found, so the digest changes when the
+    # walk's tree does
+    records = []
+    is_least = search.is_least_labeling
+
+    def recording(blocks, automorphisms=None):
+        given = None if automorphisms is None else [list(g) for g in automorphisms]
+        verdict = is_least(blocks, automorphisms)
+        records.append([blocks, given, verdict, automorphisms])
+        return verdict
+
+    monkeypatch.setattr(search, "is_least_labeling", recording)
+    assert enumerate_mifs(3, 9).nodes == 192
+    assert len(records) == 215 and sum(r[2] for r in records) == 192
+    text = json.dumps(records, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "f33c809046364140"
 
 
 def test_k4_cap_7_finds_only_the_complete_family(monkeypatch):
