@@ -1,9 +1,11 @@
 """Canonical labeling of families.
 
-The canonical form of a family is the lexicographically least sorted
-block list obtainable by relabeling its used points with 0..v-1.  Two
-families have equal canonical forms iff a point bijection maps one's
+The canonical form of a uniform family is the lexicographically least
+sorted block list obtainable by relabeling its used points with 0..v-1.
+Two families have equal canonical forms iff a point bijection maps one's
 blocks onto the other's, which is what "up to isomorphism" means here.
+Blocks are read as sets, and a family whose distinct blocks have several
+sizes is refused with NotUniformError.
 
 The minimization builds the output list entry by entry and hands labels
 out in cells.  A cell is a set of points that share the label interval
@@ -40,22 +42,15 @@ every block size.  The cell named e weighs D^(v-1-e), and a block's key
 is the sum of the weights of its points' cells.  Read in base D, the key
 counts the block's points in each cell, the first cell as the most
 significant digit, and no digit carries, as none reaches D.  Take two
-blocks of one size and the first cell where their counts differ.  The
-block with more points there has the larger key; the other block's next
-point lies in a later cell, so its sorted list of cells, and with it its
-label tuple, is the larger from that position on.  So among blocks of
-one size the largest key belongs exactly to the least label tuple, and
-equal keys mean equal tuples.  A point that moves adds the change of its
+blocks, of one size as every block is, and the first cell where their
+counts differ.  The block with more points there has the larger key; the
+other block's next point lies in a later cell, so its sorted list of
+cells, and with it its label tuple, is the larger from that position on.
+So the largest key belongs exactly to the least label tuple, and equal
+keys mean equal tuples.  A point that moves adds the change of its
 weight to the key of every block through it.  Every key lies in
 [0, D^v), so it grows by less than D^v along a branch; an emitted
 block's key is set to -D^v and stays below every other.
-
-Blocks of several sizes.  Lexicographic order with its prefix rule is not
-additive: no key on cell counts makes both (0) < (0, 1) and (1, 2) < (2).
-So blocks are numbered by size, each size's keys form one slice of the
-key list, and only the leaders of the slices are turned into label
-tuples and compared.  Equal keys have equal digits and so equal sizes,
-which keeps the ties of the least entry inside one slice.
 
 The point order of a complete branch.  A split keeps the block's points
 in ascending order and the rest in their previous order, so by induction
@@ -67,21 +62,23 @@ rewritten at every split, would hold.
 Deciding a level by keys.  An entry fixes how its block splits every cell
 it meets: the block takes the first |b & C| labels of each cell C, and
 the entry's labels in C's interval say how many.  So two branches whose
-entries so far are equal have the same cell names and sizes, and for a
-family of one block size the top key then names the same label tuple on
-both.  The first complete branch and every branch that sets a new best
-leave, per level, the top key of best's branch there (its target).  At a
-level whose prefix equals best's, a top key equal to the target means
-the entry is best's own, one below it means a larger entry, so the
-branch is pruned, and one above it means a smaller entry: the test
-rejects, and the least list search marks the branch as below best and
-builds its label tuples from there on, since the leaf will set best.  So
-label tuples are built only on the first branch and below best, and no
-level compares a prefix of best.  In test mode the first branch is the
-identity labeling's (each level emits the lowest-numbered tied block,
-which is the identity's next block while the prefixes agree), and it
-either rejects or reaches best.  Keys of different sizes do not compare,
-so a family of several block sizes compares label tuples at every level.
+entries so far are equal have the same cell names and sizes, and the top
+key then names the same label tuple on both.  The first complete branch
+and every branch that sets a new best leave, per level, the top key of
+best's branch there (its target).  At a level whose prefix equals
+best's, a top key equal to the target means the entry is best's own, one
+below it means a larger entry, so the branch is pruned, and one above it
+means a smaller entry: the test rejects, and the least list search marks
+the branch as below best and builds its label tuples from there on,
+since the leaf will set best.  So label tuples are built only on the
+first branch and below best, and no level compares a prefix of best.  Best starts as the identity labeling's
+list, and the first branch follows the identity labeling while their
+entries agree: the identity labeling then refines the branch's cells, so
+the least entry is no larger than the identity's next entry, and when
+the two are equal the identity's next block ties there and, as the
+lowest-numbered tied block, is the one emitted.  So no entry of the
+first branch lies above best's, and in test mode the branch either
+rejects or reaches best.
 
 Finding automorphisms.  The search starts from the identity labeling's
 list as best and keeps the point order of the branch that set best.  A
@@ -130,7 +127,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ParameterOutOfRangeError
+from .errors import NotUniformError, ParameterOutOfRangeError
 
 
 def _split(cell: list[int], size: list[int], key: list[int], weight: list[int],
@@ -250,11 +247,10 @@ def _twin_swaps(members: tuple[tuple[int, ...], ...], v: int) -> list[list[int]]
 def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
               seed: list | None = None) -> tuple[tuple[int, ...], ...] | bool:
     ident = tuple(sorted({tuple(sorted(set(b))) for b in blocks}))
+    if len({len(b) for b in ident}) > 1:
+        raise NotUniformError("canonical labeling needs a uniform family")
     points = sorted({p for b in ident for p in b})
     v = len(points)
-    # Blocks of one size are numbered consecutively, so their keys form
-    # one slice of the key list.
-    by_size = sorted(ident, key=len)
     if test_only and points != list(range(v)):
         # checked before any mask is built, as a point id may be huge
         if seed:
@@ -262,19 +258,15 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
                 f"{seed[0]!r} is not an automorphism of the blocks on points 0..{v - 1}")
         return False  # the least list labels its points 0..v-1
     index = {p: i for i, p in enumerate(points)}
-    members = tuple(tuple(index[p] for p in b) for b in by_size)
+    members = tuple(tuple(index[p] for p in b) for b in ident)
     # autos holds the seeded automorphisms and those found so far, each as
     # the list of point images, and images the block images of each
     autos: list = [] if seed is None else list(seed)
     images = [] if seed is None else _block_images(members, v, seed)
     if not ident:
         return True if test_only else ()
-    n = len(members)
-    sizes = [len(b) for b in members]
-    cuts = [bi for bi in range(1, n) if sizes[bi] != sizes[bi - 1]]
-    groups = list(zip([0] + cuts, cuts + [n]))
-    one_size = len(groups) == 1
-    shift = sizes[-1].bit_length()
+    n, k = len(members), len(members[0])
+    shift = k.bit_length()
     weight = [1 << shift * (v - 1 - end) for end in range(v)]
     # below every key a block reaches, whatever it gains after its emission
     emitted = -1 << shift * v
@@ -284,12 +276,11 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
             incidence[p].append(bi)
 
     out: list[tuple[int, ...]] = []
-    # The identity labeling gives sorted(members).  The first complete
-    # branch and every branch with a smaller list set best, and with it
-    # best_order, the point order of the branch's labeling, and per level
-    # its top key (target) and the block it emitted (best_emits).  A seed
-    # implies test_only, so members is by_size.
-    best, best_order = sorted(members), list(range(v))
+    # The identity labeling gives members, which is sorted.  The first
+    # complete branch and every branch with a smaller list set best, and
+    # with it best_order, the point order of the branch's labeling, and per
+    # level its top key (target) and the block it emitted (best_emits).
+    best, best_order = list(members), list(range(v))
     target: list[int] = []
     best_emits: list[int] = []
     # the level whose entry fell below best's, None while out is a prefix
@@ -298,7 +289,7 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
     # The branch being explored: cell[p] is the last label position of p's
     # cell, size[end] that cell's size, and key[bi] the key of block bi, or
     # below every key once bi is emitted.
-    cell, size, key = [v - 1] * v, [0] * (v - 1) + [v], sizes[:]
+    cell, size, key = [v - 1] * v, [0] * (v - 1) + [v], [k] * n
     # One level per entry of out: the branch state before that entry was
     # emitted, the blocks tied there, how many of them were taken, the
     # orbit bookkeeping of _in_tried_orbit, and the top key.
@@ -324,10 +315,10 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
                 autos.append(g)
                 images.append(blocks_to)
         else:
-            if one_size and target and below is None:
+            top = max(key)
+            if target and below is None:
                 # out is best's prefix, so the cells are those of best's
                 # branch at this level and the top keys rank the entries
-                top = max(key)
                 if top == target[depth]:
                     least = best[depth]
                 elif top < target[depth]:
@@ -337,27 +328,12 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
                 else:
                     least, below = _labels(members[key.index(top)], cell, size), depth
             else:
-                # The largest key of a size is its least label tuple; only
-                # the leaders of the sizes are turned into labels.
-                if one_size:
-                    top = max(key)
-                    least = _labels(members[key.index(top)], cell, size)
-                else:
-                    least = None
-                    for lo, hi in groups:
-                        lead = max(key[lo:hi])
-                        if lead < 0:
-                            continue  # every block of this size is emitted
-                        labels = _labels(members[key.index(lead, lo, hi)], cell, size)
-                        if least is None or labels < least:
-                            least, top = labels, lead
-                if below is None:
-                    if least > best[depth]:
-                        least = None
-                    elif least < best[depth]:
-                        if test_only:
-                            return False
-                        below = depth
+                # the first branch, or a branch below best
+                least = _labels(members[key.index(top)], cell, size)
+                if below is None and least < best[depth]:
+                    if test_only:
+                        return False
+                    below = depth
             if least is not None:
                 if key.count(top) == 1:
                     cands = [key.index(top)]
@@ -394,7 +370,8 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
 
 
 def least_block_list(blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically least relabeled sorted block list."""
+    """Lexicographically least relabeled sorted block list of a uniform
+    family; blocks of several sizes raise NotUniformError."""
     result = _minimize(blocks, test_only=False)
     assert not isinstance(result, bool)
     return result
@@ -403,6 +380,8 @@ def least_block_list(blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
 def is_least_labeling(blocks: Sequence[Sequence[int]],
                       automorphisms: list | None = None) -> bool:
     """True iff the blocks, as labeled, already form the least list.
+    Blocks of several sizes raise NotUniformError, with automorphisms
+    left unread.
 
     automorphisms, if given, is a list of automorphisms of the blocks, each
     the list of images of the points 0..v-1; they prune the test from the

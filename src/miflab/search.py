@@ -317,8 +317,11 @@ def write_checkpoint(path, k: int, p_max: int, nodes: int,
 
 
 def read_checkpoint(path, k: int, p_max: int):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"checkpoint {path} is not UTF-8 text: {exc.reason}") from exc
     if not lines or not lines[0].startswith(CHECKPOINT_MAGIC + " "):
         raise FormatError(f"not a {CHECKPOINT_MAGIC} checkpoint: {path}")
     try:

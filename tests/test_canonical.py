@@ -6,7 +6,7 @@ import pytest
 from miflab import canonical
 from miflab.canonical import is_least_labeling, least_block_list
 from miflab.constructions import bg_family, complete_family, projective_plane, triangle
-from miflab.errors import ParameterOutOfRangeError
+from miflab.errors import NotUniformError, ParameterOutOfRangeError
 from miflab.family import Family
 
 
@@ -252,21 +252,17 @@ def test_least_block_list_matches_brute_force():
     for _ in range(60):
         v = rng.randint(1, 6)
         n_blocks = rng.randint(1, 6)
-        blocks = [tuple(sorted(rng.sample(range(v), rng.randint(1, v))))
-                  for _ in range(n_blocks)]
+        size = rng.randint(1, v)
+        blocks = [tuple(sorted(rng.sample(range(v), size))) for _ in range(n_blocks)]
         assert least_block_list(blocks) == brute_least(blocks)
-
-
-def test_least_nonuniform_blocks():
-    blocks = [(2, 5), (1, 2, 5), (0,)]
-    assert least_block_list(blocks) == brute_least(blocks)
 
 
 def test_is_least_labeling_agrees():
     rng = random.Random(123)
     for _ in range(80):
         v = rng.randint(1, 6)
-        blocks = [tuple(sorted(rng.sample(range(v), rng.randint(1, v))))
+        size = rng.randint(1, v)
+        blocks = [tuple(sorted(rng.sample(range(v), size)))
                   for _ in range(rng.randint(1, 5))]
         canon = least_block_list(blocks)
         ident = tuple(sorted(set(blocks)))
@@ -286,27 +282,29 @@ def test_empty_and_degenerate():
     [(), (0, 1), (1, 2), (2,)],           # a size-0 block among others
     [(0,), (1, 2), (0, 3, 4), (1, 3, 4, 5), (0, 2, 4, 5, 6), (0, 1, 2, 3, 4, 5)],
     [(3,), (0, 3), (0, 1, 2), (2, 4, 5, 6), (1, 3, 5, 6), (0, 1, 2, 3, 4, 5)],
+    [(2, 5), (1, 2, 5), (0,)],
 ])
-def test_blocks_of_several_sizes_match_brute_force(blocks):
-    # blocks of one size are ranked by an additive key, which cannot rank
-    # a block against its own prefix, so each size is ranked apart
-    rng = random.Random(len(blocks))
-    shown = [blocks] + [shuffle_points(rng, blocks) for _ in range(4)]
-    for labeled in shown:
-        least = brute_least(labeled)
-        assert least_block_list(labeled) == least, labeled
-        as_labeled = tuple(sorted({tuple(sorted(b)) for b in labeled}))
-        assert is_least_labeling(labeled) == (as_labeled == least), labeled
-        assert is_least_labeling(least)
+def test_blocks_of_several_sizes_are_refused(blocks):
+    # the integer keys rank blocks of one size only, so a family whose
+    # blocks have several sizes is refused before a seed is read
+    v = len({p for b in blocks for p in b})
+    for seed in ([], [list(range(v))], [[7]]):  # the last is no automorphism
+        given = [g[:] for g in seed]
+        with pytest.raises(NotUniformError):
+            is_least_labeling(blocks, given)
+        assert given == seed
+    with pytest.raises(NotUniformError):
+        is_least_labeling(blocks)
+    with pytest.raises(NotUniformError):
+        least_block_list(blocks)
 
 
 def test_blocks_of_sizes_one_to_six_match_brute_force():
     rng = random.Random(1606)
-    for _ in range(30):
+    for i in range(30):
+        size = 1 + i % 6
         v = rng.randint(6, 7)
-        blocks = [tuple(rng.sample(range(v), rng.randint(1, 6)))
-                  for _ in range(rng.randint(3, 7))]
-        blocks += [tuple(rng.sample(range(v), size)) for size in range(1, 7)]
+        blocks = [tuple(rng.sample(range(v), size)) for _ in range(rng.randint(3, 9))]
         assert least_block_list(blocks) == brute_least(blocks), blocks
 
 
@@ -325,12 +323,12 @@ def test_uniform_family_on_many_points_matches_reference():
         assert is_least_labeling(shown) == (as_labeled == expected)
 
 
-def test_differential_random_nonuniform():
+def test_differential_random_uniform():
     rng = random.Random(2014)
     for _ in range(400):
         v = rng.randint(1, 8)
-        blocks = [tuple(rng.sample(range(v), rng.randint(0, v)))
-                  for _ in range(rng.randint(1, 9))]
+        size = rng.randint(0, v)
+        blocks = [tuple(rng.sample(range(v), size)) for _ in range(rng.randint(1, 9))]
         assert_matches_oracle(blocks)
 
 
@@ -355,14 +353,24 @@ def test_differential_symmetric():
             assert_matches_oracle(relabel(rng, blocks))
 
 
+def forked_path(v):
+    """A path of 2-sets on the points 0..v-1 whose end forks: the path
+    2, 0, 1, 4, 5, ..., v-1 with the leaf 3 at 0, labeled least."""
+    return [(0, 1), (0, 2), (0, 3), (1, 4)] + [(i, i + 1) for i in range(4, v - 1)]
+
+
 def test_deep_input_has_no_recursion_limit():
-    # a path of 1200 blocks: one branch of 1200 levels, beyond the default
-    # recursion limit of a per-block recursive search
-    path = [(0,)] + [(i, i + 1) for i in range(1199)]
+    # 1199 blocks: one branch of 1199 levels, beyond the default recursion
+    # limit of a per-block recursive search.  Every block of a 2-uniform
+    # family ties at the first level; the fork makes the other branches
+    # leave the least list by its third entry, while on a plain path a
+    # branch follows it for twice its distance to the nearer end
+    assert all(brute_least(forked_path(v)) == tuple(forked_path(v)) for v in (6, 7))
+    path = forked_path(1200)
     perm = list(range(1200))
     random.Random(1200).shuffle(perm)
     shuffled = [tuple(perm[p] for p in b) for b in path]
-    least = tuple(sorted(path))
+    least = tuple(path)
     assert least_block_list(shuffled) == least
     assert not is_least_labeling(shuffled)
     assert is_least_labeling(least)
@@ -482,8 +490,13 @@ def test_orbit_pruning_bounds_work_on_complete_family_4(monkeypatch):
 
 
 def test_repeated_point_in_a_block_is_read_as_a_set():
-    assert least_block_list([(0, 0, 1), (1, 2, 3)]) == least_block_list([(0, 1), (1, 2, 3)])
-    assert is_least_labeling([(0, 0, 1), (1, 2, 3)]) == is_least_labeling([(0, 1), (1, 2, 3)])
+    assert least_block_list([(0, 0, 1), (1, 2)]) == least_block_list([(0, 1), (1, 2)])
+    assert is_least_labeling([(0, 0, 1), (1, 2)]) == is_least_labeling([(0, 1), (1, 2)])
+    # sizes are judged after the repeats are dropped
+    with pytest.raises(NotUniformError):
+        least_block_list([(0, 0, 1), (1, 2, 3)])
+    with pytest.raises(NotUniformError):
+        is_least_labeling([(0, 0, 1), (1, 2, 3)])
 
 
 def automorphisms_by_scan(blocks, v):
@@ -514,9 +527,13 @@ def test_seeded_test_agrees_and_returns_the_whole_group():
     accepted = 0
     for _ in range(150):
         v = rng.randint(1, 6)
-        base = [tuple(sorted(rng.sample(range(v), rng.randint(1, v))))
+        size = rng.randint(1, v)
+        base = [tuple(sorted(rng.sample(range(v), size)))
                 for _ in range(rng.randint(1, 7))]
-        base += [tuple(range(v))]  # every point is used
+        # every point is used: the points the blocks miss are dropped
+        used = sorted({p for b in base for p in b})
+        base = [tuple(map(used.index, b)) for b in base]
+        v = len(used)
         for blocks in (base, list(least_block_list(base)), shuffle_points(rng, base)):
             group = automorphisms_by_scan(blocks, v)
             seed = rng.sample(group, rng.randint(0, min(4, len(group))))

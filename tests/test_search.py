@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -567,6 +568,14 @@ def test_checkpoint_bad_record_is_format_error(tmp_path, record):
         enumerate_mifs(3, 9, resume_path=path)
 
 
+def test_non_utf8_checkpoint_is_format_error(tmp_path):
+    # the library reports the bad byte itself, not only the command line
+    path = tmp_path / "ck.log"
+    path.write_bytes(b'mifsearch-v1 {"k":3,"p_max":9,"nodes":0}\nF 0,1,2\xff\n')
+    with pytest.raises(FormatError, match="UTF-8"):
+        enumerate_mifs(3, 9, resume_path=path)
+
+
 def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
     path = tmp_path / "ck.log"
     write_checkpoint(path, 3, 9, 7, [((0, 1, 2),)], [])
@@ -699,16 +708,20 @@ def reference_search_isp(k, t, *, budget=50_000_000):
     return IspSearchResult(k, t, best[0], witness, nodes[0])
 
 
+@cache
+def subsets_with_masks(u, size):
+    """Every size-subset of range(u) in combinations() order, with its mask."""
+    return [(c, mask_of(c)) for c in combinations(range(u), size)]
+
+
 def reference_isp_children(k, t, pairs, amasks, bmasks, u):
     """Oracle for search._isp_children: scan every old part of each side
     once per node, then pair each A with the old parts of B that miss it."""
     def old_parts(size, masks):
         # the size-subsets of the points below u that meet every mask
-        parts = []
-        for c in combinations(range(u), size):
-            cm = mask_of(c)
-            if all(cm & m for m in masks):
-                parts.append((c, cm))
+        parts = subsets_with_masks(u, size)
+        for m in masks:
+            parts = [part for part in parts if part[1] & m]
         return parts
 
     # a fresh point lies in no older mask, so a side meets those masks iff
