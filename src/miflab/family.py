@@ -5,15 +5,28 @@ are integers ``0 <= p < universe_size``.  Blocks are stored as sorted
 tuples and the block list itself is sorted, so two equal families always
 have the same representation and serialize to the same bytes.  A parallel
 tuple of bitmasks supports fast intersection arithmetic.
+
+``Family(...)`` validates and normalises whatever it is given, and is the
+constructor for input (``from_json``, ``from_text``) and for oracles.
+``Family._from_masks`` skips the type checks, the normalisation of each
+block and the mask rebuild: it is for callers inside the package whose
+masks already name distinct in-range blocks (the transversal layer,
+``blocks_avoiding`` and ``merge``): there the masks come from a family
+that was validated once, and turning them into tuples and back was a
+visible share of the transversal and merge time.  It still refuses a
+duplicate or an out-of-range mask, as an internal error.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from functools import reduce
+from itertools import chain, combinations, starmap
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FormatError, _check_int, _check_universe, _load_json
+from .errors import (FormatError, VerificationError, _check_int, _check_universe,
+                     _load_json)
 
 DEFAULT_MAX_UNIVERSE = 128
 
@@ -70,6 +83,26 @@ class Family:
                 raise FormatError("labels must be unique")
         self.labels = labels
 
+    @classmethod
+    def _from_masks(cls, masks: Sequence[int], universe_size: int,
+                    labels: tuple[str, ...] | None) -> "Family":
+        """Family of the blocks named by distinct masks of points below
+        universe_size; labels are an existing family's, taken as they are."""
+        pm = reduce(or_, masks, 0)
+        if pm >> universe_size:
+            raise VerificationError(
+                f"a mask has a point outside a universe of size {universe_size}")
+        if len(set(masks)) != len(masks):
+            raise VerificationError("two masks name the same block")
+        pairs = sorted([(bits_of(m), m) for m in masks])
+        self = cls.__new__(cls)
+        self.universe_size = universe_size
+        self.blocks = tuple([b for b, _ in pairs])
+        self.masks = tuple([m for _, m in pairs])
+        self.point_mask = pm
+        self.labels = labels
+        return self
+
     # -- basic structure ------------------------------------------------
 
     def __len__(self) -> int:
@@ -116,12 +149,7 @@ class Family:
 
     def is_intersecting(self) -> bool:
         """True iff every two blocks share a point."""
-        ms = self.masks
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                if not ms[i] & ms[j]:
-                    return False
-        return True
+        return all(starmap(and_, combinations(self.masks, 2)))
 
     def is_blocking_set(self, points: Iterable[int]) -> bool:
         """True iff the given point set meets every block."""
@@ -129,20 +157,18 @@ class Family:
 
     def uncovered_pairs(self) -> list[tuple[int, int]]:
         """Point pairs of the family that appear together in no block."""
-        pts = sorted(self.point_set())
         out = []
-        for i, a in enumerate(pts):
-            for b in pts[i + 1:]:
-                pair = (1 << a) | (1 << b)
-                if not any((m & pair) == pair for m in self.masks):
-                    out.append((a, b))
+        for a in bits_of(self.point_mask):
+            bit = 1 << a
+            together = reduce(or_, filter(bit.__and__, self.masks), 0)
+            out += [(a, b) for b in bits_of(self.point_mask & ~together & -bit)]
         return out
 
     def blocks_avoiding(self, points: Iterable[int]) -> "Family":
         """Subfamily of blocks disjoint from the given points."""
         avoid = mask_of(points)
-        kept = [b for b, m in zip(self.blocks, self.masks) if not m & avoid]
-        return Family(kept, self.universe_size, self.labels)
+        kept = [m for m in self.masks if not m & avoid]
+        return Family._from_masks(kept, self.universe_size, self.labels)
 
     # -- serialization ----------------------------------------------------
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
 from .errors import (CoveredPairError, EmptyBlockError, EmptyFamilyError,
                      NotIntersectingError, NotMifError, NotUniformError,
@@ -60,7 +62,7 @@ def is_mif(family: Family, cross_check: bool = True) -> MifCertificate:
     report = transversal_family(family)
     if report.tau != k:
         return _negative(k, report.tau, f"tau={report.tau} != k={k}")
-    if report.transversals.blocks != family.blocks:
+    if report.transversals.masks != family.masks:
         return _negative(k, report.tau, "transversal family differs from the blocks")
     if cross_check:
         if not family.is_intersecting():
@@ -142,12 +144,12 @@ def merge(family: Family, alpha: int, beta: int) -> Family:
             f"blocks avoiding the pair have transversal size {report.tau}, want {k - 1}")
     tr_masks = report.transversals.masks
     for tm in tr_masks:
-        if not any(tm & om == 0 for om in tr_masks):
+        if all(map(tm.__and__, tr_masks)):
             raise VerificationError(
                 f"transversal {bits_of(tm)} of the reduced family meets all others")
-    merged_blocks = list(sub.blocks)
-    merged_blocks += [tuple(sorted(t + (alpha,))) for t in report.transversals.blocks]
-    result = Family(merged_blocks, family.universe_size, family.labels)
+    abit = 1 << alpha
+    result = Family._from_masks(sub.masks + tuple([tm | abit for tm in tr_masks]),
+                                family.universe_size, family.labels)
     if not is_mif(result, cross_check=False):
         raise VerificationError("merge result failed the maximality check")
     if result.point_set() != pts - {beta}:
@@ -222,9 +224,8 @@ def collapse(family: Family, alpha: int) -> CollapseTrace:
     betas = [alpha]
     while True:
         current = chain[-1]
-        eligible = [p for p in sorted(current.point_set())
-                    if not any(m & (abit | (1 << p)) == (abit | (1 << p))
-                               for m in current.masks)]
+        together = reduce(or_, filter(abit.__and__, current.masks), 0)
+        eligible = bits_of(current.point_mask & ~together)
         if not eligible:
             break
         beta = eligible[0]

@@ -13,16 +13,21 @@ child ``i`` only, so the children partition the hitting sets below their
 parent.  Each minimum hitting set is therefore reached exactly once, at
 the leaf where its last point is chosen, and no memo of visited sets is
 needed.  A child's uncovered list is its parent's, filtered by the new
-point.
+point; the forbidden points are cleared only when there are any.
 
 The lower bound is a greedy packing of pairwise-disjoint uncovered blocks,
-each of which needs its own point.  Points are tried in order of how many
-uncovered blocks they hit, so the first dive finds a good incumbent.  The
-two prune modes differ only in ties: the ``tau`` path looks for a strictly
-smaller set (prune when ``depth + bound >= best``), while the collecting
-path keeps ties (prune when ``depth + bound > best``) and so gathers every
-minimum set in the same pass.  A subset-scan oracle double-checks both at
-small scale.
+each of which needs its own point.  The children are ordered by the key
+``(-hit count, point bit)``: points that hit the most uncovered blocks come
+first, so the first dive finds a good incumbent, and ties go to the lower
+point.  The two prune modes differ only in ties: the ``tau`` path looks
+for a strictly smaller set (prune when ``depth + bound >= best``), while
+the collecting path keeps ties (prune when ``depth + bound > best``) and
+so gathers every minimum set in the same pass.  A subset-scan oracle
+double-checks both at small scale.
+
+Points, blocks and hitting sets are int bitmasks throughout the kernel.
+Its answers stay masks until ``Family._from_masks`` builds the transversal
+family, which sorts them once and does not re-validate them.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import EmptyBlockError, OracleTooLargeError, VerificationError
-from .family import Family, bits_of, mask_of
+from .family import Family, mask_of
 
 INFINITE_TAU = math.inf
 ORACLE_POINT_LIMIT = 20
@@ -44,17 +49,6 @@ class TransversalReport:
     tau: int | float
     transversals: Family
     nodes: int
-
-
-def _disjoint_lower_bound(uncovered: list[int]) -> int:
-    """Count of pairwise-disjoint uncovered blocks; each needs its own point."""
-    union = 0
-    count = 0
-    for m in uncovered:
-        if not m & union:
-            count += 1
-            union |= m
-    return count
 
 
 def _hitting_sets(masks, collect: bool,
@@ -79,28 +73,41 @@ def _hitting_sets(masks, collect: bool,
         nodes += 1
         if depth + slack > best:
             continue
-        keep = ~forbid
-        uncovered = [m & keep for m in parent if not m & bit]
-        if 0 in uncovered:      # a block lost its last point to the forbidden ones
-            continue
+        if forbid:
+            keep = ~forbid
+            uncovered = [m & keep for m in parent if not m & bit]
+            if 0 in uncovered:  # a block lost its last point to the forbidden ones
+                continue
+        else:
+            uncovered = [m for m in parent if not m & bit]
         if not uncovered:
             if depth < best:
                 best, found = depth, [chosen]
             else:
                 found.append(chosen)
             continue
-        if depth + _disjoint_lower_bound(uncovered) + slack > best:
+        # packing bound: pairwise-disjoint uncovered blocks each need a point
+        bound = depth + slack
+        union = 0
+        for m in uncovered:
+            if not m & union:
+                bound += 1
+                union |= m
+        if bound > best:
             continue
         block = min(uncovered, key=int.bit_count)
-        # most uncovered blocks hit first; sum(...) >> p counts them
-        points = sorted(bits_of(block),
-                        key=lambda p: -(sum(map((1 << p).__and__, uncovered)) >> p))
-        excluded = 0
-        children = []
-        for p in points:
-            children.append((chosen | 1 << p, depth + 1, uncovered, 1 << p, excluded))
-            excluded |= 1 << p
-        stack.extend(reversed(children))
+        # children in order of (-hit count, point bit); sum(...) // low
+        # counts the uncovered blocks through the point
+        order = []
+        rest = block
+        while rest:
+            low = rest & -rest
+            order.append((-(sum(map(low.__and__, uncovered)) // low), low))
+            rest ^= low
+        order.sort(reverse=True)
+        for _, low in order:    # last child first; each forbids the points before it
+            block ^= low
+            stack.append((chosen | low, depth + 1, uncovered, low, block))
     return (best if found else top + 1), found, nodes
 
 
@@ -135,8 +142,7 @@ def transversal_family(family: Family) -> TransversalReport:
     if k is not None and len(solutions) > k ** t:
         raise VerificationError(
             f"{len(solutions)} transversals exceed the bound {k}^{t}")
-    transversals = Family([bits_of(m) for m in solutions], family.universe_size,
-                          family.labels)
+    transversals = Family._from_masks(solutions, family.universe_size, family.labels)
     return TransversalReport(t, transversals, nodes)
 
 

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from miflab.constructions import bg_family, projective_plane, triangle
-from miflab.errors import FormatError, UniverseOverflowError
-from miflab.family import Family
+from miflab.errors import FormatError, UniverseOverflowError, VerificationError
+from miflab.family import Family, bits_of
 
 
 def test_point_set_union():
@@ -40,6 +40,14 @@ def test_is_intersecting():
     for a in blocks:
         for b in blocks:
             assert set(a) & set(b)
+    rng = random.Random(12)
+    for _ in range(200):
+        v = rng.randint(2, 7)
+        blocks = [rng.sample(range(v), rng.randint(1, min(3, v)))
+                  for _ in range(rng.randint(1, 6))]
+        fam = Family(blocks, v)
+        assert fam.is_intersecting() == all(set(a) & set(b)
+                                            for a, b in combinations(fam.blocks, 2))
 
 
 def test_is_blocking_set():
@@ -189,3 +197,30 @@ def test_blocks_avoiding():
     sub = fano.blocks_avoiding({0})
     assert len(sub) == 4
     assert all(0 not in b for b in sub.blocks)
+
+
+def test_from_masks_matches_the_validating_constructor():
+    rng = random.Random(909)
+    for i in range(300):
+        universe = rng.randint(0, 12)
+        masks = rng.sample(range(1 << universe), rng.randint(0, min(12, 1 << universe)))
+        labels = tuple(f"p{j}" for j in range(universe)) if i % 3 == 0 else None
+        fast = Family._from_masks(masks, universe, labels)
+        slow = Family([bits_of(m) for m in masks], universe, labels)
+        assert fast.blocks == slow.blocks
+        assert fast.masks == slow.masks
+        assert fast.point_mask == slow.point_mask
+        assert fast.labels == slow.labels
+        assert fast == slow and hash(fast) == hash(slow)
+
+
+@pytest.mark.parametrize("masks, universe", [
+    ([0b011, 0b110, 0b011], 3),
+    ([0, 0], 2),
+    ([0b1000], 3),
+    ([0b001, 1 << 40], 8),
+    ([-1], 4),
+])
+def test_from_masks_refuses_duplicates_and_out_of_range_points(masks, universe):
+    with pytest.raises(VerificationError):
+        Family._from_masks(masks, universe, None)

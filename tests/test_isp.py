@@ -222,3 +222,18 @@ def test_extract_isp_bounds_work_on_complete_family_5(monkeypatch):
     monkeypatch.setattr(isp, "_hitting_sets", counting_hitting_sets)
     extract_isp(complete_family(5))
     assert nodes[0] <= 2000
+
+
+def test_extract_isp_kernel_nodes_on_complete_family_5(monkeypatch):
+    # the exact tree the kernel walks for this extraction
+    nodes = [0]
+    hitting_sets = isp._hitting_sets
+
+    def counting_hitting_sets(*args):
+        answer = hitting_sets(*args)
+        nodes[0] += answer[2]
+        return answer
+
+    monkeypatch.setattr(isp, "_hitting_sets", counting_hitting_sets)
+    extract_isp(complete_family(5))
+    assert nodes[0] == 1260

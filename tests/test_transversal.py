@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from miflab.constructions import bg_family, projective_plane, triangle
+from miflab.constructions import bg_family, complete_family, projective_plane, triangle
 from miflab.errors import EmptyBlockError, OracleTooLargeError
 from miflab.family import Family
 from miflab.transversal import (INFINITE_TAU, brute_force_transversals, tau,
-                                transversal_family)
+                                tau_with_nodes, transversal_family)
 from miflab.verify import random_uniform_family
 
 
@@ -136,6 +136,30 @@ def test_node_counts_are_deterministic():
     a = transversal_family(fam)
     b = transversal_family(fam)
     assert a.nodes == b.nodes
+
+
+@pytest.mark.parametrize("build, collect_nodes, tau_nodes", [
+    (lambda: bg_family(4, 2).family, 15, 9),
+    (lambda: bg_family(5, 3).family, 56, 25),
+    (lambda: projective_plane(3), 133, 17),
+    (lambda: complete_family(5), 252, 110),
+])
+def test_kernel_walks_a_fixed_tree(build, collect_nodes, tau_nodes):
+    # node counts of both prune modes; any change to the children's order,
+    # the packing bound or the pruning moves them
+    fam = build()
+    assert transversal_family(fam).nodes == collect_nodes
+    assert tau_with_nodes(fam)[1] == tau_nodes
+
+
+def test_kernel_walks_a_fixed_tree_on_random_families():
+    rng = random.Random(2121)
+    collect_nodes = tau_nodes = 0
+    for i in range(200):
+        fam = random_uniform_family(rng, (3, 4, 5, 6)[i % 4], max_points=16)
+        collect_nodes += transversal_family(fam).nodes
+        tau_nodes += tau_with_nodes(fam)[1]
+    assert (collect_nodes, tau_nodes) == (5553, 2507)
 
 
 def test_differential_non_uniform_families():
