@@ -53,16 +53,10 @@ Result = tuple[int, dict, str | None]
 
 def cmd_gen(args) -> Result:
     if args.construction == "bg":
-        if args.k is None or args.t is None:
-            raise MiflabError("gen bg needs --k and --t")
         fam = bg_family(args.k, args.t, max_universe=args.max_universe).family
     elif args.construction == "plane":
-        if args.q is None:
-            raise MiflabError("gen plane needs --q")
         fam = projective_plane(args.q)
     else:
-        if args.k is None:
-            raise MiflabError("gen complete needs --k")
         fam = complete_family(args.k, max_universe=args.max_universe)
     return EXIT_OK, fam.to_json_obj(), fam.to_text()
 

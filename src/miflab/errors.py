@@ -74,7 +74,8 @@ class UnsupportedKError(MiflabError):
 
 
 class UnsupportedParamsError(MiflabError):
-    """ISP search parameters outside the desk-scale whitelist."""
+    """Search parameters outside the desk-scale whitelist, or whose
+    candidate lists could exceed MAX_LIST_ENTRIES (search.py)."""
 
 
 class BudgetExceededError(MiflabError):

@@ -20,6 +20,7 @@ duplicate or an out-of-range mask, as an internal error.
 from __future__ import annotations
 
 import json
+import re
 from functools import reduce
 from itertools import chain, combinations, starmap
 from operator import and_, or_
@@ -219,22 +220,21 @@ class Family:
         blocks = []
         top = -1
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
+            # each token with its own 1-based column
+            tokens = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", raw)]
+            if not tokens:
                 continue
-            parts = line.split()
-            if parts[0] != "b":
-                raise FormatError(f"line {lineno}, column 1: expected 'b', got {parts[0]!r}")
+            col, head = tokens[0]
+            if head != "b":
+                raise FormatError(f"line {lineno}, column {col}: expected 'b', got {head!r}")
             pts = []
-            for tok in parts[1:]:
+            for col, tok in tokens[1:]:
                 try:
                     p = int(tok)
                 except ValueError:
-                    col = raw.index(tok) + 1
                     raise FormatError(
                         f"line {lineno}, column {col}: {tok!r} is not a point id") from None
                 if p < 0:
-                    col = raw.index(tok) + 1
                     raise FormatError(f"line {lineno}, column {col}: negative point id {p}")
                 pts.append(p)
                 top = max(top, p)

@@ -12,8 +12,11 @@ A node's addable blocks are the k-sets below the point cap that follow
 its last block and meet every block, in ascending order.  A child F + b
 filters its parent's list: a k-set meets every block of F + b iff it
 meets those of F and b, so it keeps the entries that follow b and meet
-it.  Only the root, and a node read from a checkpoint, build the list
-from scratch, by ``_extend_hitters`` from the empty system.
+it.  The walk holds one record per pending node, (blocks, automorphism
+group, addable list), and builds a child's record where the child is
+made.  Only the root, and a node read from a checkpoint, build their
+record from scratch: a seedless canonical test for the group, and the
+list by the same filter folded over every k-set below the cap.
 One kernel call per node (``transversal.py``) finds the hitting sets T of
 at most k used points for the blocks plus the used parts of the addable
 blocks; T then hits every block of every descendant.  A maximal
@@ -64,12 +67,14 @@ it meets every older mask iff S does; it is kept iff it also meets the
 new B (for HA) or the new A (for HB).  Sorting restores combinations()
 order, so the children come in the order of a scan.  A node's lists are
 derived only when it is expanded, that is when it passes the point-count
-bound, and the walk keeps them beside the node's lazy child iterator,
-one per depth, so a node's children are built only as the walk reaches
-them.  As an expanded node holds its lists, (k, t) whose lists one pair
-below the root could exceed ISP_MAX_LIST_ENTRIES subsets are refused
-before anything is built.  A node is counted before the budget is
-checked, so a stop reports budget + 1 nodes.
+bound.  The walk then pushes one record, the node's lazy child iterator
+with the u, HA and HB the children derive theirs from, so a node's
+children are built only as the walk reaches them.  As an expanded node
+holds its lists, (k, t) whose lists one pair below the root could
+exceed MAX_LIST_ENTRIES subsets are refused before anything is built,
+as is an orderly search whose root list is filtered from more k-sets
+below the cap than that.  A set-pair node is counted before the budget
+is checked, so a stop reports budget + 1 nodes.
 """
 
 from __future__ import annotations
@@ -91,8 +96,11 @@ from .isp import SetPairSystem
 from .transversal import _hitting_sets
 
 CHECKPOINT_MAGIC = "mifsearch-v1"
+MAX_LIST_ENTRIES = 10**6
 
 Blocks = tuple[tuple[int, ...], ...]
+Addable = list[tuple[tuple[int, ...], int]]
+Record = tuple[Blocks, list[list[int]], Addable]
 
 
 def _extend_hitters(lists, u: int, w: int, mask: int):
@@ -123,15 +131,26 @@ def _extend_hitters(lists, u: int, w: int, mask: int):
     return extended
 
 
-def _addable(blocks: Blocks, p_max: int) -> list[tuple[tuple[int, ...], int]]:
+def _addable(blocks: Blocks, p_max: int) -> Addable:
     """The blocks a descendant may still add, ascending, with their masks:
-    the lists of the empty system, which span no points, extended by each
-    block, the first one adding every point below p_max."""
-    k, u = len(blocks[0]), 0
-    lists = [[((), 0)]] + [[] for _ in range(k)]
+    the k-sets below p_max, filtered by each block in turn as the walk
+    filters a child's list, to those that follow the block and meet it."""
+    # lazily, so the first filter keeps only the k-sets that meet blocks[0]
+    addable = ((c, mask_of(c)) for c in combinations(range(p_max), len(blocks[0])))
     for b in blocks:
-        lists, u = _extend_hitters(lists, u, p_max, mask_of(b)), p_max
-    return [e for e in lists[k] if e[0] > blocks[-1]]
+        bm = mask_of(b)
+        addable = [e for e in addable if e[0] > b and e[1] & bm]
+    return addable
+
+
+def _record(blocks: Blocks, p_max: int) -> Record | None:
+    """The walk's record of a node, (blocks, generators of its automorphism
+    group, addable list), built from scratch by a seedless canonical test
+    and _addable; None if the blocks are not in least labeling."""
+    group: list[list[int]] = []
+    if not is_least_labeling(blocks, group):
+        return None
+    return blocks, group, _addable(blocks, p_max)
 
 
 def _fixing_generators(block: tuple[int, ...], group: Sequence[Sequence[int]], v: int,
@@ -154,10 +173,9 @@ def _fixing_generators(block: tuple[int, ...], group: Sequence[Sequence[int]], v
 
 
 def _node_step(blocks: Blocks, k: int, group: Sequence[Sequence[int]],
-               addable: list[tuple[tuple[int, ...], int]]
-               ) -> tuple[bool, list[Blocks], list[list[list[int]]]]:
-    """Classify one canonical node: (is maximal, canonical children, their
-    automorphism groups).  group holds automorphisms of the node, as lists
+               addable: Addable) -> tuple[bool, list[Record]]:
+    """Classify one canonical node: (is maximal, the records of its
+    canonical children).  group holds automorphisms of the node, as lists
     of point images, an empty one standing for the trivial group, and
     addable is the node's _addable list."""
     last = blocks[-1]
@@ -172,13 +190,12 @@ def _node_step(blocks: Blocks, k: int, group: Sequence[Sequence[int]],
     # addable block's used part is a hitter of < k points or a non-block
     # k-set (it follows last), so a node with one is never maximal
     if not addable and t == k and len(threats) == len(blocks):
-        return True, [], []  # maximal; and no extension of it can be
+        return True, []  # maximal; and no extension of it can be
     if t < k or any(tm not in masks and bits_of(tm) <= last for tm in threats):
-        return False, [], []
+        return False, []
 
-    children: list[Blocks] = []
-    groups: list[list[list[int]]] = []
-    for cand, dm in addable:
+    children: list[Record] = []
+    for i, (cand, dm) in enumerate(addable):
         fresh = dm >> v
         if fresh & (fresh + 1) == 0:  # its new points are the next unused ids
             seeds = _fixing_generators(cand, group, v, max(v, cand[-1] + 1)) if group else []
@@ -186,55 +203,40 @@ def _node_step(blocks: Blocks, k: int, group: Sequence[Sequence[int]],
                 continue  # an automorphism maps cand below itself
             child = blocks + (cand,)
             if is_least_labeling(child, seeds):
-                children.append(child)
-                groups.append(seeds)
-    return False, children, groups
+                # a k-set meets every block of F + b iff it meets those of F and b
+                children.append((child, seeds, [e for e in addable[i + 1:] if e[1] & dm]))
+    return False, children
 
 
-def _walk(stack: list[Blocks], found: list[Blocks], nodes: int, k: int, p_max: int,
+def _walk(stack: list[Record], found: list[Blocks], nodes: int, k: int, p_max: int,
           budget: int | None, checkpoint_path=None, checkpoint_every: int = 0) -> int:
-    """Expand the nodes on stack depth-first, appending the maximal
-    families to found; returns the node count, starting from nodes.
+    """Expand the node records on stack depth-first, appending the maximal
+    families to found; returns the node count, starting from nodes.  Each
+    record is (blocks, generators of the node's automorphism group, its
+    addable list), as _record builds it or _node_step for a child.
 
-    The budget is checked before each node: a stop writes the untouched
-    stack as the checkpoint and raises BudgetExceededError with the node
-    count, which is the budget unless the walk started beyond it.  With a
-    checkpoint path the stack and results are also written every
-    checkpoint_every nodes.
-
-    Beside the stack the walk keeps each pending node's automorphism
-    group, as generators, and its parent's addable list, from which the
-    node's own is filtered when it is visited.  A node from the caller's
-    stack has neither: it gets its group from one seedless test and its
-    list from _addable."""
-    groups: list[list[list[int]] | None] = [None] * len(stack)
-    parents: list[list[tuple[tuple[int, ...], int]] | None] = [None] * len(stack)
+    The budget is checked before each node: a stop writes the blocks of
+    the untouched stack as the checkpoint and raises BudgetExceededError
+    with the node count, which is the budget unless the walk started
+    beyond it.  With a checkpoint path the pending blocks and results are
+    also written every checkpoint_every nodes."""
     since_checkpoint = 0
     while stack:
         if budget is not None and nodes >= budget:
             if checkpoint_path:
-                write_checkpoint(checkpoint_path, k, p_max, nodes, stack, found)
+                write_checkpoint(checkpoint_path, k, p_max, nodes, [r[0] for r in stack], found)
             raise BudgetExceededError(f"node budget {budget} exhausted", nodes=nodes,
                                       checkpoint_path=checkpoint_path)
-        blocks, group, parent = stack.pop(), groups.pop(), parents.pop()
+        blocks, group, addable = stack.pop()
         nodes += 1
-        if group is None:
-            group = []
-            is_least_labeling(blocks, group)
-            addable = _addable(blocks, p_max)
-        else:  # a k-set meets every block of F + b iff it meets those of F and b
-            last, last_mask = blocks[-1], mask_of(blocks[-1])
-            addable = [e for e in parent if e[0] > last and e[1] & last_mask]
-        full, children, child_groups = _node_step(blocks, k, group, addable)
+        full, children = _node_step(blocks, k, group, addable)
         if full:
             found.append(blocks)
         else:
             stack.extend(reversed(children))
-            groups.extend(reversed(child_groups))
-            parents.extend([addable] * len(children))
         since_checkpoint += 1
         if checkpoint_path and since_checkpoint >= checkpoint_every:
-            write_checkpoint(checkpoint_path, k, p_max, nodes, stack, found)
+            write_checkpoint(checkpoint_path, k, p_max, nodes, [r[0] for r in stack], found)
             since_checkpoint = 0
     return nodes
 
@@ -316,7 +318,11 @@ def write_checkpoint(path, k: int, p_max: int, nodes: int,
             os.unlink(tmp)
 
 
-def read_checkpoint(path, k: int, p_max: int):
+def read_checkpoint(path, k: int, p_max: int) -> tuple[int, list[Record], list[Blocks]]:
+    """The node count, the records of the pending nodes, built by _record,
+    and the maximal families of a checkpoint.  Every record must be in
+    least labeling, as the walk writes no other, and an M record must be
+    a maximal family."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -339,7 +345,7 @@ def read_checkpoint(path, k: int, p_max: int):
         raise FormatError(
             f"checkpoint is for k={header['k']}, p_max={header['p_max']}; "
             f"requested k={k}, p_max={p_max}")
-    pending: list[Blocks] = []
+    pending: list[Record] = []
     found: list[Blocks] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -347,17 +353,17 @@ def read_checkpoint(path, k: int, p_max: int):
         tag, _, rest = line.partition(" ")
         if tag not in ("F", "M"):
             raise FormatError(f"line {lineno}: unknown checkpoint tag {tag!r}")
-        blocks = _record_to_blocks(rest, k, p_max)
-        # a record the leaf test calls maximal joins the result, so it must be
-        # least; any other adds nothing if not least, as a least child has a
-        # least parent.  Without an addable block the test builds no child
-        addable = _addable(blocks, p_max)
-        leaf = not addable and _node_step(blocks, k, [], addable)[0]
-        if tag == "M" and not leaf:
-            raise FormatError(f"bad checkpoint record {rest!r}: not a maximal family")
-        if leaf and not is_least_labeling(blocks):
+        record = _record(_record_to_blocks(rest, k, p_max), p_max)
+        if record is None:
             raise FormatError(f"bad checkpoint record {rest!r}: not in least labeling")
-        (pending if tag == "F" else found).append(blocks)
+        blocks, group, addable = record
+        if tag == "F":
+            pending.append(record)
+        # without an addable block the leaf test builds no child
+        elif addable or not _node_step(blocks, k, group, addable)[0]:
+            raise FormatError(f"bad checkpoint record {rest!r}: not a maximal family")
+        else:
+            found.append(blocks)
     return header["nodes"], pending, found
 
 
@@ -369,10 +375,13 @@ def enumerate_mifs(k: int, p_max: int | None = None, *, budget: int | None = Non
     point cap of k, under which the search finds N(k).
 
     Budget counts visited tree nodes, and a stop reports exactly the
-    budget; a negative budget is refused.  With a checkpoint path the
-    pending stack and results are written every checkpoint_every nodes and
-    on budget exhaustion; a resume path continues such a run, and the
-    resumed result and node count equal those of an uninterrupted run."""
+    budget; a negative budget is refused, and so, before anything is
+    built, is a p_max with more than MAX_LIST_ENTRIES k-sets below it, as
+    the root's candidate list is filtered from them all.  With a
+    checkpoint path the pending stack and results are written every
+    checkpoint_every nodes and on budget exhaustion; a resume path
+    continues such a run, and the resumed result and node count equal
+    those of an uninterrupted run."""
     _check_int("k", k)
     if k not in (2, 3):
         raise UnsupportedKError(f"exhaustive search supports k in {{2, 3}}, got {k}")
@@ -385,12 +394,15 @@ def enumerate_mifs(k: int, p_max: int | None = None, *, budget: int | None = Non
     _check_count("the node budget", budget)
     if checkpoint_path:
         _check_int("checkpoint_every", checkpoint_every, 1)
+    if comb(p_max, k) > MAX_LIST_ENTRIES:  # the k-sets _addable filters for the root
+        raise UnsupportedParamsError(
+            f"p_max = {p_max} is too large for the search: the root's candidate list "
+            f"would be filtered from C({p_max}, {k}) > {MAX_LIST_ENTRIES} {k}-sets")
 
-    root: Blocks = (tuple(range(k)),)
     if resume_path:
         nodes, stack, found = read_checkpoint(resume_path, k, p_max)
-    else:
-        nodes, stack, found = 0, [root], []
+    else:  # the root block is in least labeling
+        nodes, stack, found = 0, [_record((tuple(range(k)),), p_max)], []
 
     nodes = _walk(stack, found, nodes, k, p_max, budget, checkpoint_path, checkpoint_every)
 
@@ -408,7 +420,6 @@ def compute_N(k: int) -> int:
 # -- set-pair system search ----------------------------------------------
 
 ISP_WHITELIST = {(2, 1), (3, 1), (2, 2)}
-ISP_MAX_LIST_ENTRIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -462,7 +473,7 @@ def search_isp(k: int, t: int, *, budget: int | None = None) -> IspSearchResult:
     An expanded node holds its candidate lists, and a node one pair below
     the root may use 2(k+t) points; (k, t) is refused with
     UnsupportedParamsError, before anything is built, when the sum over
-    s <= k and over s <= t of C(2(k+t), s) exceeds ISP_MAX_LIST_ENTRIES."""
+    s <= k and over s <= t of C(2(k+t), s) exceeds MAX_LIST_ENTRIES."""
     _check_int("k", k, 1)
     _check_int("t", t, 1)
     _check_count("the node budget", budget)
@@ -470,25 +481,25 @@ def search_isp(k: int, t: int, *, budget: int | None = None) -> IspSearchResult:
     for side in (k, t):
         for s in range(side + 1):
             entries += comb(2 * (k + t), s)
-            if entries > ISP_MAX_LIST_ENTRIES:  # stop early: huge (k, t) stay cheap
+            if entries > MAX_LIST_ENTRIES:  # stop early: huge (k, t) stay cheap
                 raise UnsupportedParamsError(
                     f"({k}, {t}) is too large for the set-pair search: a node's "
-                    f"candidate lists may hold more than {ISP_MAX_LIST_ENTRIES} subsets")
+                    f"candidate lists may hold more than {MAX_LIST_ENTRIES} subsets")
     n_max = comb(k + t, k)
     per_pair_gain = k + t - 2  # later pairs must reuse a point on each side
     a, b = tuple(range(k)), tuple(range(k, k + t))
     root = (((a, b),), (mask_of(a),), (mask_of(b),), k + t)
     best_points, best_pairs = k + t, root[0]
     nodes = 0
-    # per depth, a lazy iterator of children and the (u, ha, hb) of their
+    # per depth, a lazy iterator of children and the u, ha and hb of their
     # parent; the root's parent is the empty system, which spans no points
-    stack = [iter([root])]
-    lists = [(0, [[((), 0)]] + [[] for _ in range(k)], [[((), 0)]] + [[] for _ in range(t)])]
+    stack = [(iter([root]), 0, [[((), 0)]] + [[] for _ in range(k)],
+              [[((), 0)]] + [[] for _ in range(t)])]
     while stack:
-        node = next(stack[-1], None)
+        children, pu, pha, phb = stack[-1]
+        node = next(children, None)
         if node is None:
             stack.pop()
-            lists.pop()
             continue
         pairs, amasks, bmasks, u = node
         nodes += 1
@@ -499,11 +510,9 @@ def search_isp(k: int, t: int, *, budget: int | None = None) -> IspSearchResult:
             best_points, best_pairs = u, pairs
         depth = len(pairs)
         if depth < n_max and u + (n_max - depth) * per_pair_gain > best_points:
-            pu, pha, phb = lists[-1]
             ha = _extend_hitters(pha, pu, u, bmasks[-1])
             hb = _extend_hitters(phb, pu, u, amasks[-1])
-            stack.append(_isp_children(k, t, *node, ha, hb))
-            lists.append((u, ha, hb))
+            stack.append((_isp_children(k, t, *node, ha, hb), u, ha, hb))
     witness = SetPairSystem(best_pairs, k=k, t=t)
     return IspSearchResult(k, t, best_points, witness, nodes)
 

@@ -54,6 +54,19 @@ def test_gen_bg_overflow_is_usage_error(capsys):
     assert code == 2 and "cap" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("bg", "--t", "2"), "k"),
+    (("bg", "--k", "3"), "t"),
+    (("plane",), "q"),
+    (("complete",), "k"),
+])
+def test_gen_missing_parameter_is_usage_error(capsys, argv, name):
+    # the constructions refuse the missing value themselves
+    code, out, err = run(capsys, "gen", "--construction", *argv)
+    assert code == 2 and out == ""
+    assert f"error: {name} must be an integer, got None" in err
+
+
 def test_gen_bg_with_raised_cap(capsys):
     code, out, _ = run(capsys, "gen", "--construction", "bg", "--k", "6", "--t", "5",
                        "--max-universe", "256", "--format", "json")
@@ -251,6 +264,15 @@ def test_search_isp_too_large_is_a_usage_error():
                                  "--budget", "5")
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.startswith("error: (9, 9) is too large") and run.stderr.count("\n") == 1
+
+
+def test_search_mif_huge_cap_is_a_usage_error():
+    # refused before the root's candidate list is built
+    from test_search import run_with_address_limit
+    run = run_with_address_limit("-m", "miflab.cli", "search", "mif", "--k", "3",
+                                 "--max-points", "1000", "--budget", "5")
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: p_max = 1000 is too large") and run.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -157,6 +157,11 @@ def test_text_parse_errors_carry_position():
         Family.from_text("b 0 1\nx 2\n")
     with pytest.raises(FormatError, match="line 1.*column 3"):
         Family.from_text("b zz\n")
+    # each token's own column, not that of an earlier equal token
+    with pytest.raises(FormatError, match="line 1, column 5: 'b' is not"):
+        Family.from_text("b 1 b\n")
+    with pytest.raises(FormatError, match="line 2, column 3: expected 'b'"):
+        Family.from_text("b 0 1\n  x 2\n")
 
 
 def test_json_parse_errors_carry_position():

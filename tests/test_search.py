@@ -20,9 +20,9 @@ from miflab.errors import (BudgetExceededError, FormatError, ParameterOutOfRange
 from miflab.family import mask_of
 from miflab.isp import SetPairSystem, bollobas_sum, validate_isp
 from miflab.mif import is_mif, is_one_critical
-from miflab.search import (ISP_MAX_LIST_ENTRIES, IspSearchResult, _addable, _extend_hitters,
-                           _node_step, compute_n, compute_N, enumerate_mifs, read_checkpoint,
-                           search_isp, write_checkpoint)
+from miflab.search import (MAX_LIST_ENTRIES, IspSearchResult, _addable, _extend_hitters,
+                           _node_step, _record, compute_n, compute_N, enumerate_mifs,
+                           read_checkpoint, search_isp, write_checkpoint)
 from test_canonical import automorphisms_by_scan, generated_order
 
 
@@ -115,15 +115,11 @@ def reference_node_step(blocks, k, p_max):
 def walk_with_groups(k, p_max):
     """Every node of the search tree with the automorphism group the walk
     carries to it, in the order _walk visits them."""
-    stack = [((tuple(range(k)),), None)]
+    stack = [_record((tuple(range(k)),), p_max)]
     while stack:
-        blocks, group = stack.pop()
-        if group is None:
-            group = []
-            assert search.is_least_labeling(blocks, group)
+        blocks, group, addable = stack.pop()
         yield blocks, group
-        _, children, groups = _node_step(blocks, k, group, _addable(blocks, p_max))
-        stack.extend(reversed(list(zip(children, groups))))
+        stack.extend(reversed(_node_step(blocks, k, group, addable)[1]))
 
 
 @pytest.mark.parametrize("k, p_max, total", [
@@ -148,8 +144,8 @@ def test_node_step_matches_subset_scan_on_whole_trees(monkeypatch, k, p_max, tot
     for node, group in walk_with_groups(k, p_max):
         nodes += 1
         skipped.clear()
-        full, children, _ = _node_step(node, k, group, _addable(node, p_max))
-        assert (full, children) == reference_node_step(node, k, p_max), node
+        full, children = _node_step(node, k, group, _addable(node, p_max))
+        assert (full, [c[0] for c in children]) == reference_node_step(node, k, p_max), node
         assert not any(canonical.is_least_labeling(node + (cand,)) for cand in skipped), node
         n_skipped += len(skipped)
     assert nodes == total
@@ -169,7 +165,8 @@ def test_node_step_matches_subset_scan_on_random_descents(monkeypatch):
         p_max = rng.randint(2 * k - 1, 2 * k + 4)
         blocks = (tuple(range(k)),)
         while True:
-            full, children, _ = _node_step(blocks, k, (), _addable(blocks, p_max))
+            full, children = _node_step(blocks, k, (), _addable(blocks, p_max))
+            children = [c[0] for c in children]
             assert (full, children) == reference_node_step(blocks, k, p_max), (k, p_max, blocks)
             steps += 1
             if not children:
@@ -257,7 +254,7 @@ def test_k4_cap_7_finds_only_the_complete_family(monkeypatch):
 
     monkeypatch.setattr(canonical, "_split", counting_split)
     found = []
-    assert search._walk([((0, 1, 2, 3),)], found, 0, 4, 7, None) == 182
+    assert search._walk([_record(((0, 1, 2, 3),), 7)], found, 0, 4, 7, None) == 182
     assert len(calls) <= 158106
     assert [least_block_list(f) for f in found] == [
         least_block_list(complete_family(4).blocks)]
@@ -308,7 +305,7 @@ def test_addable_matches_subset_scan_on_k3_trees(p_max):
         want = [(c, mask_of(c)) for c in combinations(range(p_max), 3)
                 if c > blocks[-1] and all(mask_of(c) & m for m in masks)]
         assert _addable(blocks, p_max) == want, blocks
-        stack.extend(_node_step(blocks, 3, (), _addable(blocks, p_max))[1])
+        stack.extend(c[0] for c in _node_step(blocks, 3, (), _addable(blocks, p_max))[1])
 
 
 @pytest.mark.parametrize("k, p_max, total", [(2, 5, 4), (3, 7, 158), (3, 9, 192),
@@ -331,7 +328,7 @@ def test_walk_derives_each_addable_list_from_the_parents(monkeypatch, k, p_max, 
     monkeypatch.setattr(search, "_addable", counting_addable)
     monkeypatch.setattr(search, "_node_step", checked_node_step)
     if k == 4:  # below enumerate_mifs's k guard
-        assert search._walk([((0, 1, 2, 3),)], [], 0, k, p_max, None) == total
+        assert search._walk([_record(((0, 1, 2, 3),), p_max)], [], 0, k, p_max, None) == total
     else:
         assert enumerate_mifs(k, p_max).nodes == total
     assert built == [tuple([tuple(range(k))])]
@@ -522,7 +519,7 @@ def test_checkpoint_format_round_trip(tmp_path):
     found = [complete_family(3).blocks]
     write_checkpoint(path, 3, 9, 123, pending, found)
     nodes, got_pending, got_found = read_checkpoint(path, 3, 9)
-    assert (nodes, got_pending, got_found) == (123, pending, found)
+    assert (nodes, got_pending, got_found) == (123, [_record(b, 9) for b in pending], found)
     with pytest.raises(FormatError):
         read_checkpoint(path, 3, 8)
     path.write_text("bogus\n")
@@ -560,12 +557,35 @@ def test_checkpoint_bad_header_is_format_error(tmp_path, header):
     # either record adds a ninth class
     "M 0,1,2|0,1,4|0,1,5|0,2,4|0,2,5|0,3,4|0,3,5|1,2,3|1,4,5|2,4,5",
     "F 0,1,2|0,1,4|0,1,5|0,2,4|0,2,5|0,3,4|0,3,5|1,2,3|1,4,5|2,4,5",
+    "F 0,1,2|0,3,5",    # not in least labeling: resumed as 1 node, 0 families
 ])
 def test_checkpoint_bad_record_is_format_error(tmp_path, record):
     path = tmp_path / "ck.log"
     path.write_text('mifsearch-v1 {"k":3,"p_max":9,"nodes":0}\n' + record + "\n")
     with pytest.raises(FormatError):
         enumerate_mifs(3, 9, resume_path=path)
+
+
+def test_resume_builds_each_record_once(tmp_path, monkeypatch, search39):
+    # reading a checkpoint builds every record, pending (F) or maximal (M),
+    # and the walk takes the pending ones as they are: one _addable call
+    # per record, where building the F lists again when the walk reached
+    # them made 51 calls here
+    ck = tmp_path / "search.log"
+    with pytest.raises(BudgetExceededError):
+        enumerate_mifs(3, 9, budget=100, checkpoint_path=ck)
+    records = ck.read_text().splitlines()[1:]
+    built = []
+    addable = search._addable
+
+    def counting_addable(blocks, cap):
+        built.append(blocks)
+        return addable(blocks, cap)
+
+    monkeypatch.setattr(search, "_addable", counting_addable)
+    resumed = enumerate_mifs(3, 9, resume_path=ck)
+    assert resumed.to_json() == search39.to_json()
+    assert len(records) == len(built) == 28
 
 
 def test_non_utf8_checkpoint_is_format_error(tmp_path):
@@ -588,7 +608,7 @@ def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         write_checkpoint(path, 3, 9, 99, [((0, 1, 2), (0, 3, 4))], [])
     assert path.read_bytes() == before
-    assert read_checkpoint(path, 3, 9) == (7, [((0, 1, 2),)], [])
+    assert read_checkpoint(path, 3, 9) == (7, [_record(((0, 1, 2),), 9)], [])
     assert [p.name for p in tmp_path.iterdir()] == ["ck.log"]
 
 
@@ -824,7 +844,7 @@ def test_isp_list_guard():
         return sum(comb(2 * (k + t), s) for side in (k, t) for s in range(side + 1))
 
     assert refused == {(k, t) for k in range(1, 13) for t in range(1, 13)
-                       if entries(k, t) > ISP_MAX_LIST_ENTRIES}
+                       if entries(k, t) > MAX_LIST_ENTRIES}
     assert (6, 6) not in refused and (7, 7) in refused
 
 
@@ -856,6 +876,26 @@ def test_huge_isp_is_refused_before_allocating():
     run = run_with_address_limit("-c", code)
     assert run.returncode == 0 and run.stderr == "", run.stderr
     assert run.stdout.startswith("refused: (9, 9) is too large")
+
+
+@pytest.mark.parametrize("k, p_max", [(3, 183), (3, 10**9), (2, 1415)])
+def test_huge_cap_is_refused(k, p_max):
+    # the root's candidate list would hold C(p_max, k) > MAX_LIST_ENTRIES k-sets
+    assert comb(p_max, k) > MAX_LIST_ENTRIES
+    with pytest.raises(UnsupportedParamsError, match="too large"):
+        enumerate_mifs(k, p_max, budget=5)
+
+
+def test_huge_cap_is_refused_before_allocating():
+    code = ("from miflab.errors import UnsupportedParamsError\n"
+            "from miflab.search import enumerate_mifs\n"
+            "try:\n"
+            "    enumerate_mifs(3, 1000, budget=5)\n"
+            "except UnsupportedParamsError as exc:\n"
+            "    print('refused:', exc)\n")
+    run = run_with_address_limit("-c", code)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    assert run.stdout.startswith("refused: p_max = 1000 is too large")
 
 
 def test_isp_budget():
