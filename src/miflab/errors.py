@@ -79,10 +79,9 @@ class UnsupportedParamsError(MiflabError):
 
 
 class BudgetExceededError(MiflabError):
-    def __init__(self, message, nodes=None, checkpoint_path=None):
+    def __init__(self, message, nodes=None):
         super().__init__(message)
         self.nodes = nodes
-        self.checkpoint_path = checkpoint_path
 
 
 class VerificationError(MiflabError):

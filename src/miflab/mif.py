@@ -3,8 +3,11 @@ that rewrite them: the point merge that eliminates one point of an
 uncovered pair, and the collapse chain that repeats the merge toward a
 fixed point and emits a set-pair certificate along the way.
 
-Both transforms re-verify their own guaranteed postconditions and raise
-VerificationError rather than return a wrong object.
+Both transforms re-verify their own guaranteed postconditions, once per
+family: each merge step proves its result maximal, and collapse, which
+runs the step on a chain it has already checked, proves each chain
+family maximal once.  A failed check raises VerificationError rather
+than return a wrong object.
 """
 
 from __future__ import annotations
@@ -136,7 +139,13 @@ def merge(family: Family, alpha: int, beta: int) -> Family:
     pair = (1 << alpha) | (1 << beta)
     if any(m & pair == pair for m in family.masks):
         raise CoveredPairError(f"some block contains both {alpha} and {beta}")
-    k = cert.k
+    return _merge(family, cert.k, alpha, beta)
+
+
+def _merge(family: Family, k: int, alpha: int, beta: int) -> Family:
+    """The merge step after merge's argument checks: family is maximal
+    with block size k, and alpha and beta are distinct points of it that
+    share no block."""
     sub = family.blocks_avoiding((alpha, beta))
     report = transversal_family(sub)
     if report.tau != k - 1:
@@ -152,7 +161,7 @@ def merge(family: Family, alpha: int, beta: int) -> Family:
                                 family.universe_size, family.labels)
     if not is_mif(result, cross_check=False):
         raise VerificationError("merge result failed the maximality check")
-    if result.point_set() != pts - {beta}:
+    if result.point_mask != family.point_mask ^ (1 << beta):
         raise VerificationError("merge result has the wrong point set")
     return result
 
@@ -208,10 +217,12 @@ def collapse(family: Family, alpha: int) -> CollapseTrace:
     """Merge points into alpha until every remaining point shares a block
     with it, then certify the chain with a set-pair system.
 
-    Each step picks the smallest point that shares no block with alpha.
-    The emitted system has two pairs per step, is validated as a set-pair
-    system with both sides of size k-1, and bounds the number of steps N
-    by half of C(2k-2, k-1)."""
+    The chain is walked once: each step picks the smallest point that
+    shares no block with alpha, takes its witness pair from the current
+    family and merges it away, so each chain family is proven maximal
+    once.  The emitted system has two pairs per step, is validated as a
+    set-pair system with both sides of size k-1, and bounds the number of
+    steps N by half of C(2k-2, k-1)."""
     _check_int("alpha", alpha)
     cert = is_mif(family, cross_check=False)
     if not cert:
@@ -220,25 +231,20 @@ def collapse(family: Family, alpha: int) -> CollapseTrace:
         raise ParameterOutOfRangeError(f"{alpha} is not a point of the family")
     k = cert.k
     abit = 1 << alpha
-    chain = [family]
-    betas = [alpha]
+    current = family
+    chain, betas, pairs = [family], [alpha], [_witness_pair(family, alpha)]
     while True:
-        current = chain[-1]
         together = reduce(or_, filter(abit.__and__, current.masks), 0)
-        eligible = bits_of(current.point_mask & ~together)
-        if not eligible:
+        apart = current.point_mask & ~together
+        if not apart:
             break
-        beta = eligible[0]
+        beta = (apart & -apart).bit_length() - 1
         betas.append(beta)
-        chain.append(merge(current, alpha, beta))
+        pairs.append(_witness_pair(current, beta))
+        current = _merge(current, k, alpha, beta)
+        chain.append(current)
     n_steps = len(betas)
-    if len(chain) != n_steps:
-        raise VerificationError("chain and beta sequence lengths diverged")
 
-    pairs = []
-    for n, beta in enumerate(betas):
-        host = chain[0] if n == 0 else chain[n - 1]
-        pairs.append(_witness_pair(host, beta))
     left = [tuple(p for p in b if p != beta) for (b, _), beta in zip(pairs, betas)]
     right = [tuple(p for p in b if p != beta) for (_, b), beta in zip(pairs, betas)]
     system = SetPairSystem([(a, b) for a, b in zip(left, right)]
@@ -252,16 +258,11 @@ def collapse(family: Family, alpha: int) -> CollapseTrace:
         raise VerificationError(
             f"2N = {2 * n_steps} exceeds C({2 * k - 2},{k - 1})")
 
-    final = chain[-1]
-    avoiding = final.blocks_avoiding((alpha,))
-    report = transversal_family(avoiding)
+    report = transversal_family(current.blocks_avoiding((alpha,)))
     if report.tau != k - 1:
         raise VerificationError(
             f"blocks avoiding alpha have transversal size {report.tau}, want {k - 1}")
-    expected_top = Family([tuple(p for p in b if p != alpha)
-                           for b in final.blocks if alpha in b],
-                          family.universe_size)
-    if report.transversals.blocks != expected_top.blocks:
+    if set(report.transversals.masks) != {m ^ abit for m in current.masks if m & abit}:
         raise VerificationError(
             "transversals of the alpha-avoiding blocks are not the alpha-stripped blocks")
     g_top_points = report.transversals.point_count()

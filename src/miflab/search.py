@@ -16,7 +16,10 @@ it.  The walk holds one record per pending node, (blocks, automorphism
 group, addable list), and builds a child's record where the child is
 made.  Only the root, and a node read from a checkpoint, build their
 record from scratch: a seedless canonical test for the group, and the
-list by the same filter folded over every k-set below the cap.
+list by the same filter folded over the k-sets below the cap that meet
+the first block.  A k-set meets it only if its least point is at most
+the block's largest, and those k-sets come first in combinations()
+order, so only that leading run is read.
 One kernel call per node (``transversal.py``) finds the hitting sets T of
 at most k used points for the blocks plus the used parts of the addable
 blocks; T then hits every block of every descendant.  A maximal
@@ -64,17 +67,19 @@ mask lies below the parent's u, and the new pair's points, from u on,
 lie only in the new masks.  So an s-subset of the child's points is an
 old part S from the parent's list of size s - j plus j new points, and
 it meets every older mask iff S does; it is kept iff it also meets the
-new B (for HA) or the new A (for HB).  Sorting restores combinations()
-order, so the children come in the order of a scan.  A node's lists are
-derived only when it is expanded, that is when it passes the point-count
-bound.  The walk then pushes one record, the node's lazy child iterator
-with the u, HA and HB the children derive theirs from, so a node's
-children are built only as the walk reaches them.  As an expanded node
-holds its lists, (k, t) whose lists one pair below the root could
-exceed MAX_LIST_ENTRIES subsets are refused before anything is built,
-as is an orderly search whose root list is filtered from more k-sets
-below the cap than that.  A set-pair node is counted before the budget
-is checked, so a stop reports budget + 1 nodes.
+new B (for HA) or the new A (for HB), so a node carries its pairs, the
+masks of its new pair alone and its next unused id.  Sorting restores
+combinations() order, so the children come in the order of a scan.  A
+node's lists are derived only when it is expanded, that is when it
+passes the point-count bound.  The walk then pushes one record, the
+node's lazy child iterator with the u, HA and HB the children derive
+theirs from, so a node's children are built only as the walk reaches
+them.  As an expanded node holds its lists, (k, t) whose lists one pair
+below the root could exceed MAX_LIST_ENTRIES subsets are refused before
+anything is built, as is an orderly search with more k-sets below its
+cap than that, from which its candidate lists are drawn.  A set-pair
+node is counted before the budget is checked, so a stop reports
+budget + 1 nodes.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ import os
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import comb
 
 from .bounds import proven_point_cap
@@ -135,8 +140,11 @@ def _addable(blocks: Blocks, p_max: int) -> Addable:
     """The blocks a descendant may still add, ascending, with their masks:
     the k-sets below p_max, filtered by each block in turn as the walk
     filters a child's list, to those that follow the block and meet it."""
-    # lazily, so the first filter keeps only the k-sets that meet blocks[0]
-    addable = ((c, mask_of(c)) for c in combinations(range(p_max), len(blocks[0])))
+    # a k-set meeting blocks[0] starts at or below its last point, and
+    # those k-sets lead combinations() order: only they are read
+    last = blocks[0][-1]
+    addable = ((c, mask_of(c)) for c in takewhile(
+        lambda c: c[0] <= last, combinations(range(p_max), len(blocks[0]))))
     for b in blocks:
         bm = mask_of(b)
         addable = [e for e in addable if e[0] > b and e[1] & bm]
@@ -225,8 +233,7 @@ def _walk(stack: list[Record], found: list[Blocks], nodes: int, k: int, p_max: i
         if budget is not None and nodes >= budget:
             if checkpoint_path:
                 write_checkpoint(checkpoint_path, k, p_max, nodes, [r[0] for r in stack], found)
-            raise BudgetExceededError(f"node budget {budget} exhausted", nodes=nodes,
-                                      checkpoint_path=checkpoint_path)
+            raise BudgetExceededError(f"node budget {budget} exhausted", nodes=nodes)
         blocks, group, addable = stack.pop()
         nodes += 1
         full, children = _node_step(blocks, k, group, addable)
@@ -376,12 +383,13 @@ def enumerate_mifs(k: int, p_max: int | None = None, *, budget: int | None = Non
 
     Budget counts visited tree nodes, and a stop reports exactly the
     budget; a negative budget is refused, and so, before anything is
-    built, is a p_max with more than MAX_LIST_ENTRIES k-sets below it, as
-    the root's candidate list is filtered from them all.  With a
-    checkpoint path the pending stack and results are written every
-    checkpoint_every nodes and on budget exhaustion; a resume path
-    continues such a run, and the resumed result and node count equal
-    those of an uninterrupted run."""
+    built, is a p_max with more than MAX_LIST_ENTRIES k-sets below it,
+    from which the candidate lists are drawn.  The root's list is read
+    from the leading run of those k-sets, in combinations() order, that
+    start at a point of the root block.  With a checkpoint path the
+    pending stack and results are written every checkpoint_every nodes
+    and on budget exhaustion; a resume path continues such a run, and the
+    resumed result and node count equal those of an uninterrupted run."""
     _check_int("k", k)
     if k not in (2, 3):
         raise UnsupportedKError(f"exhaustive search supports k in {{2, 3}}, got {k}")
@@ -394,10 +402,10 @@ def enumerate_mifs(k: int, p_max: int | None = None, *, budget: int | None = Non
     _check_count("the node budget", budget)
     if checkpoint_path:
         _check_int("checkpoint_every", checkpoint_every, 1)
-    if comb(p_max, k) > MAX_LIST_ENTRIES:  # the k-sets _addable filters for the root
+    if comb(p_max, k) > MAX_LIST_ENTRIES:  # the k-sets every candidate list is drawn from
         raise UnsupportedParamsError(
-            f"p_max = {p_max} is too large for the search: the root's candidate list "
-            f"would be filtered from C({p_max}, {k}) > {MAX_LIST_ENTRIES} {k}-sets")
+            f"p_max = {p_max} is too large for the search: its candidate lists would "
+            f"be drawn from C({p_max}, {k}) > {MAX_LIST_ENTRIES} {k}-sets")
 
     if resume_path:
         nodes, stack, found = read_checkpoint(resume_path, k, p_max)
@@ -438,8 +446,9 @@ class IspSearchResult:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
-def _isp_children(k: int, t: int, pairs, amasks, bmasks, u: int, ha, hb):
-    """The systems one pair longer, in search order: each new A meets
+def _isp_children(k: int, t: int, pairs, u: int, ha, hb):
+    """The systems one pair longer, in search order, as (pairs, mask of
+    the new A, mask of the new B, next unused id): each new A meets
     every old B, each new B misses its A and meets every old A.  A side
     is its old points below the next unused id plus the fresh ids that
     follow, fresh-rich first.  ha[s] and hb[s] are the s-subsets of
@@ -461,8 +470,8 @@ def _isp_children(k: int, t: int, pairs, amasks, bmasks, u: int, ha, hb):
             for b_olds, b_tail, b_tail_mask, ub in b_sides:
                 for b_old, b_old_mask in b_olds:
                     if not b_old_mask & am:
-                        yield (pairs + ((a, b_old + b_tail),), amasks + (am,),
-                               bmasks + (b_old_mask | b_tail_mask,), ub)
+                        yield (pairs + ((a, b_old + b_tail),), am,
+                               b_old_mask | b_tail_mask, ub)
 
 
 def search_isp(k: int, t: int, *, budget: int | None = None) -> IspSearchResult:
@@ -488,7 +497,7 @@ def search_isp(k: int, t: int, *, budget: int | None = None) -> IspSearchResult:
     n_max = comb(k + t, k)
     per_pair_gain = k + t - 2  # later pairs must reuse a point on each side
     a, b = tuple(range(k)), tuple(range(k, k + t))
-    root = (((a, b),), (mask_of(a),), (mask_of(b),), k + t)
+    root = (((a, b),), mask_of(a), mask_of(b), k + t)
     best_points, best_pairs = k + t, root[0]
     nodes = 0
     # per depth, a lazy iterator of children and the u, ha and hb of their
@@ -501,7 +510,7 @@ def search_isp(k: int, t: int, *, budget: int | None = None) -> IspSearchResult:
         if node is None:
             stack.pop()
             continue
-        pairs, amasks, bmasks, u = node
+        pairs, am, bm, u = node
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceededError(f"set-pair search exceeded {budget} nodes",
@@ -510,9 +519,9 @@ def search_isp(k: int, t: int, *, budget: int | None = None) -> IspSearchResult:
             best_points, best_pairs = u, pairs
         depth = len(pairs)
         if depth < n_max and u + (n_max - depth) * per_pair_gain > best_points:
-            ha = _extend_hitters(pha, pu, u, bmasks[-1])
-            hb = _extend_hitters(phb, pu, u, amasks[-1])
-            stack.append((_isp_children(k, t, *node, ha, hb), u, ha, hb))
+            ha = _extend_hitters(pha, pu, u, bm)
+            hb = _extend_hitters(phb, pu, u, am)
+            stack.append((_isp_children(k, t, pairs, u, ha, hb), u, ha, hb))
     witness = SetPairSystem(best_pairs, k=k, t=t)
     return IspSearchResult(k, t, best_points, witness, nodes)
 

@@ -15,6 +15,7 @@ from miflab.errors import (CoveredPairError, EmptyBlockError, EmptyFamilyError,
 from miflab.family import Family
 from miflab.isp import SetPairSystem, bollobas_sum, validate_isp
 from miflab.mif import chromatic_class, collapse, is_mif, is_one_critical, merge
+from miflab.search import enumerate_mifs
 from miflab.transversal import TransversalReport, brute_force_transversals
 from miflab.verify import random_uniform_family
 
@@ -169,6 +170,10 @@ def test_merge_usage_errors():
         merge(bg_family(3, 2).family, 0, 1)
     with pytest.raises(ParameterOutOfRangeError):
         merge(triangle(), 0, 9)
+    # a huge point must not build a huge mask, nor a negative one a bad shift
+    for alpha in (10**12, -1):
+        with pytest.raises(ParameterOutOfRangeError):
+            merge(MIF6, alpha, 5)
 
 
 @pytest.mark.parametrize("call", [
@@ -266,6 +271,31 @@ def test_collapse_errors():
         collapse(bg_family(3, 2).family, 0)
     with pytest.raises(ParameterOutOfRangeError):
         collapse(triangle(), 7)
+    for alpha in (10**12, -1):
+        with pytest.raises(ParameterOutOfRangeError):
+            collapse(MIF6, alpha)
+
+
+def test_collapse_proves_each_chain_family_maximal_once(monkeypatch):
+    # the input is checked once and each merge step checks its result once;
+    # calling the public merge per step checked every later family twice
+    calls = [0]
+
+    def counting_is_mif(family, cross_check=True):
+        calls[0] += 1
+        return is_mif(family, cross_check)
+
+    classes = enumerate_mifs(3, 9).families
+    assert len(classes) == 8
+    monkeypatch.setattr("miflab.mif.is_mif", counting_is_mif)
+    merged = 0
+    for family in classes:
+        for alpha in sorted(family.point_set()):
+            calls[0] = 0
+            trace = collapse(family, alpha)
+            assert calls[0] == len(trace.chain), (family.blocks, alpha)
+            merged += len(trace.chain) - 1
+    assert merged > 0  # some chains merge, where the counts differed
 
 
 def test_collapse_trace_json_round_trip_fields():

@@ -282,6 +282,24 @@ def test_hitters_match_combinations_scan():
         assert _addable(blocks, p_max) == want, (p_max, blocks)
 
 
+def test_root_list_reads_only_the_k_sets_that_can_meet_the_root(monkeypatch):
+    # a 3-set meeting (0, 1, 2) starts at 0, 1 or 2, and those 3-sets lead
+    # combinations() order: the read stops one past them, where filtering
+    # every 3-set below the cap drew all C(182, 3) = 988 260
+    drawn = [0]
+    combos = search.combinations
+
+    def counting_combinations(*args):
+        for c in combos(*args):
+            drawn[0] += 1
+            yield c
+
+    monkeypatch.setattr(search, "combinations", counting_combinations)
+    record = _record(((0, 1, 2),), 182)
+    assert drawn[0] <= comb(182, 3) - comb(179, 3) + 1
+    assert len(record[2]) == comb(182, 3) - comb(179, 3) - 1
+
+
 def test_extended_hitters_match_hitters():
     # a child's lists, derived from its parent's, equal the lists built
     # from scratch over the child's points and masks
@@ -734,9 +752,12 @@ def subsets_with_masks(u, size):
     return [(c, mask_of(c)) for c in combinations(range(u), size)]
 
 
-def reference_isp_children(k, t, pairs, amasks, bmasks, u):
+def reference_isp_children(k, t, pairs, u):
     """Oracle for search._isp_children: scan every old part of each side
     once per node, then pair each A with the old parts of B that miss it."""
+    amasks = [mask_of(a) for a, _ in pairs]
+    bmasks = [mask_of(b) for _, b in pairs]
+
     def old_parts(size, masks):
         # the size-subsets of the points below u that meet every mask
         parts = subsets_with_masks(u, size)
@@ -759,8 +780,7 @@ def reference_isp_children(k, t, pairs, amasks, bmasks, u):
                 b_tail = tuple(range(ua, ub))
                 for b_old, b_old_mask in b_olds[t - fresh_b]:
                     if not b_old_mask & am:
-                        bm = mask_of(b_old + b_tail)
-                        yield pairs + ((a, b_old + b_tail),), amasks + (am,), bmasks + (bm,), ub
+                        yield pairs + ((a, b_old + b_tail),), am, mask_of(b_old + b_tail), ub
 
 
 @pytest.mark.parametrize("k, t, budget", [(3, 2, 3000), (2, 3, 5000), (3, 3, 5000),
@@ -771,8 +791,8 @@ def test_isp_children_match_subset_scan(monkeypatch, k, t, budget):
     seen = [0]
 
     def checked(*node):
-        # node is the parent's (k, t, pairs, amasks, bmasks, u) and its lists
-        want = reference_isp_children(*node[:6])
+        # node is the parent's (k, t, pairs, u) and its lists
+        want = reference_isp_children(*node[:4])
         for child in isp_children(*node):
             assert child == next(want, None)
             seen[0] += 1
