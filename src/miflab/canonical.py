@@ -111,23 +111,77 @@ automorphism, so a family with a trivial group pays almost nothing for it.
 
 Seeded automorphisms.  The argument above uses only that a stored map is
 an automorphism of the family, not that the walk found it, so the test
-may start from automorphisms the caller already knows (the search passes
-those it derives from the parent's group); they prune from the first tied
-level on.  A wrong seed would prune a subtree that holds a smaller list,
-so each one is checked against the blocks first, which maps every block
-through it and so gives its block images.  When the test accepts,
-the caller's list gets the automorphisms the walk found and one
-transposition per pair of adjacent twin points, points that lie in
-exactly the same blocks.  The walk never branches inside a cell and twins
-are never separated, so it cannot find those swaps itself; with them the
-list generates the whole automorphism group of the family.
+may start from automorphisms the caller already knows; they prune from
+the first tied level on.  A wrong seed would prune a subtree that holds
+a smaller list, so each one is checked against the blocks first, which
+maps every block through it and so gives its block images.  When the
+test accepts, the caller's list gets the automorphisms the walk found
+and one transposition per pair of adjacent twin points, points that lie
+in exactly the same blocks.  The walk never branches inside a cell and
+twins are never separated, so it cannot find those swaps itself; with
+them the list generates the whole automorphism group of the family.
+
+Deciding every child of a search node in one walk.  The orderly search
+asks, for a node F in least labeling on the points 0..v-1 with
+generators of its automorphism group G, which candidates b make F + b
+least.  b follows F's last block, so best, F + b's identity list, is
+F's list followed by b, and b's points from v on are fresh: v, v+1, ...,
+in b alone.  Up to the level where it emits b, F + b's tree is F's tree
+with b's key riding along.  The walk runs on the points 0..w-1, w past
+every candidate's last point: points in no block stay in the last cell,
+named w - 1, and change no label and no order of keys, so F's tree is
+the same for every w and F + b's tree is its own.  _least_children
+walks F's tree once, in test mode and pruned by G's generators alone,
+with observers: for each candidate least in its G-orbit (one that G maps
+below itself is skipped, see search.py), every block x of the orbit,
+with a member g_x of G that maps b onto x.  Observers follow every split
+but never tie and are never emitted.
+
+Why one walk decides them all.  F + b is least iff no state of its tree
+whose entries match best's has a top key above its level's target.  Such
+a state either has not emitted b, and is then a state of F's tree with b
+beside it, or lies below a state of F's tree where b tied at the target
+and was emitted.  Every state of F's tree whose entries match best's is
+the image g(s) of a visited state s under G, since the walk prunes only
+by G and by entries above best's, and b's key at g(s) is that of
+g^-1(b) at s.  So at every visited state, pruned ones included, an
+observer whose key is above the target rejects its candidate.  The
+targets are those of F + b's first branch, which follows F's: b, the
+last block, is never the first of a tie, and a level where b beats the
+top key rejects.  At the last level the target is b's key where F's
+first branch ends, and b's labels there must be b itself.  Below a
+state where x ties, g_x carries F + x's subtree, with x emitted, onto
+the matching subtree of F + b with the same lists, so a sub-walk of
+F + x from a copy of that state, checked against best, covers it; an
+automorphism of G that fixes every cell of the state maps tied
+observers onto each other, and one sub-walk serves each orbit.  The
+sub-walks run after the walk, when every target is known.  The walk
+prunes with the given automorphisms only, as the observers are orbits
+under them, so the verdicts are exact whatever automorphisms of F are
+given.
+
+The child's automorphism group.  One that fixes b maps F onto F, so it
+is a member of G that fixes b together with a permutation of b's fresh
+points.  Schreier's lemma over b's orbit and the maps g_x gives
+generators of b's stabiliser in G, and swaps of adjacent fresh points
+give the rest; twin swaps of F that b does not separate lie in that
+stabiliser.  One that moves b maps F + b's first branch onto a complete
+branch with best's list that emits b before the last level, so a
+sub-walk meets its image under some g_x^-1, as an automorphism of F + x
+that g_x carries back.  The list is filtered to at most one generator
+per pair of points (Sims' filter); it generates the whole group when
+the given automorphisms generate G.  An automorphism a of F + b known
+from a deeper sub-walk that maps b onto a block f of F not yet emitted
+where b ties spares that sub-walk: a maps its subtree onto the subtree
+that emits f there, whose states have not emitted b or emit it deeper,
+and those are covered already.  So the sub-walks run deepest first.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import NotUniformError, ParameterOutOfRangeError
+from .errors import NotUniformError, ParameterOutOfRangeError, VerificationError
 
 
 def _split(cell: list[int], size: list[int], key: list[int], weight: list[int],
@@ -244,6 +298,148 @@ def _twin_swaps(members: tuple[tuple[int, ...], ...], v: int) -> list[list[int]]
     return swaps
 
 
+class _Tree:
+    """The tie tree of members on the points 0..w-1, whose first n blocks
+    are the family that is labeled; any further members are observers,
+    whose keys follow every split but which never tie and are never
+    emitted.  best is the least list found so far, best_order the point
+    order of its branch's labeling, and target and best_emits that
+    branch's top key and emitted block per level.  autos holds the known
+    automorphisms, each the list of point images, and images their block
+    images."""
+
+    def __init__(self, members: tuple[tuple[int, ...], ...], w: int, n: int,
+                 incidence: list[list[int]] | None = None,
+                 weight: list[int] | None = None) -> None:
+        shift = len(members[0]).bit_length()
+        self.members, self.w, self.n = members, w, n
+        self.weight = weight or [1 << shift * (w - 1 - end) for end in range(w)]
+        # below every key a block reaches, whatever it gains after its emission
+        self.emitted = -1 << shift * w
+        if incidence is None:
+            incidence = [[] for _ in range(w)]
+            for bi, b in enumerate(members):
+                for p in b:
+                    incidence[p].append(bi)
+        self.incidence = incidence
+        # The identity labeling gives members, which is sorted.  The first
+        # complete branch and every branch with a smaller list set best.
+        self.best, self.best_order = list(members[:n]), list(range(w))
+        self.target: list[int] = []
+        self.best_emits: list[int] = []
+        self.autos: list[list[int]] = []
+        self.images: list[list[int]] = []
+
+    def root(self) -> tuple[list[int], list[int], list[int]]:
+        """The cells and keys before any entry: all points in one cell."""
+        w = self.w
+        return [w - 1] * w, [0] * (w - 1) + [w], [len(self.members[0])] * len(self.members)
+
+    def walk(self, test_only: bool, cell: list[int], size: list[int], key: list[int],
+             out: list, prefix: list[int], watch=None) -> tuple[tuple[int, ...], ...] | bool:
+        """Walk the subtree below a state whose entries so far are out and
+        whose emitted blocks are prefix: cell[p] is the last label position
+        of p's cell, size[end] that cell's size, and key[bi] the key of
+        block bi, or below every key once bi is emitted.  Returns best, or
+        in test mode False as soon as a level's entry falls below best's,
+        else True.  watch, which a walk with observers needs, is called at
+        every state the walk computes, pruned ones included, before the
+        walk acts on it."""
+        members, n, w, weight = self.members, self.n, self.w, self.weight
+        incidence, emitted, autos, images = self.incidence, self.emitted, self.autos, self.images
+        best, best_order = self.best, self.best_order
+        target, best_emits = self.target, self.best_emits
+        # the level whose entry fell below best's, None while out is a prefix
+        # of best
+        below = None
+        # One level per entry of out from here on: the branch state before
+        # that entry was emitted, the blocks tied there, how many of them
+        # were taken, the orbit bookkeeping of _in_tried_orbit, and the top
+        # key.
+        levels: list[list] = []
+        while True:
+            depth = len(out)
+            if depth == n:
+                if watch is not None:
+                    watch(depth, None, cell, size, key, levels)
+                order = sorted(range(w), key=cell.__getitem__)
+                emits = prefix + [level[3][level[4] - 1] for level in levels]
+                if below is not None or not target:
+                    # a walk from the root: levels holds every level
+                    best, best_order, below = out[:], order, None
+                    target = [level[6] for level in levels]
+                    best_emits = emits
+                    self.best, self.best_order = best, best_order
+                    self.target, self.best_emits = target, best_emits
+                elif order != best_order and len(members) == n:
+                    # out == best: both labelings give the same list, and the
+                    # blocks emitted at a level take the same labels.  The
+                    # observers are orbits under the given automorphisms
+                    # alone, so a walk with observers prunes with those only
+                    g = [0] * w
+                    for p, q in zip(best_order, order):
+                        g[p] = q
+                    blocks_to = [0] * n
+                    for bi, image in zip(best_emits, emits):
+                        blocks_to[bi] = image
+                    autos.append(g)
+                    images.append(blocks_to)
+            else:
+                if watch is None:
+                    keys = key
+                    top = max(keys)
+                else:  # observers follow the family's blocks in key
+                    keys = key[:n]
+                    top = max(keys)
+                    watch(depth, target[depth] if target else top, cell, size, key, levels)
+                if target and below is None:
+                    # out is best's prefix, so the cells are those of best's
+                    # branch at this level and the top keys rank the entries
+                    if top == target[depth]:
+                        least = best[depth]
+                    elif top < target[depth]:
+                        least = None
+                    elif test_only:
+                        return False
+                    else:
+                        least, below = _labels(members[keys.index(top)], cell, size), depth
+                else:
+                    # the first branch, or a branch below best
+                    least = _labels(members[keys.index(top)], cell, size)
+                    if below is None and least < best[depth]:
+                        if test_only:
+                            return False
+                        below = depth
+                if least is not None:
+                    if keys.count(top) == 1:
+                        cands = [keys.index(top)]
+                    else:
+                        cands = [bi for bi, x in enumerate(keys) if x == top]
+                    out.append(least)
+                    levels.append([cell, size, key, cands, 0, None, top])
+            while True:
+                while levels and levels[-1][4] == len(levels[-1][3]):
+                    levels.pop()
+                    out.pop()
+                if below is not None and below >= len(out):
+                    below = None
+                if not levels:
+                    return True if test_only else tuple(best)
+                level = levels[-1]
+                taken = level[4]
+                emit = level[3][taken]
+                level[4] = taken + 1
+                if not (taken and autos and _in_tried_orbit(level, emit, autos, images)):
+                    break
+            cell, size, key = level[:3]
+            if level[4] < len(level[3]):
+                cell, size, key = cell[:], size[:], key[:]
+            else:  # the last branch takes the lists over
+                level[:3] = None, None, None
+            _split(cell, size, key, weight, incidence, members[emit])
+            key[emit] = emitted
+
+
 def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
               seed: list | None = None) -> tuple[tuple[int, ...], ...] | bool:
     ident = tuple(sorted({tuple(sorted(set(b))) for b in blocks}))
@@ -259,114 +455,238 @@ def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
         return False  # the least list labels its points 0..v-1
     index = {p: i for i, p in enumerate(points)}
     members = tuple(tuple(index[p] for p in b) for b in ident)
-    # autos holds the seeded automorphisms and those found so far, each as
-    # the list of point images, and images the block images of each
-    autos: list = [] if seed is None else list(seed)
+    # the seeded automorphisms, checked against the blocks
     images = [] if seed is None else _block_images(members, v, seed)
     if not ident:
         return True if test_only else ()
-    n, k = len(members), len(members[0])
-    shift = k.bit_length()
-    weight = [1 << shift * (v - 1 - end) for end in range(v)]
-    # below every key a block reaches, whatever it gains after its emission
-    emitted = -1 << shift * v
-    incidence: list[list[int]] = [[] for _ in range(v)]
-    for bi, b in enumerate(members):
-        for p in b:
-            incidence[p].append(bi)
+    tree = _Tree(members, v, len(members))
+    tree.autos = [] if seed is None else list(seed)
+    tree.images = images
+    result = tree.walk(test_only, *tree.root(), [], [])
+    if result is True and seed is not None:
+        seed += tree.autos[len(seed):]
+        seed += _twin_swaps(members, v)
+    return result
 
-    out: list[tuple[int, ...]] = []
-    # The identity labeling gives members, which is sorted.  The first
-    # complete branch and every branch with a smaller list set best, and
-    # with it best_order, the point order of the branch's labeling, and per
-    # level its top key (target) and the block it emitted (best_emits).
-    best, best_order = list(members), list(range(v))
-    target: list[int] = []
-    best_emits: list[int] = []
-    # the level whose entry fell below best's, None while out is a prefix
-    # of best
-    below = None
-    # The branch being explored: cell[p] is the last label position of p's
-    # cell, size[end] that cell's size, and key[bi] the key of block bi, or
-    # below every key once bi is emitted.
-    cell, size, key = [v - 1] * v, [0] * (v - 1) + [v], [k] * n
-    # One level per entry of out: the branch state before that entry was
-    # emitted, the blocks tied there, how many of them were taken, the
-    # orbit bookkeeping of _in_tried_orbit, and the top key.
-    levels: list[list] = []
-    while True:
-        depth = len(out)
-        if depth == n:
-            order = sorted(range(v), key=cell.__getitem__)
-            emits = [level[3][level[4] - 1] for level in levels]
-            if below is not None or not target:
-                best, best_order, below = out[:], order, None
-                target = [level[6] for level in levels]
-                best_emits = emits
-            elif order != best_order:
-                # out == best: both labelings give the same list, and the
-                # blocks emitted at a level take the same labels
-                g = [0] * v
-                for p, q in zip(best_order, order):
-                    g[p] = q
-                blocks_to = [0] * n
-                for bi, image in zip(best_emits, emits):
-                    blocks_to[bi] = image
-                autos.append(g)
-                images.append(blocks_to)
-        else:
-            top = max(key)
-            if target and below is None:
-                # out is best's prefix, so the cells are those of best's
-                # branch at this level and the top keys rank the entries
-                if top == target[depth]:
-                    least = best[depth]
-                elif top < target[depth]:
-                    least = None
-                elif test_only:
-                    return False
-                else:
-                    least, below = _labels(members[key.index(top)], cell, size), depth
-            else:
-                # the first branch, or a branch below best
-                least = _labels(members[key.index(top)], cell, size)
-                if below is None and least < best[depth]:
-                    if test_only:
-                        return False
-                    below = depth
-            if least is not None:
-                if key.count(top) == 1:
-                    cands = [key.index(top)]
-                else:
-                    cands = [bi for bi, x in enumerate(key) if x == top]
-                out.append(least)
-                levels.append([cell, size, key, cands, 0, None, top])
-        while True:
-            while levels and levels[-1][4] == len(levels[-1][3]):
-                levels.pop()
-                out.pop()
-            if below is not None and below >= len(levels):
-                below = None
-            if not levels:
-                if not test_only:
-                    return tuple(best)
-                if seed is not None:
-                    seed += autos[len(seed):]
-                    seed += _twin_swaps(members, v)
-                return True
-            level = levels[-1]
-            taken = level[4]
-            emit = level[3][taken]
-            level[4] = taken + 1
-            if not (taken and autos and _in_tried_orbit(level, emit, autos, images)):
+
+def _inverse(perm: list[int]) -> list[int]:
+    inverse = [0] * len(perm)
+    for p, image in enumerate(perm):
+        inverse[image] = p
+    return inverse
+
+
+def _orbit(block: tuple[int, ...], gens: list[list[int]], w: int, least: bool = True):
+    """The orbit of block under the group that gens, permutations of
+    range(w), generate: its blocks, for each a member of the group that
+    maps block onto it, for each the positions of its images under gens,
+    and for each but block the (position, generator index) it was first
+    reached from.  With least, None if the orbit holds a block that sorts
+    below block."""
+    orbit, carry, steps, where = [block], [list(range(w))], [], {block: 0}
+    parents: list[tuple[int, int] | None] = [None]
+    for i, (x, t) in enumerate(zip(orbit, carry)):  # the lists grow while walked
+        step = []
+        for gi, g in enumerate(gens):
+            y = tuple(sorted(map(g.__getitem__, x)))
+            j = where.get(y)
+            if j is None:
+                if least and y < block:
+                    return None
+                j = where[y] = len(orbit)
+                orbit.append(y)
+                carry.append([g[q] for q in t])
+                parents.append((i, gi))
+            step.append(j)
+        steps.append(step)
+    return orbit, carry, steps, parents
+
+
+def _schreier(carry: list[list[int]], steps: list[list[int]],
+              parents: list[tuple[int, int] | None], gens: list[list[int]],
+              w: int) -> list[list[int]]:
+    """Schreier generators of the stabiliser of a block in the group gens
+    generate, from its _orbit: carry[j]^-1 after s after carry[i] for each
+    orbit position i and generator s, j being the position of s's image of
+    block i, restricted to range(w), which the group fixes from some point
+    on.  Each edge that first reached a block gives the identity and is
+    skipped, as is any other identity."""
+    inverses: dict[int, list[int]] = {}
+    identity = list(range(w))
+    generators = []
+    for i, (t, step) in enumerate(zip(carry, steps)):
+        for gi, (s, j) in enumerate(zip(gens, step)):
+            if parents[j] != (i, gi):  # else carry[j] is s after t
+                if j not in inverses:
+                    inverses[j] = _inverse(carry[j])
+                h = [inverses[j][s[t[p]]] for p in range(w)]
+                if h != identity:
+                    generators.append(h)
+    return generators
+
+
+def _sifted(gens: list[list[int]], w: int) -> list[list[int]]:
+    """Generators of the group that gens, permutations of range(w),
+    generate, at most one per pair (p, q) with p < q: a member that fixes
+    the points below p and maps p to q is kept when no kept one does so,
+    and is otherwise divided by that one and sifted again (Sims' filter)."""
+    kept: list[list[int]] = []
+    inverses: dict[tuple[int, int], list[int]] = {}
+    for g in gens:
+        p = next((p for p in range(w) if g[p] != p), None)
+        while p is not None:
+            h = inverses.get((p, g[p]))
+            if h is None:
+                inverses[p, g[p]] = _inverse(g)
+                kept.append(g)
                 break
-        cell, size, key = level[:3]
-        if level[4] < len(level[3]):
-            cell, size, key = cell[:], size[:], key[:]
-        else:  # the last branch takes the lists over
-            level[:3] = None, None, None
-        _split(cell, size, key, weight, incidence, members[emit])
-        key[emit] = emitted
+            g = [h[image] for image in g]
+            p = next((q for q in range(p + 1, w) if g[q] != q), None)
+    return kept
+
+
+def _least_children(blocks: Sequence[tuple[int, ...]], group: Sequence[Sequence[int]],
+                    cands: Sequence[tuple[int, ...]]) -> list[list[list[int]] | None]:
+    """Decide every child F + b of a node F of the orderly search in one
+    walk of F's tie tree.  blocks is F, sorted, in least labeling on the
+    points 0..v-1, group holds automorphisms of F that generate a group G,
+    each the list of images of 0..v-1, and each candidate b follows F's
+    last block and has v, v+1, ... as its points from v on.  Per
+    candidate: None if F + b is not in least labeling, else automorphisms
+    of F + b on its points, which generate its whole group when G is F's."""
+    verdicts: list[list[list[int]] | None] = [None] * len(cands)
+    members = tuple(blocks)
+    n, v = len(members), max(b[-1] for b in members) + 1
+    w = max([v] + [b[-1] + 1 for b in cands])
+    fixed = list(range(v, w))
+    gens = [list(g) + fixed for g in group]
+    images = _block_images(members, w, gens)
+    # The observers, numbered on from n: the orbit under G of each
+    # candidate that is least in its orbit.  Observer xi belongs to
+    # candidate owner[xi], which carry[xi] maps onto it; spans[ci] holds
+    # candidate ci's first observer and its _orbit.
+    observers: list[tuple[int, ...]] = []
+    owner, carry = [-1] * n, [[]] * n
+    spans: dict[int, tuple] = {}
+    for ci, b in enumerate(cands):
+        orbit = _orbit(b, gens, w)
+        if orbit is not None:
+            start = n + len(observers)
+            spans[ci] = (start,) + orbit
+            observers += orbit[0]
+            owner += [ci] * len(orbit[0])
+            carry += orbit[1]
+            for gi, im in enumerate(images):
+                im += [start + step[gi] for step in orbit[2]]
+    if not spans:
+        return verdicts
+    tree = _Tree(members + tuple(observers), w, n)
+    tree.autos, tree.images = gens[:], images[:]
+    rejected: set[int] = set()
+    last_keys: dict[int, int] = {}  # per candidate b, the target of F + b's last level
+    first_cell: list[int] = []
+    # per sub-walk: its observer, the depth where it ties, the state there
+    # and the blocks emitted above it
+    queue: list[tuple] = []
+
+    def watch(depth, target, cell, size, key, levels):
+        if depth == n:
+            if not first_cell:  # F's first branch ends, and F + b's emits b
+                first_cell[:] = cell
+                for ci, span in spans.items():
+                    last_keys[ci] = key[span[0]]
+                    if _labels(cands[ci], cell, size) < cands[ci]:
+                        rejected.add(ci)
+            for xi in range(n, len(key)):
+                if key[xi] > last_keys[owner[xi]]:
+                    rejected.add(owner[xi])
+            return
+        seen = key[n:]
+        top = max(seen)
+        if top < target:
+            return
+        if top > target:
+            rejected.update(owner[xi] for xi, x in enumerate(seen, n) if x > target)
+        tied = [xi for xi, x in enumerate(seen, n) if x == target and owner[xi] not in rejected]
+        if len(tied) > 1:
+            # one sub-walk per orbit of the generators of G that fix every
+            # cell, as they map the state onto itself
+            stab = [im for g, im in zip(gens, images)
+                    if all(cell[q] == c for q, c in zip(g, cell))]
+            covered: set[int] = set()
+            reps = []
+            for xi in tied:
+                if xi not in covered:
+                    reps.append(xi)
+                    covered.add(xi)
+                    _close(covered, [xi], stab)
+            tied = reps
+        emits = [level[3][level[4] - 1] for level in levels]
+        queue.extend((xi, depth, cell[:], size[:], key[:n], emits) for xi in tied)
+
+    if not tree.walk(True, *tree.root(), [], [], watch):
+        raise VerificationError("a node of the search is not in least labeling")
+
+    block_index = {sum(1 << p for p in b): bi for bi, b in enumerate(members)}
+    incidence = [[bi for bi in at_p if bi < n] for at_p in tree.incidence]
+    targets = tree.target + [0]
+    found: dict[int, list[list[int]]] = {ci: [] for ci in spans}
+    # per candidate b, the blocks of F onto which the automorphisms of F + b
+    # known so far map b
+    reached: dict[int, set[int]] = {ci: set() for ci in spans}
+    # deepest first, so that the automorphisms they find spare shallower ones
+    queue.sort(key=lambda entry: -entry[1])
+    for xi, depth, cell, size, key, emits in queue:
+        ci = owner[xi]
+        if ci in rejected:
+            continue
+        b, x, g = cands[ci], observers[xi - n], carry[xi]
+        if reached[ci] and reached[ci] - {
+                block_index[sum(1 << g[p] for p in members[bi])] for bi in emits}:
+            continue  # an automorphism of F + b maps the subtree into covered ones
+        targets[n] = last_keys[ci]
+        key.append(tree.emitted)
+        _split(cell, size, key, tree.weight, incidence, x)
+        if max(key) < targets[depth + 1]:
+            continue  # the next entry of F + x lies above best's
+        # F + x's tree below the state, with x emitted, tested against F + b's
+        # first branch, which g carries over
+        sub = _Tree(members + (x,), w, n + 1, incidence, tree.weight)
+        sub.best, sub.target = tree.best + [b], targets[:]
+        sub.best_order = [g[p] for p in sorted(
+            range(w), key=lambda p: (first_cell[p], p not in b))]
+        to = [block_index[sum(1 << g[p] for p in f)] for f in members]
+        sub.best_emits = [to[bi] for bi in tree.best_emits] + [n]
+        for h, im in zip(gens, images):
+            if im[xi] == xi:  # h fixes x, so it is an automorphism of F + x
+                sub.autos.append(h)
+                sub.images.append(im[:n] + [n])
+        seeds = len(sub.autos)
+        if not sub.walk(True, cell, size, key, sub.best[:depth + 1], emits + [n]):
+            rejected.add(ci)
+        elif len(sub.autos) > seeds:
+            g_inv = _inverse(g)
+            # each automorphism of F + x, carried back to F + b
+            found[ci] += [[g_inv[a[q]] for q in g] for a in sub.autos[seeds:]]
+            start = spans[ci][0]
+            orbit = _orbit(b, found[ci] + [h for h, im in zip(gens, images)
+                                           if im[start] == start], w, False)[0]
+            reached[ci] = {block_index[sum(1 << p for p in y)] for y in orbit[1:]}
+
+    for ci, (_, _, carry_b, steps, parents) in spans.items():
+        if ci not in rejected:
+            # b's fresh points lie in b alone, so their swaps are
+            # automorphisms; twins of F that b does not separate are
+            # swapped by the stabiliser
+            wb = max(v, cands[ci][-1] + 1)
+            swaps = []
+            for p in range(v + 1, wb):
+                swap = list(range(wb))
+                swap[p - 1], swap[p] = p, p - 1
+                swaps.append(swap)
+            verdicts[ci] = _sifted(_schreier(carry_b, steps, parents, gens, wb)
+                                   + [a[:wb] for a in found[ci]] + swaps, wb)
+    return verdicts
 
 
 def least_block_list(blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -30,22 +30,22 @@ be added (it precedes the last block), no descendant is maximal and the
 node is pruned.
 
 The walk carries each node's automorphism group, as generators of
-permutations of its points; the test that accepts a child returns them
-(``canonical.py``).  Two uses follow for a candidate block b whose fresh
-points are the next unused ids, with the node's automorphisms extended
-by fixing the points from v on.  If some automorphism g maps b onto a
-block that sorts below b, b is skipped: g relabels F + b as F + g(b),
-whose sorted list is smaller, as g(b) is no block of F and b follows
-every block of F, so F + b is not least whatever F is.  Otherwise b is
-least in its orbit and is tested with the node's generators that map b
-onto itself as seed automorphisms of the child: each maps F onto F and
-b onto b, so it maps F + b onto itself.  The seeds need not generate the
-child's whole group: the test's orbit pruning holds for any set of
-automorphisms, and its walk finds the ones the seeds do not generate,
-so the list it returns still generates the whole group.  Skipping a
-candidate only drops a child the test rejects and a seed only prunes
-the test, so the tree and its node count are those of a walk without
-groups.
+permutations of its points, and one call per node
+(``canonical._least_children``) decides every candidate block b whose
+fresh points are the next unused ids, with the node's automorphisms
+extended by fixing the points from v on.  If some automorphism g maps b
+onto a block that sorts below b, b is skipped: g relabels F + b as
+F + g(b), whose sorted list is smaller, as g(b) is no block of F and b
+follows every block of F, so F + b is not least whatever F is.  The
+other candidates are decided in one walk of F's tie tree, pruned by the
+node's group, with each candidate's orbit riding along, and sub-walks
+only below the states where a member of an orbit ties with the entry
+of F's least list; the call returns each accepted child's whole group,
+from b's stabiliser in the node's group and the automorphisms the
+sub-walks find.  The verdicts are those of the canonical test, so the
+tree and its node count are those of a walk without groups.  Only the
+root, and a node read from a checkpoint, get their group from a
+seedless canonical test.
 
 Set-pair systems are searched directly over pair sequences: the pair count
 is capped by C(k+t, k), fresh points are introduced in first-use order,
@@ -93,7 +93,7 @@ from itertools import combinations, takewhile
 from math import comb
 
 from .bounds import proven_point_cap
-from .canonical import is_least_labeling
+from .canonical import _least_children, is_least_labeling
 from .errors import (BudgetExceededError, FormatError, ParameterOutOfRangeError,
                      UnsupportedKError, UnsupportedParamsError, _check_count, _check_int)
 from .family import Family, bits_of, mask_of
@@ -161,31 +161,13 @@ def _record(blocks: Blocks, p_max: int) -> Record | None:
     return blocks, group, _addable(blocks, p_max)
 
 
-def _fixing_generators(block: tuple[int, ...], group: Sequence[Sequence[int]], v: int,
-                       width: int) -> list[list[int]] | None:
-    """The members of group, permutations of range(v), that map block onto
-    itself, each extended by the identity to range(width); None if the
-    group they generate maps block onto a block that sorts below it."""
-    fixed = list(range(v, width))
-    gens = [list(g) + fixed for g in group]
-    orbit, seen = [block], {block}
-    for x in orbit:  # the list grows while it is walked
-        for g in gens:
-            y = tuple(sorted(map(g.__getitem__, x)))
-            if y not in seen:
-                if y < block:
-                    return None
-                seen.add(y)
-                orbit.append(y)
-    return [g for g in gens if tuple(sorted(map(g.__getitem__, block))) == block]
-
-
 def _node_step(blocks: Blocks, k: int, group: Sequence[Sequence[int]],
                addable: Addable) -> tuple[bool, list[Record]]:
     """Classify one canonical node: (is maximal, the records of its
     canonical children).  group holds automorphisms of the node, as lists
-    of point images, an empty one standing for the trivial group, and
-    addable is the node's _addable list."""
+    of point images, and addable is the node's _addable list.  Any
+    automorphisms give the exact children; each child's group is whole
+    when the node's is."""
     last = blocks[-1]
     masks = [mask_of(b) for b in blocks]
     v = max(b[-1] for b in blocks) + 1
@@ -202,17 +184,14 @@ def _node_step(blocks: Blocks, k: int, group: Sequence[Sequence[int]],
     if t < k or any(tm not in masks and bits_of(tm) <= last for tm in threats):
         return False, []
 
+    # the candidates: addable blocks whose new points are the next unused ids
+    starts = [i for i, (_, dm) in enumerate(addable) if (dm >> v) & ((dm >> v) + 1) == 0]
     children: list[Record] = []
-    for i, (cand, dm) in enumerate(addable):
-        fresh = dm >> v
-        if fresh & (fresh + 1) == 0:  # its new points are the next unused ids
-            seeds = _fixing_generators(cand, group, v, max(v, cand[-1] + 1)) if group else []
-            if seeds is None:
-                continue  # an automorphism maps cand below itself
-            child = blocks + (cand,)
-            if is_least_labeling(child, seeds):
-                # a k-set meets every block of F + b iff it meets those of F and b
-                children.append((child, seeds, [e for e in addable[i + 1:] if e[1] & dm]))
+    for i, gens in zip(starts, _least_children(blocks, group, [addable[i][0] for i in starts])):
+        if gens is not None:
+            cand, dm = addable[i]
+            # a k-set meets every block of F + b iff it meets those of F and b
+            children.append((blocks + (cand,), gens, [e for e in addable[i + 1:] if e[1] & dm]))
     return False, children
 
 
@@ -227,11 +206,13 @@ def _walk(stack: list[Record], found: list[Blocks], nodes: int, k: int, p_max: i
     the untouched stack as the checkpoint and raises BudgetExceededError
     with the node count, which is the budget unless the walk started
     beyond it.  With a checkpoint path the pending blocks and results are
-    also written every checkpoint_every nodes."""
+    also written every checkpoint_every nodes; a stop right after such a
+    write leaves that file, which holds the same bytes."""
     since_checkpoint = 0
+    written = None  # the node count of this walk's last periodic write
     while stack:
         if budget is not None and nodes >= budget:
-            if checkpoint_path:
+            if checkpoint_path and written != nodes:
                 write_checkpoint(checkpoint_path, k, p_max, nodes, [r[0] for r in stack], found)
             raise BudgetExceededError(f"node budget {budget} exhausted", nodes=nodes)
         blocks, group, addable = stack.pop()
@@ -244,7 +225,7 @@ def _walk(stack: list[Record], found: list[Blocks], nodes: int, k: int, p_max: i
         since_checkpoint += 1
         if checkpoint_path and since_checkpoint >= checkpoint_every:
             write_checkpoint(checkpoint_path, k, p_max, nodes, [r[0] for r in stack], found)
-            since_checkpoint = 0
+            since_checkpoint, written = 0, nodes
     return nodes
 
 

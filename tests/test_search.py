@@ -129,17 +129,17 @@ def walk_with_groups(k, p_max):
 ])
 def test_node_step_matches_subset_scan_on_whole_trees(monkeypatch, k, p_max, total):
     # the children of each node, with the group the walk carries, are the
-    # scan's; every candidate the orbit filter skips fails the seedless test
+    # scan's; every candidate the orbit check skips fails the seedless test
     skipped = []
-    fixing_generators = search._fixing_generators
+    orbit = canonical._orbit
 
-    def recording_fixing_generators(block, group, v, width):
-        seeds = fixing_generators(block, group, v, width)
-        if seeds is None:
+    def recording_orbit(block, gens, w, least=True):
+        found = orbit(block, gens, w, least)
+        if found is None:
             skipped.append(block)
-        return seeds
+        return found
 
-    monkeypatch.setattr(search, "_fixing_generators", recording_fixing_generators)
+    monkeypatch.setattr(canonical, "_orbit", recording_orbit)
     nodes = n_skipped = 0
     for node, group in walk_with_groups(k, p_max):
         nodes += 1
@@ -150,13 +150,13 @@ def test_node_step_matches_subset_scan_on_whole_trees(monkeypatch, k, p_max, tot
         n_skipped += len(skipped)
     assert nodes == total
     assert enumerate_mifs(k, p_max).nodes == total
-    assert n_skipped  # the filter is exercised on every tree
+    assert n_skipped  # the check is exercised on every tree
 
 
 def test_node_step_matches_subset_scan_on_random_descents(monkeypatch):
     # every fresh-id child is kept, so the descents reach nodes that are
-    # not least-labeled, and k = 4, which the search refuses; with no
-    # group given no candidate is skipped
+    # not least-labeled, and k = 4, which the search refuses
+    monkeypatch.setattr(search, "_least_children", lambda blocks, group, cands: [[]] * len(cands))
     monkeypatch.setattr(search, "is_least_labeling", lambda blocks, automorphisms=None: True)
     rng = random.Random(20140)
     steps = 0
@@ -175,6 +175,103 @@ def test_node_step_matches_subset_scan_on_random_descents(monkeypatch):
     assert steps > 2500
 
 
+def fresh_candidates(blocks, p_max):
+    """The addable blocks whose points from v on are v, v+1, ...: the
+    candidates _node_step offers _least_children."""
+    v = max(b[-1] for b in blocks) + 1
+    return [c for c, dm in _addable(blocks, p_max) if (dm >> v) & ((dm >> v) + 1) == 0]
+
+
+def check_children(blocks, group, cands, check_order=True):
+    """Each verdict of _least_children is the canonical test's, seeded with
+    the child's generators, which it refuses unless they are automorphisms
+    and extends to generators of the whole group.  With check_order they
+    generate that group: the one a scan of every permutation finds on up
+    to six points, else the one the test's list generates."""
+    verdicts = search._least_children(blocks, group, cands)
+    assert len(verdicts) == len(cands)
+    for cand, gens in zip(cands, verdicts):
+        child = blocks + (cand,)
+        whole = [] if gens is None else [g[:] for g in gens]
+        assert (gens is not None) == canonical.is_least_labeling(child, whole), child
+        if gens is not None and check_order:
+            w = max(b[-1] for b in child) + 1
+            order = (len(automorphisms_by_scan(child, w)) if w <= 6
+                     else generated_order(whole, w))
+            assert generated_order(gens, w) == order, child
+
+
+@pytest.mark.parametrize("k, p_max", [
+    (2, 3), (2, 4), (2, 5), (3, 5), (3, 6), (3, 7), (3, 8), (3, 9), (3, 10), (3, 11), (3, 12),
+])
+def test_least_children_match_the_test_on_whole_trees(k, p_max):
+    # every node the walk visits, pruned and maximal ones included, with
+    # the group the walk carries to it
+    nodes = 0
+    for blocks, group in walk_with_groups(k, p_max):
+        check_children(blocks, group, fresh_candidates(blocks, p_max))
+        nodes += 1
+    assert nodes == enumerate_mifs(k, p_max).nodes
+
+
+def test_least_children_match_the_test_on_the_k4_cap_7_tree(monkeypatch):
+    # every call the walk makes, checked after it; verdicts and
+    # automorphisms only, as the groups near K(4) are too large to close
+    # by enumeration on every child
+    calls = []
+    least_children = search._least_children
+
+    def recording(blocks, group, cands):
+        calls.append((blocks, [g[:] for g in group], cands))
+        return least_children(blocks, group, cands)
+
+    monkeypatch.setattr(search, "_least_children", recording)
+    assert search._walk([_record(((0, 1, 2, 3),), 7)], [], 0, 4, 7, None) == 182
+    monkeypatch.setattr(search, "_least_children", least_children)
+    assert len(calls) == 35
+    for blocks, group, cands in calls:
+        check_children(blocks, group, cands, check_order=False)
+
+
+def test_least_children_match_the_test_on_random_families():
+    # random least families, intersecting or not, with their whole group
+    # as the test returns it, as a list with products added, or as any
+    # part of it (then only the verdicts are exact), and random candidates
+    rng = random.Random(2014)
+    decided = 0
+    for _ in range(300):
+        k = rng.choice((2, 3, 3, 4))
+        v = rng.randint(k + 1, 2 * k + 2)
+        pool = list(combinations(range(v), k))
+        rng.shuffle(pool)
+        family, size = [], rng.randint(1, 12)
+        intersecting = rng.random() < 0.7
+        for c in pool:
+            if len(family) < size and (not intersecting or all(set(c) & set(b) for b in family)):
+                family.append(c)
+        blocks = least_block_list(family)
+        v = max(b[-1] for b in blocks) + 1
+        group = []
+        assert canonical.is_least_labeling(blocks, group)
+        whole = rng.random() < 0.7
+        if not whole:
+            group = rng.sample(group, rng.randint(0, len(group)))
+        elif group and rng.random() < 0.5:
+            group += [[g[h[p]] for p in range(v)]
+                      for g, h in zip(rng.choices(group, k=2), rng.choices(group, k=2))]
+        cands = [c for c in combinations(range(v + k - 1), k)
+                 if c > blocks[-1] and [p for p in c if p >= v] == list(range(v, c[-1] + 1))]
+        cands = sorted(rng.sample(cands, min(len(cands), rng.randint(1, 20))))
+        if whole:
+            check_children(blocks, group, cands)
+        else:
+            verdicts = search._least_children(blocks, group, cands)
+            assert [gens is not None for gens in verdicts] == [
+                canonical.is_least_labeling(blocks + (c,)) for c in cands], blocks
+        decided += len(cands)
+    assert decided > 2000
+
+
 @pytest.mark.parametrize("k, p_max", [(2, 5), (3, 6)])
 def test_carried_groups_are_whole_automorphism_groups(k, p_max):
     # each node's generators are automorphisms, and they generate the group
@@ -191,71 +288,87 @@ def test_carried_groups_are_whole_automorphism_groups(k, p_max):
 
 def test_orbit_filter_bounds_the_canonical_tests(monkeypatch):
     # a deterministic work count: without the carried groups this search
-    # made 399 canonical tests, 208 of them rejected
-    calls = []
+    # made 399 canonical tests, 208 of them rejected; with them it decides
+    # 214 candidates, and the only whole test left is the root's
+    offered, skipped, tests = [], [], []
+    least_children, orbit = search._least_children, canonical._orbit
     is_least = search.is_least_labeling
 
-    def counting(blocks, automorphisms=None):
-        calls.append(None)
+    def counting_least_children(blocks, group, cands):
+        offered.extend(cands)
+        return least_children(blocks, group, cands)
+
+    def counting_orbit(block, gens, w, least=True):
+        found = orbit(block, gens, w, least)
+        if found is None:
+            skipped.append(block)
+        return found
+
+    def counting_tests(blocks, automorphisms=None):
+        tests.append(blocks)
         return is_least(blocks, automorphisms)
 
-    monkeypatch.setattr(search, "is_least_labeling", counting)
+    monkeypatch.setattr(search, "_least_children", counting_least_children)
+    monkeypatch.setattr(canonical, "_orbit", counting_orbit)
+    monkeypatch.setattr(search, "is_least_labeling", counting_tests)
     assert enumerate_mifs(3, 9).nodes == 192
-    assert len(calls) <= 215
+    assert len(offered) - len(skipped) == 214
+    assert tests == [((0, 1, 2),)]
+
+
+def count_splits(monkeypatch, run):
+    """The cell splits of the canonical kernel while run() runs."""
+    calls = []
+    split = canonical._split
+
+    def counting_split(*args):
+        calls.append(None)
+        return split(*args)
+
+    monkeypatch.setattr(canonical, "_split", counting_split)
+    result = run()
+    monkeypatch.setattr(canonical, "_split", split)
+    return result, len(calls)
 
 
 def test_seeds_bound_the_cell_splits(monkeypatch):
-    # a deterministic work count: seeding each child's test with the
-    # node's generators that fix its block makes 5328 splits here, and
-    # with no seeds at all the search made 7327
-    calls = []
-    split = canonical._split
-
-    def counting_split(*args):
-        calls.append(None)
-        return split(*args)
-
-    monkeypatch.setattr(canonical, "_split", counting_split)
-    assert enumerate_mifs(3, 9).nodes == 192
-    assert len(calls) <= 5328
+    # a deterministic work count: a seeded test per child made 5328 splits
+    # here, and with no seeds at all the search made 7327; one walk of each
+    # node's tie tree, with sub-walks where a candidate's orbit ties, 1903
+    result, splits = count_splits(monkeypatch, lambda: enumerate_mifs(3, 9))
+    assert result.nodes == 192
+    assert splits == 1903
 
 
 def test_seeded_tests_return_the_pinned_generators(monkeypatch):
-    # every canonical test of enumerate_mifs(3, 9) as (blocks, seeds in,
-    # verdict, seeds out), pinned by digest: the generators a test returns
-    # are the automorphisms its walk found, so the digest changes when the
-    # walk's tree does
+    # every candidate the node steps of enumerate_mifs(3, 9) offer, as
+    # (node, candidate, verdict, generators), pinned by digest: the
+    # generators a child gets depend on the walks' trees
     records = []
-    is_least = search.is_least_labeling
+    least_children = search._least_children
 
-    def recording(blocks, automorphisms=None):
-        given = None if automorphisms is None else [list(g) for g in automorphisms]
-        verdict = is_least(blocks, automorphisms)
-        records.append([blocks, given, verdict, automorphisms])
-        return verdict
+    def recording(blocks, group, cands):
+        verdicts = least_children(blocks, group, cands)
+        records.extend([blocks, cand, gens is not None, gens]
+                       for cand, gens in zip(cands, verdicts))
+        return verdicts
 
-    monkeypatch.setattr(search, "is_least_labeling", recording)
+    monkeypatch.setattr(search, "_least_children", recording)
     assert enumerate_mifs(3, 9).nodes == 192
-    assert len(records) == 215 and sum(r[2] for r in records) == 192
+    assert sum(r[2] for r in records) == 191
     text = json.dumps(records, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "f33c809046364140"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "f963484b01961e58"
 
 
 def test_k4_cap_7_finds_only_the_complete_family(monkeypatch):
-    # the k=4 anchor, walked below enumerate_mifs's k guard: 182 nodes,
-    # every one an accepted canonical test, and a deterministic work count
-    # of 158 106 cell splits
-    calls = []
-    split = canonical._split
-
-    def counting_split(*args):
-        calls.append(None)
-        return split(*args)
-
-    monkeypatch.setattr(canonical, "_split", counting_split)
+    # the k=4 anchor, walked below enumerate_mifs's k guard: 182 nodes and
+    # a deterministic work count of 26 398 cell splits (158 106 with a
+    # seeded test per child)
     found = []
-    assert search._walk([_record(((0, 1, 2, 3),), 7)], found, 0, 4, 7, None) == 182
-    assert len(calls) <= 158106
+    nodes, splits = count_splits(monkeypatch, lambda: search._walk(
+        [_record(((0, 1, 2, 3),), 7)], found, 0, 4, 7, None))
+    assert nodes == 182
+    assert splits == 26398
     assert [least_block_list(f) for f in found] == [
         least_block_list(complete_family(4).blocks)]
 
@@ -509,6 +622,31 @@ def test_periodic_checkpoint_resumes_to_the_same_result(tmp_path, search39):
     assert ck.read_text().splitlines()[0] == 'mifsearch-v1 {"k":3,"p_max":9,"nodes":189}'
     resumed = enumerate_mifs(3, 9, resume_path=ck)
     assert resumed.to_json() == search39.to_json() and resumed.nodes == 192
+
+
+def test_budget_stop_after_a_periodic_write_writes_once(tmp_path, monkeypatch):
+    # with a write every 16 nodes a stop at 48 lands on the third write,
+    # whose file it would write again byte for byte (4 writes before)
+    writes = []
+    write = search.write_checkpoint
+
+    def counting_write(path, *args):
+        writes.append(os.path.basename(path))
+        write(path, *args)
+
+    monkeypatch.setattr(search, "write_checkpoint", counting_write)
+    periodic, stop_only, again = (tmp_path / name for name in ("p.log", "s.log", "r.log"))
+    for path, every in ((periodic, 16), (stop_only, 1000)):
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_mifs(3, 9, budget=48, checkpoint_path=path, checkpoint_every=every)
+        assert info.value.nodes == 48
+    assert writes == ["p.log"] * 3 + ["s.log"]
+    assert periodic.read_bytes() == stop_only.read_bytes()
+    # a resumed walk that stops at once has written nothing yet, so it writes
+    with pytest.raises(BudgetExceededError):
+        enumerate_mifs(3, 9, budget=48, checkpoint_path=again, resume_path=periodic,
+                       checkpoint_every=16)
+    assert writes[-1] == "r.log" and again.read_bytes() == periodic.read_bytes()
 
 
 def test_periodic_checkpoint_survives_a_crash(tmp_path, monkeypatch, search39):
