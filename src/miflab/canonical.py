@@ -170,11 +170,18 @@ branch with best's list that emits b before the last level, so a
 sub-walk meets its image under some g_x^-1, as an automorphism of F + x
 that g_x carries back.  The list is filtered to at most one generator
 per pair of points (Sims' filter); it generates the whole group when
-the given automorphisms generate G.  An automorphism a of F + b known
-from a deeper sub-walk that maps b onto a block f of F not yet emitted
-where b ties spares that sub-walk: a maps its subtree onto the subtree
-that emits f there, whose states have not emitted b or emit it deeper,
-and those are covered already.  So the sub-walks run deepest first.
+the given automorphisms generate G.  Most accepted children are never
+expanded, so the group is built on expansion: _least_children returns
+b's orbit data, the automorphisms carried back and the fresh swaps, and
+_group runs Schreier's lemma and the filter when the search expands the
+child.  Each g_x also carries its images of F's blocks, composed from
+the generators' along the orbit's links, so a sub-walk looks them up
+instead of mapping blocks point by point.  An automorphism a of F + b
+known from a deeper sub-walk that maps b onto a block f of F not yet
+emitted where b ties spares that sub-walk: a maps its subtree onto the
+subtree that emits f there, whose states have not emitted b or emit it
+deeper, and those are covered already.  So the sub-walks run deepest
+first.
 """
 
 from __future__ import annotations
@@ -242,7 +249,7 @@ def _in_tried_orbit(level: list, emit: int, autos: list[list[int]],
     if seen < len(autos):
         cell = level[0]
         new = [blocks_to for g, blocks_to in zip(autos[seen:], images[seen:])
-               if all(cell[q] == c for q, c in zip(g, cell))]
+               if list(map(cell.__getitem__, g)) == cell]
         orbits[0] = len(autos)
         if new:
             frontier = list(covered) if stab else level[3][:level[4] - 1]
@@ -343,8 +350,9 @@ class _Tree:
         block bi, or below every key once bi is emitted.  Returns best, or
         in test mode False as soon as a level's entry falls below best's,
         else True.  watch, which a walk with observers needs, is called at
-        every state the walk computes, pruned ones included, before the
-        walk acts on it."""
+        every complete state and at every other state the walk computes,
+        pruned ones included, where some observer's key reaches the level's
+        target, before the walk acts on it."""
         members, n, w, weight = self.members, self.n, self.w, self.weight
         incidence, emitted, autos, images = self.incidence, self.emitted, self.autos, self.images
         best, best_order = self.best, self.best_order
@@ -391,7 +399,9 @@ class _Tree:
                 else:  # observers follow the family's blocks in key
                     keys = key[:n]
                     top = max(keys)
-                    watch(depth, target[depth] if target else top, cell, size, key, levels)
+                    level_target = target[depth] if target else top
+                    if max(key[n:]) >= level_target:
+                        watch(depth, level_target, cell, size, key, levels)
                 if target and below is None:
                     # out is best's prefix, so the cells are those of best's
                     # branch at this level and the top keys rank the entries
@@ -545,16 +555,33 @@ def _sifted(gens: list[list[int]], w: int) -> list[list[int]]:
     return kept
 
 
+def _group(generators: Sequence[list[int]] = (),
+           stabiliser: tuple | None = None) -> Sequence[list[int]]:
+    """The generators of a search node's automorphism group, from the form
+    (generators, stabiliser) its record holds the group in.  A node built
+    from scratch holds the generators of its whole group and no
+    stabiliser.  A child F + b holds what _least_children returns for it:
+    as generators the automorphisms its sub-walks found and the swaps of
+    b's fresh points, and as stabiliser b's _orbit data (carry, steps,
+    parents) under F's generators, those generators and F + b's point
+    count w, from which Schreier's lemma gives b's stabiliser; the whole
+    list is then sifted.  The empty form stands for no automorphisms."""
+    if stabiliser is None:
+        return generators
+    return _sifted(_schreier(*stabiliser) + list(generators), stabiliser[-1])
+
+
 def _least_children(blocks: Sequence[tuple[int, ...]], group: Sequence[Sequence[int]],
-                    cands: Sequence[tuple[int, ...]]) -> list[list[list[int]] | None]:
+                    cands: Sequence[tuple[int, ...]]) -> list[tuple | None]:
     """Decide every child F + b of a node F of the orderly search in one
     walk of F's tie tree.  blocks is F, sorted, in least labeling on the
     points 0..v-1, group holds automorphisms of F that generate a group G,
     each the list of images of 0..v-1, and each candidate b follows F's
     last block and has v, v+1, ... as its points from v on.  Per
-    candidate: None if F + b is not in least labeling, else automorphisms
-    of F + b on its points, which generate its whole group when G is F's."""
-    verdicts: list[list[list[int]] | None] = [None] * len(cands)
+    candidate: None if F + b is not in least labeling, else the form of
+    F + b's group that _group builds automorphisms of F + b on its points
+    from, which generate its whole group when G is F's."""
+    verdicts: list[tuple | None] = [None] * len(cands)
     members = tuple(blocks)
     n, v = len(members), max(b[-1] for b in members) + 1
     w = max([v] + [b[-1] + 1 for b in cands])
@@ -563,10 +590,11 @@ def _least_children(blocks: Sequence[tuple[int, ...]], group: Sequence[Sequence[
     images = _block_images(members, w, gens)
     # The observers, numbered on from n: the orbit under G of each
     # candidate that is least in its orbit.  Observer xi belongs to
-    # candidate owner[xi], which carry[xi] maps onto it; spans[ci] holds
+    # candidate owner[xi], which carry[xi] maps onto it, and moves[xi]
+    # holds the images of F's blocks under carry[xi]; spans[ci] holds
     # candidate ci's first observer and its _orbit.
     observers: list[tuple[int, ...]] = []
-    owner, carry = [-1] * n, [[]] * n
+    owner, carry, moves = [-1] * n, [[]] * n, [[]] * n
     spans: dict[int, tuple] = {}
     for ci, b in enumerate(cands):
         orbit = _orbit(b, gens, w)
@@ -576,6 +604,10 @@ def _least_children(blocks: Sequence[tuple[int, ...]], group: Sequence[Sequence[
             observers += orbit[0]
             owner += [ci] * len(orbit[0])
             carry += orbit[1]
+            # each carry is a generator after the carry it was reached from
+            moves.append(list(range(n)))
+            for i, gi in orbit[3][1:]:
+                moves.append([images[gi][f] for f in moves[start + i]])
             for gi, im in enumerate(images):
                 im += [start + step[gi] for step in orbit[2]]
     if not spans:
@@ -602,17 +634,13 @@ def _least_children(blocks: Sequence[tuple[int, ...]], group: Sequence[Sequence[
                     rejected.add(owner[xi])
             return
         seen = key[n:]
-        top = max(seen)
-        if top < target:
-            return
-        if top > target:
+        if max(seen) > target:
             rejected.update(owner[xi] for xi, x in enumerate(seen, n) if x > target)
         tied = [xi for xi, x in enumerate(seen, n) if x == target and owner[xi] not in rejected]
         if len(tied) > 1:
             # one sub-walk per orbit of the generators of G that fix every
             # cell, as they map the state onto itself
-            stab = [im for g, im in zip(gens, images)
-                    if all(cell[q] == c for q, c in zip(g, cell))]
+            stab = [im for g, im in zip(gens, images) if list(map(cell.__getitem__, g)) == cell]
             covered: set[int] = set()
             reps = []
             for xi in tied:
@@ -627,22 +655,23 @@ def _least_children(blocks: Sequence[tuple[int, ...]], group: Sequence[Sequence[
     if not tree.walk(True, *tree.root(), [], [], watch):
         raise VerificationError("a node of the search is not in least labeling")
 
-    block_index = {sum(1 << p for p in b): bi for bi, b in enumerate(members)}
+    index = {f: bi for bi, f in enumerate(members)}
     incidence = [[bi for bi in at_p if bi < n] for at_p in tree.incidence]
     targets = tree.target + [0]
     found: dict[int, list[list[int]]] = {ci: [] for ci in spans}
     # per candidate b, the blocks of F onto which the automorphisms of F + b
     # known so far map b
     reached: dict[int, set[int]] = {ci: set() for ci in spans}
+    # per candidate b, the point order of F + b's first branch
+    orders: dict[int, list[int]] = {}
     # deepest first, so that the automorphisms they find spare shallower ones
     queue.sort(key=lambda entry: -entry[1])
     for xi, depth, cell, size, key, emits in queue:
         ci = owner[xi]
         if ci in rejected:
             continue
-        b, x, g = cands[ci], observers[xi - n], carry[xi]
-        if reached[ci] and reached[ci] - {
-                block_index[sum(1 << g[p] for p in members[bi])] for bi in emits}:
+        b, x, g, to = cands[ci], observers[xi - n], carry[xi], moves[xi]
+        if reached[ci] and reached[ci] - {to[bi] for bi in emits}:
             continue  # an automorphism of F + b maps the subtree into covered ones
         targets[n] = last_keys[ci]
         key.append(tree.emitted)
@@ -653,9 +682,9 @@ def _least_children(blocks: Sequence[tuple[int, ...]], group: Sequence[Sequence[
         # first branch, which g carries over
         sub = _Tree(members + (x,), w, n + 1, incidence, tree.weight)
         sub.best, sub.target = tree.best + [b], targets[:]
-        sub.best_order = [g[p] for p in sorted(
-            range(w), key=lambda p: (first_cell[p], p not in b))]
-        to = [block_index[sum(1 << g[p] for p in f)] for f in members]
+        if ci not in orders:
+            orders[ci] = sorted(range(w), key=lambda p: (first_cell[p], p not in b))
+        sub.best_order = [g[p] for p in orders[ci]]
         sub.best_emits = [to[bi] for bi in tree.best_emits] + [n]
         for h, im in zip(gens, images):
             if im[xi] == xi:  # h fixes x, so it is an automorphism of F + x
@@ -671,7 +700,7 @@ def _least_children(blocks: Sequence[tuple[int, ...]], group: Sequence[Sequence[
             start = spans[ci][0]
             orbit = _orbit(b, found[ci] + [h for h, im in zip(gens, images)
                                            if im[start] == start], w, False)[0]
-            reached[ci] = {block_index[sum(1 << p for p in y)] for y in orbit[1:]}
+            reached[ci] = {index[y] for y in orbit[1:]}
 
     for ci, (_, _, carry_b, steps, parents) in spans.items():
         if ci not in rejected:
@@ -684,8 +713,8 @@ def _least_children(blocks: Sequence[tuple[int, ...]], group: Sequence[Sequence[
                 swap = list(range(wb))
                 swap[p - 1], swap[p] = p, p - 1
                 swaps.append(swap)
-            verdicts[ci] = _sifted(_schreier(carry_b, steps, parents, gens, wb)
-                                   + [a[:wb] for a in found[ci]] + swaps, wb)
+            verdicts[ci] = ([a[:wb] for a in found[ci]] + swaps,
+                            (carry_b, steps, parents, gens, wb))
     return verdicts
 
 

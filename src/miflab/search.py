@@ -14,12 +14,15 @@ filters its parent's list: a k-set meets every block of F + b iff it
 meets those of F and b, so it keeps the entries that follow b and meet
 it.  The walk holds one record per pending node, (blocks, automorphism
 group, addable list), and builds a child's record where the child is
-made.  Only the root, and a node read from a checkpoint, build their
-record from scratch: a seedless canonical test for the group, and the
-list by the same filter folded over the k-sets below the cap that meet
-the first block.  A k-set meets it only if its least point is at most
-the block's largest, and those k-sets come first in combinations()
-order, so only that leading run is read.
+made.  Only the root, and a maximal family read from a checkpoint, build
+their record from scratch: a seedless canonical test for the group, and
+the list by the same filter folded over the k-sets below the cap that
+meet the first block.  A k-set meets it only if its least point is at
+most the block's largest, and those k-sets come first in combinations()
+order, so only that leading run is read.  The pending nodes of a
+checkpoint are children of the nodes on the walk's path, so reading one
+replays that path from the root's record, one node step's child
+decisions per node on it.
 One kernel call per node (``transversal.py``) finds the hitting sets T of
 at most k used points for the blocks plus the used parts of the addable
 blocks; T then hits every block of every descendant.  A maximal
@@ -40,12 +43,15 @@ follows every block of F, so F + b is not least whatever F is.  The
 other candidates are decided in one walk of F's tie tree, pruned by the
 node's group, with each candidate's orbit riding along, and sub-walks
 only below the states where a member of an orbit ties with the entry
-of F's least list; the call returns each accepted child's whole group,
-from b's stabiliser in the node's group and the automorphisms the
-sub-walks find.  The verdicts are those of the canonical test, so the
-tree and its node count are those of a walk without groups.  Only the
-root, and a node read from a checkpoint, get their group from a
-seedless canonical test.
+of F's least list; the call returns, for each accepted child, what its
+whole group is built from: b's orbit data under the node's group, for
+b's stabiliser, and the automorphisms the sub-walks find.  The group is
+built only when the child is expanded, that is when its own node step
+gets past the maximality test and the threat prune, so a child that is
+a leaf never pays for it.  The verdicts are those of the canonical
+test, so the tree and its node count are those of a walk without
+groups.  Only the root, and a maximal family read from a checkpoint,
+get their group from a seedless canonical test.
 
 Set-pair systems are searched directly over pair sequences: the pair count
 is capped by C(k+t, k), fresh points are introduced in first-use order,
@@ -86,14 +92,14 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, takewhile
 from math import comb
 
 from .bounds import proven_point_cap
-from .canonical import _least_children, is_least_labeling
+from .canonical import _group, _least_children, is_least_labeling
 from .errors import (BudgetExceededError, FormatError, ParameterOutOfRangeError,
                      UnsupportedKError, UnsupportedParamsError, _check_count, _check_int)
 from .family import Family, bits_of, mask_of
@@ -105,7 +111,8 @@ MAX_LIST_ENTRIES = 10**6
 
 Blocks = tuple[tuple[int, ...], ...]
 Addable = list[tuple[tuple[int, ...], int]]
-Record = tuple[Blocks, list[list[int]], Addable]
+# a group as canonical._group takes it: (generators, stabiliser or None)
+Record = tuple[Blocks, tuple, Addable]
 
 
 def _extend_hitters(lists, u: int, w: int, mask: int):
@@ -152,22 +159,25 @@ def _addable(blocks: Blocks, p_max: int) -> Addable:
 
 
 def _record(blocks: Blocks, p_max: int) -> Record | None:
-    """The walk's record of a node, (blocks, generators of its automorphism
-    group, addable list), built from scratch by a seedless canonical test
-    and _addable; None if the blocks are not in least labeling."""
+    """The walk's record of a node, (blocks, automorphism group, addable
+    list), built from scratch by a seedless canonical test, whose
+    generators the record holds with no stabiliser to build, and _addable;
+    None if the blocks are not in least labeling."""
     group: list[list[int]] = []
     if not is_least_labeling(blocks, group):
         return None
-    return blocks, group, _addable(blocks, p_max)
+    return blocks, (group, None), _addable(blocks, p_max)
 
 
-def _node_step(blocks: Blocks, k: int, group: Sequence[Sequence[int]],
+def _node_step(blocks: Blocks, k: int, group: tuple,
                addable: Addable) -> tuple[bool, list[Record]]:
     """Classify one canonical node: (is maximal, the records of its
-    canonical children).  group holds automorphisms of the node, as lists
-    of point images, and addable is the node's _addable list.  Any
-    automorphisms give the exact children; each child's group is whole
-    when the node's is."""
+    canonical children).  group is the node's group in the form its
+    record holds it, which canonical._group turns into automorphisms of
+    the node, as lists of point images, once the node gets past the
+    maximality test and the threat prune; addable is the node's _addable
+    list.  Any automorphisms give the exact children; each child's group
+    is whole when the node's is."""
     last = blocks[-1]
     masks = [mask_of(b) for b in blocks]
     v = max(b[-1] for b in blocks) + 1
@@ -186,21 +196,33 @@ def _node_step(blocks: Blocks, k: int, group: Sequence[Sequence[int]],
 
     # the candidates: addable blocks whose new points are the next unused ids
     starts = [i for i, (_, dm) in enumerate(addable) if (dm >> v) & ((dm >> v) + 1) == 0]
-    children: list[Record] = []
-    for i, gens in zip(starts, _least_children(blocks, group, [addable[i][0] for i in starts])):
-        if gens is not None:
-            cand, dm = addable[i]
-            # a k-set meets every block of F + b iff it meets those of F and b
-            children.append((blocks + (cand,), gens, [e for e in addable[i + 1:] if e[1] & dm]))
-    return False, children
+    return False, [child for child in _children(blocks, group, addable, starts) if child]
+
+
+def _children(blocks: Blocks, group: tuple, addable: Addable,
+              picks: list[int]) -> list[Record | None]:
+    """The records of the children F + addable[i] of a node F, for the
+    ascending indices i in picks, or None for each that is not in least
+    labeling; each picked block's new points must be the next unused ids.
+    Here the node's group is built from the form its record holds."""
+    verdicts = _least_children(blocks, _group(*group), [addable[i][0] for i in picks])
+    children: list[Record | None] = []
+    for i, child_group in zip(picks, verdicts):
+        cand, dm = addable[i]
+        # a k-set meets every block of F + b iff it meets those of F and b
+        children.append(None if child_group is None else (
+            blocks + (cand,), child_group, [e for e in addable[i + 1:] if e[1] & dm]))
+    return children
 
 
 def _walk(stack: list[Record], found: list[Blocks], nodes: int, k: int, p_max: int,
           budget: int | None, checkpoint_path=None, checkpoint_every: int = 0) -> int:
     """Expand the node records on stack depth-first, appending the maximal
     families to found; returns the node count, starting from nodes.  Each
-    record is (blocks, generators of the node's automorphism group, its
-    addable list), as _record builds it or _node_step for a child.
+    record is (blocks, the node's automorphism group in the form
+    canonical._group builds generators from, its addable list), as
+    _record builds it or _node_step for a child; a node's generators are
+    built only if it is expanded.
 
     The budget is checked before each node: a stop writes the blocks of
     the untouched stack as the checkpoint and raises BudgetExceededError
@@ -306,11 +328,50 @@ def write_checkpoint(path, k: int, p_max: int, nodes: int,
             os.unlink(tmp)
 
 
+def _pending_records(pending: list[Blocks], p_max: int) -> list[Record | None]:
+    """The walk's records of pending nodes, each None if it is not in least
+    labeling, built as the walk builds children: the root's record from
+    scratch, then, for each node on the paths to the pending ones, in
+    length order, one _least_children call that decides the next blocks of
+    the pending nodes below it.  A next block that is no addable block of
+    the node, or whose new points are not the next unused ids, is not
+    least, nor is any node below a node that is not, as a prefix of a
+    least family is least."""
+    below: dict[Blocks, set[tuple[int, ...]]] = {}
+    for blocks in pending:
+        for j in range(1, len(blocks)):
+            below.setdefault(blocks[:j], set()).add(blocks[j])
+    root = pending[0][:1]
+    built: dict[Blocks, Record | None] = {root: _record(root, p_max)}
+    for prefix in sorted(below, key=len):
+        nexts = sorted(below[prefix])
+        built.update((prefix + (b,), None) for b in nexts)
+        record = built[prefix]
+        if record is None:
+            continue
+        addable, v = record[2], max(b[-1] for b in prefix) + 1
+        picks = []
+        for b in nexts:
+            i = bisect_left(addable, (b,))
+            # an addable block whose new points are the next unused ids
+            if i < len(addable) and addable[i][0] == b and (
+                    (addable[i][1] >> v) & ((addable[i][1] >> v) + 1) == 0):
+                picks.append(i)
+        if picks:
+            for child in _children(*record, picks):
+                if child:
+                    built[child[0]] = child
+    return [built[blocks] for blocks in pending]
+
+
 def read_checkpoint(path, k: int, p_max: int) -> tuple[int, list[Record], list[Blocks]]:
-    """The node count, the records of the pending nodes, built by _record,
-    and the maximal families of a checkpoint.  Every record must be in
-    least labeling, as the walk writes no other, and an M record must be
-    a maximal family."""
+    """The node count, the records of the pending nodes, built by
+    _pending_records, and the maximal families of a checkpoint.  Every
+    record must be in least labeling, as the walk writes no other, an M
+    record must be a maximal family, and no pending record may repeat or
+    extend another, as no node of the walk is pending twice or below a
+    pending one.  The first record line that fails, in file order, is
+    reported."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -333,25 +394,47 @@ def read_checkpoint(path, k: int, p_max: int) -> tuple[int, list[Record], list[B
         raise FormatError(
             f"checkpoint is for k={header['k']}, p_max={header['p_max']}; "
             f"requested k={k}, p_max={p_max}")
-    pending: list[Record] = []
-    found: list[Blocks] = []
+    # the record lines up to the first that does not parse, whose error is
+    # raised once the lines before it are checked
+    parsed: list[tuple[str, str, Blocks]] = []
+    unparsed = None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         tag, _, rest = line.partition(" ")
         if tag not in ("F", "M"):
-            raise FormatError(f"line {lineno}: unknown checkpoint tag {tag!r}")
-        record = _record(_record_to_blocks(rest, k, p_max), p_max)
+            unparsed = FormatError(f"line {lineno}: unknown checkpoint tag {tag!r}")
+            break
+        try:
+            parsed.append((tag, rest, _record_to_blocks(rest, k, p_max)))
+        except FormatError as exc:
+            unparsed = exc
+            break
+    pending_blocks = [blocks for tag, _, blocks in parsed if tag == "F"]
+    replayed = iter(_pending_records(pending_blocks, p_max) if pending_blocks else [])
+    pending: list[Record] = []
+    found: list[Blocks] = []
+    ends: set[Blocks] = set()  # the pending records so far
+    paths: set[Blocks] = set()  # and their prefixes
+    for tag, rest, blocks in parsed:
+        record = next(replayed) if tag == "F" else _record(blocks, p_max)
         if record is None:
             raise FormatError(f"bad checkpoint record {rest!r}: not in least labeling")
-        blocks, group, addable = record
-        if tag == "F":
-            pending.append(record)
-        # without an addable block the leaf test builds no child
-        elif addable or not _node_step(blocks, k, group, addable)[0]:
-            raise FormatError(f"bad checkpoint record {rest!r}: not a maximal family")
-        else:
+        if tag == "M":
+            _, group, addable = record
+            # without an addable block the leaf test builds no child
+            if addable or not _node_step(blocks, k, group, addable)[0]:
+                raise FormatError(f"bad checkpoint record {rest!r}: not a maximal family")
             found.append(blocks)
+        elif blocks in paths or any(blocks[:j] in ends for j in range(1, len(blocks))):
+            raise FormatError(f"bad checkpoint record {rest!r}: it repeats, extends or is "
+                              "extended by another pending record")
+        else:
+            ends.add(blocks)
+            paths.update(blocks[:j] for j in range(1, len(blocks) + 1))
+            pending.append(record)
+    if unparsed is not None:
+        raise unparsed
     return header["nodes"], pending, found
 
 

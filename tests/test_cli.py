@@ -243,6 +243,17 @@ def test_search_mif_bad_checkpoint_record_exit(capsys, tmp_path):
     assert code == 2 and "checkpoint record" in err
 
 
+def test_search_mif_repeated_pending_record_exit(capsys, tmp_path):
+    # the walk writes no pending record twice; one repeated is a usage error
+    ck = tmp_path / "ck.log"
+    run(capsys, "search", "mif", "--k", "3", "--budget", "100", "--checkpoint", str(ck))
+    lines = ck.read_text().splitlines()
+    last = max(i for i, line in enumerate(lines) if line.startswith("F "))
+    ck.write_text("\n".join(lines[:last + 1] + lines[last:]) + "\n")
+    code, _, err = run(capsys, "search", "mif", "--k", "3", "--resume", str(ck))
+    assert code == 2 and "another pending record" in err
+
+
 def test_bool_point_id_is_usage_error(capsys, tmp_path):
     path = tmp_path / "bool.json"
     path.write_text('{"universe": 3, "blocks": [[0, true], [1, 2]]}')

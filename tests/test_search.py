@@ -4,8 +4,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -113,12 +114,13 @@ def reference_node_step(blocks, k, p_max):
 
 
 def walk_with_groups(k, p_max):
-    """Every node of the search tree with the automorphism group the walk
-    carries to it, in the order _walk visits them."""
+    """Every node of the search tree with the generators of the automorphism
+    group the walk carries to it, built from its record, in the order _walk
+    visits them."""
     stack = [_record((tuple(range(k)),), p_max)]
     while stack:
         blocks, group, addable = stack.pop()
-        yield blocks, group
+        yield blocks, canonical._group(*group)
         stack.extend(reversed(_node_step(blocks, k, group, addable)[1]))
 
 
@@ -144,7 +146,7 @@ def test_node_step_matches_subset_scan_on_whole_trees(monkeypatch, k, p_max, tot
     for node, group in walk_with_groups(k, p_max):
         nodes += 1
         skipped.clear()
-        full, children = _node_step(node, k, group, _addable(node, p_max))
+        full, children = _node_step(node, k, (group, None), _addable(node, p_max))
         assert (full, [c[0] for c in children]) == reference_node_step(node, k, p_max), node
         assert not any(canonical.is_least_labeling(node + (cand,)) for cand in skipped), node
         n_skipped += len(skipped)
@@ -184,13 +186,15 @@ def fresh_candidates(blocks, p_max):
 
 def check_children(blocks, group, cands, check_order=True):
     """Each verdict of _least_children is the canonical test's, seeded with
-    the child's generators, which it refuses unless they are automorphisms
-    and extends to generators of the whole group.  With check_order they
-    generate that group: the one a scan of every permutation finds on up
-    to six points, else the one the test's list generates."""
+    the child's generators, built from the form it returns, which the test
+    refuses unless they are automorphisms and extends to generators of the
+    whole group.  With check_order they generate that group: the one a scan
+    of every permutation finds on up to six points, else the one the
+    test's list generates."""
     verdicts = search._least_children(blocks, group, cands)
     assert len(verdicts) == len(cands)
-    for cand, gens in zip(cands, verdicts):
+    for cand, deferred in zip(cands, verdicts):
+        gens = None if deferred is None else canonical._group(*deferred)
         child = blocks + (cand,)
         whole = [] if gens is None else [g[:] for g in gens]
         assert (gens is not None) == canonical.is_least_labeling(child, whole), child
@@ -349,7 +353,7 @@ def test_seeded_tests_return_the_pinned_generators(monkeypatch):
 
     def recording(blocks, group, cands):
         verdicts = least_children(blocks, group, cands)
-        records.extend([blocks, cand, gens is not None, gens]
+        records.extend([blocks, cand, gens is not None, gens and canonical._group(*gens)]
                        for cand, gens in zip(cands, verdicts))
         return verdicts
 
@@ -358,6 +362,30 @@ def test_seeded_tests_return_the_pinned_generators(monkeypatch):
     assert sum(r[2] for r in records) == 191
     text = json.dumps(records, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "f963484b01961e58"
+
+
+def test_groups_are_built_only_for_expanded_nodes(monkeypatch):
+    # an accepted child's group is sifted from its parts when the child is
+    # expanded: at (3, 9) for 58 of the 191 accepted children, where every
+    # accepted child was sifted; the root's group comes from its seedless test
+    sifts, expanded = [0], [0]
+    sifted, least_children = canonical._sifted, search._least_children
+
+    def counting_sifted(*args):
+        sifts[0] += 1
+        return sifted(*args)
+
+    def counting_least_children(*args):
+        expanded[0] += 1
+        return least_children(*args)
+
+    monkeypatch.setattr(canonical, "_sifted", counting_sifted)
+    monkeypatch.setattr(search, "_least_children", counting_least_children)
+    assert enumerate_mifs(3, 9).nodes == 192
+    assert sifts[0] == expanded[0] - 1 == 58
+    sifts[0] = expanded[0] = 0
+    assert search._walk([_record(((0, 1, 2, 3),), 7)], [], 0, 4, 7, None) == 182
+    assert sifts[0] == expanded[0] - 1 == 34
 
 
 def test_k4_cap_7_finds_only_the_complete_family(monkeypatch):
@@ -669,13 +697,30 @@ def test_periodic_checkpoint_survives_a_crash(tmp_path, monkeypatch, search39):
     assert resumed.to_json() == search39.to_json() and resumed.nodes == 192
 
 
+def same_group(gens, others, w):
+    """True iff the two lists of permutations of range(w) generate one group."""
+    return generated_order(gens, w) == generated_order(others, w) == generated_order(
+        list(gens) + list(others), w)
+
+
+def assert_built_from_scratch(records, p_max):
+    """Each record has the blocks and addable list _record builds, and a
+    group that generates the group of _record's."""
+    for blocks, group, addable in records:
+        want = _record(blocks, p_max)
+        assert (blocks, addable) == (want[0], want[2])
+        w = max(b[-1] for b in blocks) + 1
+        assert same_group(canonical._group(*group), canonical._group(*want[1]), w), blocks
+
+
 def test_checkpoint_format_round_trip(tmp_path):
     path = tmp_path / "ck.log"
-    pending = [((0, 1, 2),), ((0, 1, 2), (0, 3, 4))]
+    pending = [((0, 1, 2), (0, 1, 3)), ((0, 1, 2), (0, 3, 4))]
     found = [complete_family(3).blocks]
     write_checkpoint(path, 3, 9, 123, pending, found)
     nodes, got_pending, got_found = read_checkpoint(path, 3, 9)
-    assert (nodes, got_pending, got_found) == (123, [_record(b, 9) for b in pending], found)
+    assert (nodes, [r[0] for r in got_pending], got_found) == (123, pending, found)
+    assert_built_from_scratch(got_pending, 9)
     with pytest.raises(FormatError):
         read_checkpoint(path, 3, 8)
     path.write_text("bogus\n")
@@ -723,25 +768,143 @@ def test_checkpoint_bad_record_is_format_error(tmp_path, record):
 
 
 def test_resume_builds_each_record_once(tmp_path, monkeypatch, search39):
-    # reading a checkpoint builds every record, pending (F) or maximal (M),
-    # and the walk takes the pending ones as they are: one _addable call
-    # per record, where building the F lists again when the walk reached
-    # them made 51 calls here
+    # the 23 pending (F) records of a 100-node stop share 5 parents on the
+    # walk's path: reading them replays that path with one _least_children
+    # call per parent, and only the root and the 5 maximal (M) records get a
+    # seedless test and an _addable call, where building every record from
+    # scratch made 28 of each.  The walk takes the records as they are, where
+    # building the F lists again when it reached them made 51 _addable calls
     ck = tmp_path / "search.log"
     with pytest.raises(BudgetExceededError):
         enumerate_mifs(3, 9, budget=100, checkpoint_path=ck)
     records = ck.read_text().splitlines()[1:]
-    built = []
-    addable = search._addable
-
-    def counting_addable(blocks, cap):
-        built.append(blocks)
-        return addable(blocks, cap)
-
-    monkeypatch.setattr(search, "_addable", counting_addable)
+    calls = Counter()
+    for name in ("_addable", "is_least_labeling", "_least_children"):
+        def counting(*args, _name=name, _function=getattr(search, name)):
+            calls[_name] += 1
+            return _function(*args)
+        monkeypatch.setattr(search, name, counting)
+    _, pending, found = read_checkpoint(ck, 3, 9)
+    assert (len(records), len(pending), len(found)) == (28, 23, 5)
+    assert calls == {"_addable": 6, "is_least_labeling": 6, "_least_children": 5}
+    calls.clear()
     resumed = enumerate_mifs(3, 9, resume_path=ck)
     assert resumed.to_json() == search39.to_json()
-    assert len(records) == len(built) == 28
+    assert (calls["_addable"], calls["is_least_labeling"]) == (6, 6)
+
+
+def test_replayed_records_match_records_built_from_scratch(tmp_path, search39):
+    # every budget stop of the (3, 9) walk writes the same file with a
+    # periodic write every 16 nodes as with none; its pending records read
+    # back have _record's blocks and addable lists and generate its groups,
+    # and the resumed run is the plain one
+    plain, periodic = tmp_path / "plain.log", tmp_path / "periodic.log"
+    checked: set = set()
+    for budget in range(1, 192):
+        for ck, every in ((plain, 50000), (periodic, 16)):
+            with pytest.raises(BudgetExceededError):
+                enumerate_mifs(3, 9, budget=budget, checkpoint_path=ck, checkpoint_every=every)
+        assert plain.read_bytes() == periodic.read_bytes(), budget
+        _, pending, _ = read_checkpoint(plain, 3, 9)
+        assert [r[0] for r in pending] == [search._record_to_blocks(line[2:], 3, 9)
+                                           for line in plain.read_text().splitlines()
+                                           if line.startswith("F ")]
+        fresh = []
+        for record in pending:
+            key = (record[0], json.dumps(canonical._group(*record[1])))
+            if key not in checked:
+                checked.add(key)
+                fresh.append(record)
+        assert_built_from_scratch(fresh, 9)
+        assert enumerate_mifs(3, 9, resume_path=plain).to_json() == search39.to_json(), budget
+
+
+def mutated_checkpoint(rng, lines):
+    """A budget-stop checkpoint with one F record mutated: a point swapped,
+    a block dropped or added, a fresh id skipped, or a sibling added that
+    its parent's group maps below itself."""
+    records = [i for i, line in enumerate(lines) if line.startswith("F ")]
+    i = rng.choice(records)
+    blocks = [list(b) for b in search._record_to_blocks(lines[i][2:], 3, 9)]
+    kind = rng.choice(("swap", "drop", "add", "skip", "sibling"))
+    if kind == "swap":
+        p, q = rng.sample(range(3, 9), 2)
+        swap = {p: q, q: p}
+        blocks = [sorted(swap.get(x, x) for x in b) for b in blocks]
+    elif kind == "drop" and len(blocks) > 1:
+        del blocks[rng.randrange(1, len(blocks))]
+    elif kind == "add":
+        blocks.append(list(rng.choice(list(combinations(range(9), 3)))))
+    elif kind == "skip":
+        top = max(max(b) for b in blocks)
+        blocks = [[x + (x == top and top < 8) for x in b] for b in blocks]
+    elif kind == "sibling" and len(blocks) > 1:
+        parent = tuple(map(tuple, blocks[:-1]))
+        gens = canonical._group(*_record(parent, 9)[1])
+        images = [sorted(g[x] if x < len(g) else x for x in blocks[-1]) for g in gens]
+        above = [b for b in images if b > blocks[-1] and tuple(b) not in parent]
+        if above:
+            sibling = "F " + search._blocks_to_record(blocks[:-1] + [rng.choice(above)])
+            return lines[:i + 1] + [sibling] + lines[i + 1:], kind
+    blocks = sorted(map(list, {tuple(b) for b in blocks}))
+    return lines[:i] + ["F " + search._blocks_to_record(blocks)] + lines[i + 1:], kind
+
+
+def test_mutated_checkpoints_are_read_exactly_when_every_record_is_least(tmp_path):
+    # a checkpoint is accepted iff every line parses, every F record passes
+    # _record, and no pending record repeats or lies below another
+    rng = random.Random(2611)
+    ck = tmp_path / "ck.log"
+    stops = {}
+    verdicts = Counter()
+    for _ in range(320):
+        budget = rng.randint(1, 191)
+        if budget not in stops:
+            with pytest.raises(BudgetExceededError):
+                enumerate_mifs(3, 9, budget=budget, checkpoint_path=ck)
+            stops[budget] = ck.read_text().splitlines()
+        lines, kind = mutated_checkpoint(rng, stops[budget])
+        ck.write_text("\n".join(lines) + "\n")
+        try:
+            pending = [search._record_to_blocks(line[2:], 3, 9)
+                       for line in lines[1:] if line.startswith("F ")]
+            want = all(_record(b, 9) is not None for b in pending) and not any(
+                a[:len(b)] == b for a, b in permutations(pending, 2))
+        except FormatError:
+            want = False
+        verdicts[kind, want] += 1
+        if want:
+            _, records, _ = read_checkpoint(ck, 3, 9)
+            assert [r[0] for r in records] == pending
+            assert [r[2] for r in records] == [_record(b, 9)[2] for b in pending]
+        else:
+            with pytest.raises(FormatError):
+                read_checkpoint(ck, 3, 9)
+    assert sum(verdicts.values()) == 320, verdicts
+    assert all(verdicts[kind, False] for kind in ("swap", "drop", "add", "skip", "sibling"))
+    assert sum(verdicts[kind, True] for kind in ("swap", "drop", "add")) >= 20
+
+
+def test_repeated_or_nested_pending_records_are_format_errors(tmp_path):
+    # the walk never writes a pending record twice, or one below another;
+    # resumed, a 100-node stop with its last F line repeated made 204 nodes
+    # and one with a pending record's child added 193, against 192
+    ck = tmp_path / "ck.log"
+    with pytest.raises(BudgetExceededError):
+        enumerate_mifs(3, 9, budget=100, checkpoint_path=ck)
+    lines = ck.read_text().splitlines()
+    last = max(i for i, line in enumerate(lines) if line.startswith("F "))
+    child = next(children[0][0] for children in (
+        _node_step(blocks, 3, group, addable)[1]
+        for blocks, group, addable in read_checkpoint(ck, 3, 9)[1]) if children)
+    for extra in (lines[last], "F " + search._blocks_to_record(child)):
+        for at in (last, last + 1):
+            ck.write_text("\n".join(lines[:at] + [extra] + lines[at:]) + "\n")
+            with pytest.raises(FormatError, match="another pending record"):
+                enumerate_mifs(3, 9, resume_path=ck)
+    write_checkpoint(ck, 3, 9, 0, [((0, 1, 2),), ((0, 1, 2), (0, 3, 4))], [])
+    with pytest.raises(FormatError, match="another pending record"):
+        read_checkpoint(ck, 3, 9)
 
 
 def test_non_utf8_checkpoint_is_format_error(tmp_path):
