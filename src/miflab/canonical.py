@@ -109,17 +109,15 @@ used there, since it may map a tried block onto a block whose subtree
 produces other lists.  The bookkeeping starts with the first stored
 automorphism, so a family with a trivial group pays almost nothing for it.
 
-Seeded automorphisms.  The argument above uses only that a stored map is
-an automorphism of the family, not that the walk found it, so the test
-may start from automorphisms the caller already knows; they prune from
-the first tied level on.  A wrong seed would prune a subtree that holds
-a smaller list, so each one is checked against the blocks first, which
-maps every block through it and so gives its block images.  When the
-test accepts, the caller's list gets the automorphisms the walk found
-and one transposition per pair of adjacent twin points, points that lie
-in exactly the same blocks.  The walk never branches inside a cell and
-twins are never separated, so it cannot find those swaps itself; with
-them the list generates the whole automorphism group of the family.
+Known automorphisms.  The argument above uses only that a stored map is
+an automorphism of the family, not that this walk found it, so a walk may
+start from automorphisms already known, which prune from the first tied
+level on; _least_children starts its walks from a search node's group.
+When the test accepts, it returns the automorphisms the walk found and
+one transposition per pair of adjacent twin points, points that lie in
+exactly the same blocks.  The walk never branches inside a cell and twins
+are never separated, so it cannot find those swaps itself; with them the
+list generates the whole automorphism group of the family.
 
 Deciding every child of a search node in one walk.  The orderly search
 asks, for a node F in least labeling on the points 0..v-1 with
@@ -188,7 +186,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import NotUniformError, ParameterOutOfRangeError, VerificationError
+from .errors import FormatError, NotUniformError, VerificationError
 
 
 def _split(cell: list[int], size: list[int], key: list[int], weight: list[int],
@@ -265,25 +263,17 @@ def _in_tried_orbit(level: list, emit: int, autos: list[list[int]],
     return False
 
 
-def _block_images(members: tuple[tuple[int, ...], ...], v: int,
-                  automorphisms: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The index of the image of each block under each automorphism, after
-    checking that every automorphism, given as the list of images of
-    0..v-1, permutes the points and maps each block onto a block."""
-    by_mask = {sum(1 << p for p in b): bi for bi, b in enumerate(members)}
-    points = set(range(v))
-    images = []
-    for g in automorphisms:
-        try:
-            ok = all(type(q) is int for q in g) and len(g) == v and set(g) == points
-            blocks_to = [by_mask.get(sum(1 << g[p] for p in b)) for b in members] if ok else [None]
-        except (TypeError, IndexError):  # no sequence, or a block point beyond v
-            blocks_to = [None]
-        if None in blocks_to:
-            raise ParameterOutOfRangeError(
-                f"{g!r} is not an automorphism of the blocks on points 0..{v - 1}")
-        images.append(blocks_to)
-    return images
+def _block_images(members: tuple[tuple[int, ...], ...],
+                  automorphisms: list[list[int]]) -> list[list[int]]:
+    """The index of the image of each block under each automorphism, given
+    as the list of point images.  The automorphisms come from the walks, so
+    one that maps a block off the family is a fault of the search."""
+    index = {b: bi for bi, b in enumerate(members)}
+    try:
+        return [[index[tuple(sorted(map(g.__getitem__, b)))] for b in members]
+                for g in automorphisms]
+    except KeyError:
+        raise VerificationError("a generator of a search node is no automorphism") from None
 
 
 def _twin_swaps(members: tuple[tuple[int, ...], ...], v: int) -> list[list[int]]:
@@ -451,31 +441,31 @@ class _Tree:
 
 
 def _minimize(blocks: Sequence[Sequence[int]], test_only: bool,
-              seed: list | None = None) -> tuple[tuple[int, ...], ...] | bool:
-    ident = tuple(sorted({tuple(sorted(set(b))) for b in blocks}))
+              found: list | None = None) -> tuple[tuple[int, ...], ...] | bool:
+    try:
+        rows = [tuple(b) for b in blocks]
+        # type() and not isinstance(): bool is an int subclass, and the sets
+        # below would read True and 1.0 as the point 1
+        well_typed = {type(p) for b in rows for p in b} <= {int}
+    except TypeError:  # the blocks, or one of them, are no iterable
+        well_typed = False
+    if not well_typed:
+        raise FormatError("blocks must be iterables of integer points")
+    ident = tuple(sorted({tuple(sorted(set(b))) for b in rows}))
     if len({len(b) for b in ident}) > 1:
         raise NotUniformError("canonical labeling needs a uniform family")
     points = sorted({p for b in ident for p in b})
     v = len(points)
     if test_only and points != list(range(v)):
-        # checked before any mask is built, as a point id may be huge
-        if seed:
-            raise ParameterOutOfRangeError(
-                f"{seed[0]!r} is not an automorphism of the blocks on points 0..{v - 1}")
         return False  # the least list labels its points 0..v-1
-    index = {p: i for i, p in enumerate(points)}
-    members = tuple(tuple(index[p] for p in b) for b in ident)
-    # the seeded automorphisms, checked against the blocks
-    images = [] if seed is None else _block_images(members, v, seed)
     if not ident:
         return True if test_only else ()
+    index = {p: i for i, p in enumerate(points)}
+    members = tuple(tuple(index[p] for p in b) for b in ident)
     tree = _Tree(members, v, len(members))
-    tree.autos = [] if seed is None else list(seed)
-    tree.images = images
     result = tree.walk(test_only, *tree.root(), [], [])
-    if result is True and seed is not None:
-        seed += tree.autos[len(seed):]
-        seed += _twin_swaps(members, v)
+    if result is True and found is not None:
+        found += tree.autos + _twin_swaps(members, v)
     return result
 
 
@@ -555,8 +545,8 @@ def _sifted(gens: list[list[int]], w: int) -> list[list[int]]:
     return kept
 
 
-def _group(generators: Sequence[list[int]] = (),
-           stabiliser: tuple | None = None) -> Sequence[list[int]]:
+def _group(generators: Sequence[list[int]],
+           stabiliser: tuple | None) -> Sequence[list[int]]:
     """The generators of a search node's automorphism group, from the form
     (generators, stabiliser) its record holds the group in.  A node built
     from scratch holds the generators of its whole group and no
@@ -565,7 +555,7 @@ def _group(generators: Sequence[list[int]] = (),
     b's fresh points, and as stabiliser b's _orbit data (carry, steps,
     parents) under F's generators, those generators and F + b's point
     count w, from which Schreier's lemma gives b's stabiliser; the whole
-    list is then sifted.  The empty form stands for no automorphisms."""
+    list is then sifted."""
     if stabiliser is None:
         return generators
     return _sifted(_schreier(*stabiliser) + list(generators), stabiliser[-1])
@@ -587,7 +577,7 @@ def _least_children(blocks: Sequence[tuple[int, ...]], group: Sequence[Sequence[
     w = max([v] + [b[-1] + 1 for b in cands])
     fixed = list(range(v, w))
     gens = [list(g) + fixed for g in group]
-    images = _block_images(members, w, gens)
+    images = _block_images(members, gens)
     # The observers, numbered on from n: the orbit under G of each
     # candidate that is least in its orbit.  Observer xi belongs to
     # candidate owner[xi], which carry[xi] maps onto it, and moves[xi]
@@ -720,7 +710,8 @@ def _least_children(blocks: Sequence[tuple[int, ...]], group: Sequence[Sequence[
 
 def least_block_list(blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least relabeled sorted block list of a uniform
-    family; blocks of several sizes raise NotUniformError."""
+    family; blocks of several sizes raise NotUniformError, and blocks that
+    are no iterables of int points raise FormatError."""
     result = _minimize(blocks, test_only=False)
     assert not isinstance(result, bool)
     return result
@@ -729,12 +720,11 @@ def least_block_list(blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
 def is_least_labeling(blocks: Sequence[Sequence[int]],
                       automorphisms: list | None = None) -> bool:
     """True iff the blocks, as labeled, already form the least list.
-    Blocks of several sizes raise NotUniformError, with automorphisms
-    left unread.
+    Blocks of several sizes raise NotUniformError, and blocks that are no
+    iterables of int points raise FormatError.
 
-    automorphisms, if given, is a list of automorphisms of the blocks, each
-    the list of images of the points 0..v-1; they prune the test from the
-    start, and an entry that is not one raises ParameterOutOfRangeError.
-    On True the list is extended to generators of the blocks' whole
-    automorphism group; on False it is left as it was."""
+    automorphisms, if given, is a list that receives output only: on True,
+    generators of the blocks' whole automorphism group are appended to it,
+    each the list of images of the points 0..v-1.  Its entries are never
+    read, and on False or an error it is left as it was."""
     return bool(_minimize(blocks, True, automorphisms))

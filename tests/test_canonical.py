@@ -6,7 +6,7 @@ import pytest
 from miflab import canonical
 from miflab.canonical import is_least_labeling, least_block_list
 from miflab.constructions import bg_family, complete_family, projective_plane, triangle
-from miflab.errors import NotUniformError, ParameterOutOfRangeError
+from miflab.errors import FormatError, NotUniformError
 from miflab.family import Family
 
 
@@ -286,9 +286,10 @@ def test_empty_and_degenerate():
 ])
 def test_blocks_of_several_sizes_are_refused(blocks):
     # the integer keys rank blocks of one size only, so a family whose
-    # blocks have several sizes is refused before a seed is read
+    # blocks have several sizes is refused, and the output list is left as
+    # it was, whatever it holds
     v = len({p for b in blocks for p in b})
-    for seed in ([], [list(range(v))], [[7]]):  # the last is no automorphism
+    for seed in ([], [list(range(v))], [[7]]):
         given = [g[:] for g in seed]
         with pytest.raises(NotUniformError):
             is_least_labeling(blocks, given)
@@ -297,6 +298,32 @@ def test_blocks_of_several_sizes_are_refused(blocks):
         is_least_labeling(blocks)
     with pytest.raises(NotUniformError):
         least_block_list(blocks)
+
+
+@pytest.mark.parametrize("blocks", [
+    [[0, 1], [1, "a"]],          # points that do not sort
+    [5],                         # a block that is no iterable
+    5,                           # nor are the blocks
+    [[0, 1.5], [1, 2]],          # a float point
+    [[0, 1], [1.0, 2]],          # one that equals an int point
+    [[True, 2], [0, 2]],         # a bool point
+    [[0, 1, True], [1, 2]],      # one that a set would merge into 1
+])
+def test_points_that_are_not_ints_are_refused(blocks):
+    gens = []
+    with pytest.raises(FormatError):
+        least_block_list(blocks)
+    with pytest.raises(FormatError):
+        is_least_labeling(blocks, gens)
+    assert gens == []
+
+
+def test_any_iterables_of_int_points_are_read():
+    # negative and huge ints are points, which the least form relabels, and
+    # the blocks, and each block, may be read only once
+    assert least_block_list([[-3, 10**30], [10**30, 7]]) == ((0, 1), (0, 2))
+    assert least_block_list(iter([iter([2, 3]), (p for p in (3, 4))])) == ((0, 1), (0, 2))
+    assert is_least_labeling(iter([iter([0, 1]), (p for p in (0, 2))]))
 
 
 def test_blocks_of_sizes_one_to_six_match_brute_force():
@@ -520,9 +547,9 @@ def generated_order(gens, v):
 
 
 def test_seeded_test_agrees_and_returns_the_whole_group():
-    # any automorphisms may seed the test without changing its answer; on
-    # True the list comes back generating the group a scan finds, and on
-    # False it comes back as it was
+    # the list is output only: on True the test appends automorphisms that
+    # generate the group a scan finds, and on False it leaves the list as
+    # it was; entries already in it, automorphisms or not, are never read
     rng = random.Random(1414)
     accepted = 0
     for _ in range(150):
@@ -536,17 +563,21 @@ def test_seeded_test_agrees_and_returns_the_whole_group():
         v = len(used)
         for blocks in (base, list(least_block_list(base)), shuffle_points(rng, base)):
             group = automorphisms_by_scan(blocks, v)
-            seed = rng.sample(group, rng.randint(0, min(4, len(group))))
-            given = [g[:] for g in seed]
-            result = is_least_labeling(blocks, given)
+            found = []
+            result = is_least_labeling(blocks, found)
             assert result == is_least_labeling(blocks), blocks
+            # no permutation, and a permutation outside the group if any
+            strangers = [[7]] + [g for g in map(list, permutations(range(v)))
+                                 if g not in group][:1]
+            given = [g[:] for g in strangers]
+            assert is_least_labeling(blocks, given) == result, blocks
             if not result:
-                assert given == seed
+                assert found == [] and given == strangers
                 continue
             accepted += 1
-            assert given[:len(seed)] == seed
-            assert all(g in group for g in given)
-            assert generated_order(given, v) == len(group), blocks
+            assert given == strangers + found
+            assert all(g in group for g in found)
+            assert generated_order(found, v) == len(group), blocks
     assert accepted > 150
 
 
@@ -559,42 +590,17 @@ def test_symmetric_families_return_their_whole_group():
         assert generated_order(gens, max(b[-1] for b in blocks) + 1) == order
 
 
-@pytest.mark.parametrize("seed", [
-    [[0, 1, 2]],                 # too short
-    [[0, 1, 2, 3, 3]],           # a repeated image
-    [[0, 1, 2, 3, 5]],           # an image beyond the points
-    [[0, 1, 2, 4, True]],        # a bool is no point
-    [[0, 1, 2, 3, 4.0]],         # nor is a float
-    [[0, 1, 2, 3, "4"]],
-    [7],                         # no sequence
-    [[1, 0, 2, 3, 4], [0, 1, 2, 3, 4]],  # the first maps (0,2,3) onto (1,2,3)
-])
-def test_bad_seed_is_refused(seed):
-    # K(3) minus one block on 0..4; a wrong seed could prune the subtree
-    # that holds a smaller list, so it is refused before the walk
-    blocks = [b for b in complete_family(3).blocks if b != (1, 2, 3)]
-    with pytest.raises(ParameterOutOfRangeError, match="automorphism"):
-        is_least_labeling(blocks, seed)
-
-
 def test_seed_on_points_other_than_0_to_v_minus_1_is_refused():
-    with pytest.raises(ParameterOutOfRangeError):
-        is_least_labeling([(0, 2), (2, 5)], [[0, 1, 2]])
     gens = []
     assert not is_least_labeling([(0, 2), (2, 5)], gens) and gens == []
 
 
 def test_seeded_test_on_a_huge_point_id_allocates_nothing():
-    # the points are checked before a seed is: masks over the raw ids ended
-    # in a MemoryError under the cap
+    # the points are checked before any list over them is built: masks over
+    # the raw ids ended in a MemoryError under the cap
     from test_search import run_with_address_limit
     code = ("from miflab.canonical import is_least_labeling\n"
-            "from miflab.errors import ParameterOutOfRangeError\n"
-            "try:\n"
-            "    is_least_labeling([[0, 10**11]], [[0, 1]])\n"
-            "except ParameterOutOfRangeError:\n"
-            "    print('refused')\n"
             "print(is_least_labeling([[0, 10**11]], []))\n")
     run = run_with_address_limit("-c", code)
     assert run.returncode == 0 and run.stderr == "", run.stderr
-    assert run.stdout == "refused\nFalse\n"
+    assert run.stdout == "False\n"

@@ -17,7 +17,7 @@ from miflab.bounds import (improved_upper, proven_point_cap, tuza_conjecture_val
 from miflab.canonical import least_block_list
 from miflab.constructions import complete_family, projective_plane
 from miflab.errors import (BudgetExceededError, FormatError, ParameterOutOfRangeError,
-                           UnsupportedKError, UnsupportedParamsError)
+                           UnsupportedKError, UnsupportedParamsError, VerificationError)
 from miflab.family import mask_of
 from miflab.isp import SetPairSystem, bollobas_sum, validate_isp
 from miflab.mif import is_mif, is_one_critical
@@ -158,7 +158,8 @@ def test_node_step_matches_subset_scan_on_whole_trees(monkeypatch, k, p_max, tot
 def test_node_step_matches_subset_scan_on_random_descents(monkeypatch):
     # every fresh-id child is kept, so the descents reach nodes that are
     # not least-labeled, and k = 4, which the search refuses
-    monkeypatch.setattr(search, "_least_children", lambda blocks, group, cands: [[]] * len(cands))
+    monkeypatch.setattr(search, "_least_children",
+                        lambda blocks, group, cands: [((), None)] * len(cands))
     monkeypatch.setattr(search, "is_least_labeling", lambda blocks, automorphisms=None: True)
     rng = random.Random(20140)
     steps = 0
@@ -167,7 +168,7 @@ def test_node_step_matches_subset_scan_on_random_descents(monkeypatch):
         p_max = rng.randint(2 * k - 1, 2 * k + 4)
         blocks = (tuple(range(k)),)
         while True:
-            full, children = _node_step(blocks, k, (), _addable(blocks, p_max))
+            full, children = _node_step(blocks, k, ((), None), _addable(blocks, p_max))
             children = [c[0] for c in children]
             assert (full, children) == reference_node_step(blocks, k, p_max), (k, p_max, blocks)
             steps += 1
@@ -184,24 +185,34 @@ def fresh_candidates(blocks, p_max):
     return [c for c, dm in _addable(blocks, p_max) if (dm >> v) & ((dm >> v) + 1) == 0]
 
 
+def is_automorphism(g, blocks, w):
+    """True iff g, a list of point images, permutes range(w) and maps the
+    blocks, sorted tuples on those points, onto themselves."""
+    as_set = set(blocks)
+    return (all(type(q) is int for q in g) and sorted(g) == list(range(w))
+            and all(tuple(sorted(g[p] for p in b)) in as_set for b in blocks))
+
+
 def check_children(blocks, group, cands, check_order=True):
-    """Each verdict of _least_children is the canonical test's, seeded with
-    the child's generators, built from the form it returns, which the test
-    refuses unless they are automorphisms and extends to generators of the
-    whole group.  With check_order they generate that group: the one a scan
-    of every permutation finds on up to six points, else the one the
-    test's list generates."""
+    """Each verdict of _least_children is the seedless canonical test's,
+    and each generator built from the form it returns is an automorphism
+    of the child.  With check_order they generate its whole group: the
+    one a scan of every permutation finds on up to six points, else the
+    one the test's own generators generate."""
     verdicts = search._least_children(blocks, group, cands)
     assert len(verdicts) == len(cands)
     for cand, deferred in zip(cands, verdicts):
         gens = None if deferred is None else canonical._group(*deferred)
         child = blocks + (cand,)
-        whole = [] if gens is None else [g[:] for g in gens]
-        assert (gens is not None) == canonical.is_least_labeling(child, whole), child
-        if gens is not None and check_order:
-            w = max(b[-1] for b in child) + 1
+        found = []
+        assert (gens is not None) == canonical.is_least_labeling(child, found), child
+        if gens is None:
+            continue
+        w = max(b[-1] for b in child) + 1
+        assert all(is_automorphism(g, child, w) for g in gens), child
+        if check_order:
             order = (len(automorphisms_by_scan(child, w)) if w <= 6
-                     else generated_order(whole, w))
+                     else generated_order(found, w))
             assert generated_order(gens, w) == order, child
 
 
@@ -235,6 +246,13 @@ def test_least_children_match_the_test_on_the_k4_cap_7_tree(monkeypatch):
     assert len(calls) == 35
     for blocks, group, cands in calls:
         check_children(blocks, group, cands, check_order=False)
+
+
+def test_least_children_refuse_a_generator_that_is_no_automorphism():
+    # the generators come from the search's own walks, so one that maps a
+    # block off the node is a fault of the search, not bad input
+    with pytest.raises(VerificationError, match="no automorphism"):
+        search._least_children(((0, 1, 2), (0, 1, 3)), [[1, 2, 0, 3]], [(0, 2, 3)])
 
 
 def test_least_children_match_the_test_on_random_families():
@@ -464,7 +482,7 @@ def test_addable_matches_subset_scan_on_k3_trees(p_max):
         want = [(c, mask_of(c)) for c in combinations(range(p_max), 3)
                 if c > blocks[-1] and all(mask_of(c) & m for m in masks)]
         assert _addable(blocks, p_max) == want, blocks
-        stack.extend(c[0] for c in _node_step(blocks, 3, (), _addable(blocks, p_max))[1])
+        stack.extend(c[0] for c in _node_step(blocks, 3, ((), None), _addable(blocks, p_max))[1])
 
 
 @pytest.mark.parametrize("k, p_max, total", [(2, 5, 4), (3, 7, 158), (3, 9, 192),
