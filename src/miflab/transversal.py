@@ -25,6 +25,25 @@ the collecting path keeps ties (prune when ``depth + bound > best``) and
 so gathers every minimum set in the same pass.  A subset-scan oracle
 double-checks both at small scale.
 
+A node's room is the number of points it may still add: ``best - depth``
+in the collecting mode, one less in the ``tau`` mode.  A node with no room
+and an uncovered block is pruned at once, and the packing loop stops as
+soon as it has found more disjoint blocks than the room allows, since
+either way the bound already exceeds it.  A node with room 1 decides its
+children itself, which have no room left: child ``i`` is a leaf exactly
+when ``pi`` lies in every uncovered block, so the leaves are the points of
+the AND of the uncovered blocks.  They hit the most blocks, so they are
+the first children in the order above, and they come in ascending order.
+Each passes the same depth check and updates ``best`` and the found list
+as a popped leaf would; in the ``tau`` mode the first one makes the rest
+too deep.  Every other child leaves a block uncovered and would be pruned
+as soon as it was popped, so the children are counted but none is
+pushed.  A non-zero AND also means no two uncovered blocks are disjoint,
+so the packing bound is 1 there and its loop is skipped.  A node, in the
+count the kernel reports, is a child in the tree, whether pushed and
+popped or decided at its parent; the counts are those of a walk that
+pushes every child.
+
 Points, blocks and hitting sets are int bitmasks throughout the kernel.
 Its answers stay masks until ``Family._from_masks`` builds the transversal
 family, which sorts them once and does not re-validate them.
@@ -34,7 +53,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 from .errors import EmptyBlockError, OracleTooLargeError, VerificationError
 from .family import Family, mask_of
@@ -86,14 +107,38 @@ def _hitting_sets(masks, collect: bool,
             else:
                 found.append(chosen)
             continue
-        # packing bound: pairwise-disjoint uncovered blocks each need a point
-        bound = depth + slack
-        union = 0
-        for m in uncovered:
-            if not m & union:
-                bound += 1
-                union |= m
-        if bound > best:
+        room = best - depth - slack     # points this node may still add
+        if not room:                    # an uncovered block needs one more
+            continue
+        # at the last level a child is a leaf iff its point is in every
+        # uncovered block; a non-zero AND also packs just one block
+        common = reduce(and_, uncovered) if room == 1 else 0
+        if not common:
+            # packing bound: pairwise-disjoint uncovered blocks each need a
+            # point; more than room of them prune the node
+            packed = 0
+            union = 0
+            for m in uncovered:
+                if not m & union:
+                    packed += 1
+                    if packed > room:
+                        break
+                    union |= m
+            if packed > room:
+                continue
+        if room == 1:
+            # the children, counted here but not pushed: the points of
+            # common are the leaves, popped first in ascending order; every
+            # other child leaves a block uncovered and would be pruned
+            nodes += min(map(int.bit_count, uncovered))
+            depth += 1                  # the leaves' depth, checked as on a pop
+            while common and depth + slack <= best:
+                low = common & -common
+                common ^= low
+                if depth < best:
+                    best, found = depth, [chosen | low]
+                else:
+                    found.append(chosen | low)
             continue
         block = min(uncovered, key=int.bit_count)
         # children in order of (-hit count, point bit); sum(...) // low

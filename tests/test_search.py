@@ -527,6 +527,26 @@ def test_node_step_asks_the_kernel_once(monkeypatch):
     assert calls[0] == 192
 
 
+@pytest.mark.parametrize("p_max, kernel_nodes, kernel_calls", [
+    (7, 2165, 158), (8, 2172, 182), (9, 2137, 192)])
+def test_node_step_kernel_walks_a_fixed_tree(monkeypatch, p_max, kernel_nodes, kernel_calls):
+    # the summed kernel nodes of the node steps' limit-k collect calls, on
+    # blocks plus the used parts of the addable blocks (mixed sizes); any
+    # change to the tree the kernel walks moves them
+    totals = [0, 0]
+    hitting_sets = search._hitting_sets
+
+    def counting_hitting_sets(*args):
+        answer = hitting_sets(*args)
+        totals[0] += answer[2]
+        totals[1] += 1
+        return answer
+
+    monkeypatch.setattr(search, "_hitting_sets", counting_hitting_sets)
+    enumerate_mifs(3, p_max)
+    assert totals == [kernel_nodes, kernel_calls]
+
+
 def test_k2_enumeration_is_the_triangle():
     result = enumerate_mifs(2, 4)
     assert len(result.families) == 1

@@ -2,12 +2,66 @@ import random
 
 import pytest
 
+from miflab import isp, search, transversal
 from miflab.constructions import bg_family, complete_family, projective_plane, triangle
 from miflab.errors import EmptyBlockError, OracleTooLargeError
-from miflab.family import Family
-from miflab.transversal import (INFINITE_TAU, brute_force_transversals, tau,
-                                tau_with_nodes, transversal_family)
+from miflab.family import Family, mask_of
+from miflab.isp import extract_isp
+from miflab.mif import collapse
+from miflab.search import enumerate_mifs
+from miflab.transversal import (INFINITE_TAU, _hitting_sets, brute_force_transversals,
+                                tau, tau_with_nodes, transversal_family)
 from miflab.verify import random_uniform_family
+
+
+def reference_hitting_sets(masks, collect, limit=None):
+    """The kernel's branch and bound with every child pushed and popped,
+    its last level included, and the packing bound always counted in full:
+    a slow oracle for the size, the found list in order and the node count."""
+    top = len(masks) if limit is None else limit
+    best = top if collect else top + 1
+    slack = 0 if collect else 1
+    found = []
+    nodes = 0
+    stack = [(0, 0, list(masks), 0, 0)]
+    while stack:
+        chosen, depth, parent, bit, forbid = stack.pop()
+        nodes += 1
+        if depth + slack > best:
+            continue
+        if forbid:
+            keep = ~forbid
+            uncovered = [m & keep for m in parent if not m & bit]
+            if 0 in uncovered:
+                continue
+        else:
+            uncovered = [m for m in parent if not m & bit]
+        if not uncovered:
+            if depth < best:
+                best, found = depth, [chosen]
+            else:
+                found.append(chosen)
+            continue
+        bound = depth + slack
+        union = 0
+        for m in uncovered:
+            if not m & union:
+                bound += 1
+                union |= m
+        if bound > best:
+            continue
+        block = min(uncovered, key=int.bit_count)
+        order = []
+        rest = block
+        while rest:
+            low = rest & -rest
+            order.append((-(sum(map(low.__and__, uncovered)) // low), low))
+            rest ^= low
+        order.sort(reverse=True)
+        for _, low in order:
+            block ^= low
+            stack.append((chosen | low, depth + 1, uncovered, low, block))
+    return (best if found else top + 1), found, nodes
 
 
 def test_tau_single_block():
@@ -184,3 +238,88 @@ def test_deep_input_has_no_recursion_limit():
     rep = transversal_family(fam)
     assert rep.tau == 1100
     assert rep.transversals.blocks == (tuple(range(1100)),)
+
+
+def random_masks(rng, uniform):
+    """1-40 non-empty masks on up to 24 points, of one size or of sizes
+    1-6, with duplicates and, when the sizes are mixed, nested masks."""
+    v = rng.randint(1, 24)
+    size = rng.randint(1, min(6, v))
+    masks = []
+    for _ in range(rng.randint(1, 40)):
+        roll = rng.random()
+        if masks and roll < 0.15:
+            masks.append(rng.choice(masks))
+        elif masks and roll < 0.3 and not uniform:
+            m = rng.choice(masks)
+            grow = rng.random() < 0.5 or m.bit_count() == 1
+            masks.append(m | 1 << rng.randrange(v) if grow else m & (m - 1))
+        else:
+            points = rng.sample(range(v), size if uniform else rng.randint(1, min(6, v)))
+            masks.append(mask_of(points))
+    return masks
+
+
+def test_kernel_matches_reference_on_random_masks():
+    # both modes at every limit the callers use: none, 0, 1, the largest
+    # block size k and tau - 1, where no set fits and the answer is limit + 1
+    rng = random.Random(2828)
+    answers = {"fit": 0, "none fit": 0, "tau mode": 0, "collect mode": 0}
+    for i in range(600):
+        masks = random_masks(rng, uniform=i % 2 == 0)
+        t = reference_hitting_sets(masks, False)[0]
+        k = max(map(int.bit_count, masks))
+        for limit in (None, 0, 1, k, t - 1):
+            for collect in (False, True):
+                want = reference_hitting_sets(masks, collect, limit)
+                assert _hitting_sets(masks, collect, limit) == want, (masks, collect, limit)
+                answers["fit" if want[1] else "none fit"] += 1
+                answers["collect mode" if collect else "tau mode"] += 1
+    assert min(answers.values()) >= 1000, answers
+
+
+def record_kernel_calls(monkeypatch, modules, run):
+    """Run run() with the kernel, as the modules look it up, recording
+    each call's arguments and answer."""
+    calls = []
+
+    def recording_hitting_sets(masks, collect, limit=None):
+        answer = _hitting_sets(masks, collect, limit)
+        calls.append(((list(masks), collect, limit), answer))
+        return answer
+
+    for module in modules:
+        monkeypatch.setattr(module, "_hitting_sets", recording_hitting_sets)
+    run()
+    return calls
+
+
+@pytest.mark.parametrize("k, p_max", [(2, 3), (2, 4), (2, 5), (3, 5), (3, 6), (3, 7),
+                                      (3, 8), (3, 9)])
+def test_kernel_matches_reference_on_node_steps(monkeypatch, k, p_max):
+    # the node step's limit-k collect calls on blocks plus the used parts
+    # of the addable blocks, which mix the block sizes
+    calls = record_kernel_calls(monkeypatch, [search], lambda: enumerate_mifs(k, p_max))
+    assert calls
+    for args, answer in calls:
+        assert answer == reference_hitting_sets(*args), args
+
+
+def test_kernel_matches_reference_on_extraction_and_collapse(monkeypatch):
+    # set-pair extraction's tau - 1 queries in both modes, and the
+    # transversal families behind collapse's maximality test, merges and
+    # final check, on the 8 maximal families of triples, K(4), K(5), PG(2,3)
+    families = list(enumerate_mifs(3).families)
+    families += [complete_family(4), complete_family(5), projective_plane(3)]
+
+    def run():
+        for fam in families:
+            extract_isp(fam)
+            collapse(fam, min(fam.point_set()))
+            collapse(fam, max(fam.point_set()))
+
+    calls = record_kernel_calls(monkeypatch, [isp, transversal], run)
+    assert {(collect, limit is None) for (_, collect, limit), _ in calls} == {
+        (True, True), (True, False), (False, False)}
+    for args, answer in calls:
+        assert answer == reference_hitting_sets(*args), args
