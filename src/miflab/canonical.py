@@ -421,8 +421,6 @@ class _Tree:
                 while levels and levels[-1][4] == len(levels[-1][3]):
                     levels.pop()
                     out.pop()
-                if below is not None and below >= len(out):
-                    below = None
                 if not levels:
                     return True if test_only else tuple(best)
                 level = levels[-1]

@@ -14,15 +14,16 @@ filters its parent's list: a k-set meets every block of F + b iff it
 meets those of F and b, so it keeps the entries that follow b and meet
 it.  The walk holds one record per pending node, (blocks, automorphism
 group, addable list), and builds a child's record where the child is
-made.  Only the root, and a maximal family read from a checkpoint, build
-their record from scratch: a seedless canonical test for the group, and
-the list by the same filter folded over the k-sets below the cap that
-meet the first block.  A k-set meets it only if its least point is at
-most the block's largest, and those k-sets come first in combinations()
-order, so only that leading run is read.  The pending nodes of a
-checkpoint are children of the nodes on the walk's path, so reading one
-replays that path from the root's record, one node step's child
-decisions per node on it.
+made.  Only the root builds its record from scratch: a seedless
+canonical test for the group, and the list by the same filter folded
+over the k-sets below the cap that meet the root block.  A k-set meets
+it only if its least point is at most the block's largest, and those
+k-sets come first in combinations() order, so only that leading run is
+read.  The pending nodes of a checkpoint are children of the nodes on
+the walk's path, so reading one replays that path from the root's
+record, one node step's child decisions per node on it.  A maximal
+family read from one builds no record: a seedless canonical test and
+the leaf test, which needs no list or group, check it.
 One kernel call per node (``transversal.py``) finds the hitting sets T of
 at most k used points for the blocks plus the used parts of the addable
 blocks; T then hits every block of every descendant.  A maximal
@@ -50,8 +51,7 @@ built only when the child is expanded, that is when its own node step
 gets past the maximality test and the threat prune, so a child that is
 a leaf never pays for it.  The verdicts are those of the canonical
 test, so the tree and its node count are those of a walk without
-groups.  Only the root, and a maximal family read from a checkpoint,
-get their group from a seedless canonical test.
+groups.  Only the root gets its group from a seedless canonical test.
 
 Set-pair systems are searched directly over pair sequences: the pair count
 is capped by C(k+t, k), fresh points are introduced in first-use order,
@@ -83,7 +83,7 @@ theirs from, so a node's children are built only as the walk reaches
 them.  As an expanded node holds its lists, (k, t) whose lists one pair
 below the root could exceed MAX_LIST_ENTRIES subsets are refused before
 anything is built, as is an orderly search with more k-sets below its
-cap than that, from which its candidate lists are drawn.  A set-pair
+cap than that, which bounds the bits its lists hold.  A set-pair
 node is counted before the budget is checked, so a stop reports
 budget + 1 nodes.
 """
@@ -92,7 +92,6 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, takewhile
@@ -158,14 +157,13 @@ def _addable(blocks: Blocks, p_max: int) -> Addable:
     return addable
 
 
-def _record(blocks: Blocks, p_max: int) -> Record | None:
-    """The walk's record of a node, (blocks, automorphism group, addable
-    list), built from scratch by a seedless canonical test, whose
-    generators the record holds with no stabiliser to build, and _addable;
-    None if the blocks are not in least labeling."""
+def _root(k: int, p_max: int) -> Record:
+    """The root's record: the root block (0, ..., k-1), always in least
+    labeling, the generators of its seedless canonical test with no
+    stabiliser to build, and its _addable list."""
+    blocks = (tuple(range(k)),)
     group: list[list[int]] = []
-    if not is_least_labeling(blocks, group):
-        return None
+    is_least_labeling(blocks, group)
     return blocks, (group, None), _addable(blocks, p_max)
 
 
@@ -176,8 +174,8 @@ def _node_step(blocks: Blocks, k: int, group: tuple,
     record holds it, which canonical._group turns into automorphisms of
     the node, as lists of point images, once the node gets past the
     maximality test and the threat prune; addable is the node's _addable
-    list.  Any automorphisms give the exact children; each child's group
-    is whole when the node's is."""
+    list, all of which _children is offered.  Any automorphisms give the
+    exact children; each child's group is whole when the node's is."""
     last = blocks[-1]
     masks = [mask_of(b) for b in blocks]
     v = max(b[-1] for b in blocks) + 1
@@ -193,26 +191,22 @@ def _node_step(blocks: Blocks, k: int, group: tuple,
         return True, []  # maximal; and no extension of it can be
     if t < k or any(tm not in masks and bits_of(tm) <= last for tm in threats):
         return False, []
-
-    # the candidates: addable blocks whose new points are the next unused ids
-    starts = [i for i, (_, dm) in enumerate(addable) if (dm >> v) & ((dm >> v) + 1) == 0]
-    return False, [child for child in _children(blocks, group, addable, starts) if child]
+    return False, _children(blocks, group, addable, range(len(addable)))
 
 
-def _children(blocks: Blocks, group: tuple, addable: Addable,
-              picks: list[int]) -> list[Record | None]:
-    """The records of the children F + addable[i] of a node F, for the
-    ascending indices i in picks, or None for each that is not in least
-    labeling; each picked block's new points must be the next unused ids.
-    Here the node's group is built from the form its record holds."""
+def _children(blocks: Blocks, group: tuple, addable: Addable, picks) -> list[Record]:
+    """The records of the children F + addable[i] of a node F in least
+    labeling, for the ascending indices i in picks.  The orderly rule keeps
+    only the picked blocks whose new points are the next unused ids, and
+    the canonical test only the children in least labeling.  Here the
+    node's group is built from the form its record holds."""
+    v = max(b[-1] for b in blocks) + 1
+    picks = [i for i in picks if (addable[i][1] >> v) & ((addable[i][1] >> v) + 1) == 0]
     verdicts = _least_children(blocks, _group(*group), [addable[i][0] for i in picks])
-    children: list[Record | None] = []
-    for i, child_group in zip(picks, verdicts):
-        cand, dm = addable[i]
-        # a k-set meets every block of F + b iff it meets those of F and b
-        children.append(None if child_group is None else (
-            blocks + (cand,), child_group, [e for e in addable[i + 1:] if e[1] & dm]))
-    return children
+    # a k-set meets every block of F + b iff it meets those of F and b
+    return [(blocks + (addable[i][0],), child_group,
+             [e for e in addable[i + 1:] if e[1] & addable[i][1]])
+            for i, child_group in zip(picks, verdicts) if child_group is not None]
 
 
 def _walk(stack: list[Record], found: list[Blocks], nodes: int, k: int, p_max: int,
@@ -220,9 +214,9 @@ def _walk(stack: list[Record], found: list[Blocks], nodes: int, k: int, p_max: i
     """Expand the node records on stack depth-first, appending the maximal
     families to found; returns the node count, starting from nodes.  Each
     record is (blocks, the node's automorphism group in the form
-    canonical._group builds generators from, its addable list), as
-    _record builds it or _node_step for a child; a node's generators are
-    built only if it is expanded.
+    canonical._group builds generators from, its addable list), as _root
+    builds it for the root or _children for any other node; a node's
+    generators are built only if it is expanded.
 
     The budget is checked before each node: a stop writes the blocks of
     the untouched stack as the checkpoint and raises BudgetExceededError
@@ -328,40 +322,25 @@ def write_checkpoint(path, k: int, p_max: int, nodes: int,
             os.unlink(tmp)
 
 
-def _pending_records(pending: list[Blocks], p_max: int) -> list[Record | None]:
+def _pending_records(pending: list[Blocks], k: int, p_max: int) -> list[Record | None]:
     """The walk's records of pending nodes, each None if it is not in least
-    labeling, built as the walk builds children: the root's record from
-    scratch, then, for each node on the paths to the pending ones, in
-    length order, one _least_children call that decides the next blocks of
-    the pending nodes below it.  A next block that is no addable block of
-    the node, or whose new points are not the next unused ids, is not
-    least, nor is any node below a node that is not, as a prefix of a
-    least family is least."""
+    labeling, built as the walk builds children: the root's by _root, then
+    one _children call per node on the paths to the pending ones, in length
+    order, offered the node's addable blocks that are next blocks of those
+    below it.  No node below one that is not least is least, as a prefix of
+    a least family is least."""
     below: dict[Blocks, set[tuple[int, ...]]] = {}
     for blocks in pending:
         for j in range(1, len(blocks)):
             below.setdefault(blocks[:j], set()).add(blocks[j])
-    root = pending[0][:1]
-    built: dict[Blocks, Record | None] = {root: _record(root, p_max)}
+    root = _root(k, p_max)
+    built: dict[Blocks, Record] = {root[0]: root}
     for prefix in sorted(below, key=len):
-        nexts = sorted(below[prefix])
-        built.update((prefix + (b,), None) for b in nexts)
-        record = built[prefix]
-        if record is None:
-            continue
-        addable, v = record[2], max(b[-1] for b in prefix) + 1
-        picks = []
-        for b in nexts:
-            i = bisect_left(addable, (b,))
-            # an addable block whose new points are the next unused ids
-            if i < len(addable) and addable[i][0] == b and (
-                    (addable[i][1] >> v) & ((addable[i][1] >> v) + 1) == 0):
-                picks.append(i)
-        if picks:
-            for child in _children(*record, picks):
-                if child:
-                    built[child[0]] = child
-    return [built[blocks] for blocks in pending]
+        record = built.get(prefix)
+        if record is not None:
+            picks = [i for i, (b, _) in enumerate(record[2]) if b in below[prefix]]
+            built.update((child[0], child) for child in _children(*record, picks))
+    return [built.get(blocks) for blocks in pending]
 
 
 def read_checkpoint(path, k: int, p_max: int) -> tuple[int, list[Record], list[Blocks]]:
@@ -411,19 +390,20 @@ def read_checkpoint(path, k: int, p_max: int) -> tuple[int, list[Record], list[B
             unparsed = exc
             break
     pending_blocks = [blocks for tag, _, blocks in parsed if tag == "F"]
-    replayed = iter(_pending_records(pending_blocks, p_max) if pending_blocks else [])
+    replayed = iter(_pending_records(pending_blocks, k, p_max) if pending_blocks else [])
     pending: list[Record] = []
     found: list[Blocks] = []
     ends: set[Blocks] = set()  # the pending records so far
     paths: set[Blocks] = set()  # and their prefixes
     for tag, rest, blocks in parsed:
-        record = next(replayed) if tag == "F" else _record(blocks, p_max)
-        if record is None:
+        # an F line's replayed record, or an M line's seedless canonical test
+        record = next(replayed) if tag == "F" else is_least_labeling(blocks)
+        if not record:
             raise FormatError(f"bad checkpoint record {rest!r}: not in least labeling")
         if tag == "M":
-            _, group, addable = record
-            # without an addable block the leaf test builds no child
-            if addable or not _node_step(blocks, k, group, addable)[0]:
+            # a maximal family has no addable block, so the leaf test needs
+            # no list, and no group as it builds no child
+            if not _node_step(blocks, k, ((), None), [])[0]:
                 raise FormatError(f"bad checkpoint record {rest!r}: not a maximal family")
             found.append(blocks)
         elif blocks in paths or any(blocks[:j] in ends for j in range(1, len(blocks))):
@@ -447,13 +427,16 @@ def enumerate_mifs(k: int, p_max: int | None = None, *, budget: int | None = Non
 
     Budget counts visited tree nodes, and a stop reports exactly the
     budget; a negative budget is refused, and so, before anything is
-    built, is a p_max with more than MAX_LIST_ENTRIES k-sets below it,
-    from which the candidate lists are drawn.  The root's list is read
-    from the leading run of those k-sets, in combinations() order, that
-    start at a point of the root block.  With a checkpoint path the
-    pending stack and results are written every checkpoint_every nodes
-    and on budget exhaustion; a resume path continues such a run, and the
-    resumed result and node count equal those of an uninterrupted run."""
+    built, is a p_max with more than MAX_LIST_ENTRIES k-sets below it.
+    The root's list, which every other list filters, is read from the
+    leading run of those k-sets, in combinations() order, that start at a
+    point of the root block: at most k C(p_max - 1, k - 1) entries, each
+    with a p_max-bit mask, so at most k^2 C(p_max, k) bits, where a bound
+    on its entries alone would admit masks of any width.  With a
+    checkpoint path the pending stack and results are written every
+    checkpoint_every nodes and on budget exhaustion; a resume path
+    continues such a run, and its result and node count are those of an
+    uninterrupted run."""
     _check_int("k", k)
     if k not in (2, 3):
         raise UnsupportedKError(f"exhaustive search supports k in {{2, 3}}, got {k}")
@@ -466,15 +449,15 @@ def enumerate_mifs(k: int, p_max: int | None = None, *, budget: int | None = Non
     _check_count("the node budget", budget)
     if checkpoint_path:
         _check_int("checkpoint_every", checkpoint_every, 1)
-    if comb(p_max, k) > MAX_LIST_ENTRIES:  # the k-sets every candidate list is drawn from
+    if comb(p_max, k) > MAX_LIST_ENTRIES:  # it bounds the bits of every list, not only entries
         raise UnsupportedParamsError(
             f"p_max = {p_max} is too large for the search: its candidate lists would "
             f"be drawn from C({p_max}, {k}) > {MAX_LIST_ENTRIES} {k}-sets")
 
     if resume_path:
         nodes, stack, found = read_checkpoint(resume_path, k, p_max)
-    else:  # the root block is in least labeling
-        nodes, stack, found = 0, [_record((tuple(range(k)),), p_max)], []
+    else:
+        nodes, stack, found = 0, [_root(k, p_max)], []
 
     nodes = _walk(stack, found, nodes, k, p_max, budget, checkpoint_path, checkpoint_every)
 

@@ -162,6 +162,12 @@ def test_text_parse_errors_carry_position():
         Family.from_text("b 1 b\n")
     with pytest.raises(FormatError, match="line 2, column 3: expected 'b'"):
         Family.from_text("b 0 1\n  x 2\n")
+    with pytest.raises(FormatError, match="line 1, column 3: negative point id -1"):
+        Family.from_text("b -1 2\n")
+    # blank lines are skipped, and still counted
+    with pytest.raises(FormatError, match="line 4, column 1: expected 'b'"):
+        Family.from_text("\nb 0 1\n \nx 2\n")
+    assert Family.from_text("\nb 0 1\n\n  \nb 1 2\n") == Family([[0, 1], [1, 2]], 3)
 
 
 def test_json_parse_errors_carry_position():
@@ -171,6 +177,19 @@ def test_json_parse_errors_carry_position():
         Family.from_json('{"universe": 3}')
     with pytest.raises(FormatError):
         Family.from_json('{"universe": 3, "blocks": [[0, "x"]]}')
+
+
+@pytest.mark.parametrize("text, message", [
+    ('[1]', "must be an object"),
+    ('{"universe": 3, "blocks": 5}', '"blocks" must be a list'),
+    ('{"universe": 3, "blocks": [5]}', "bad block 5"),
+    ('{"universe": 3, "blocks": [[0]], "labels": [0, 1, 2]}', '"labels" must be a list of strings'),
+    ('{"universe": -1, "blocks": []}', "non-negative"),
+], ids=["not-an-object", "blocks-not-a-list", "block-not-a-list", "labels-not-strings",
+        "negative-universe"])
+def test_json_refuses_malformed_families(text, message):
+    with pytest.raises(FormatError, match=message):
+        Family.from_json(text)
 
 
 def test_json_rejects_bool_as_integer():

@@ -36,6 +36,9 @@ def test_validate_overlap_violation():
 def test_validate_declared_sizes():
     verdict = validate_isp(SetPairSystem([((0, 1), (2,))], k=3, t=1))
     assert not verdict.ok and verdict.violation == (0, -1, "size")
+    verdict = validate_isp(SetPairSystem([((0, 1), (2,))], k=2, t=2))
+    assert not verdict.ok and verdict.violation == (0, -1, "size")
+    assert "declared t = 2" in verdict.message
 
 
 def test_validate_rejects_repeated_left_sets():

@@ -22,7 +22,7 @@ from miflab.family import mask_of
 from miflab.isp import SetPairSystem, bollobas_sum, validate_isp
 from miflab.mif import is_mif, is_one_critical
 from miflab.search import (MAX_LIST_ENTRIES, IspSearchResult, _addable, _extend_hitters,
-                           _node_step, _record, compute_n, compute_N, enumerate_mifs,
+                           _node_step, _root, compute_n, compute_N, enumerate_mifs,
                            read_checkpoint, search_isp, write_checkpoint)
 from test_canonical import automorphisms_by_scan, generated_order
 
@@ -113,11 +113,21 @@ def reference_node_step(blocks, k, p_max):
     return False, children
 
 
+def record_from_scratch(blocks, p_max):
+    """A node's record as the walk holds it, built from scratch: the
+    generators of a seedless canonical test, with no stabiliser, and
+    _addable's list; None if the blocks are not in least labeling."""
+    group = []
+    if not canonical.is_least_labeling(blocks, group):
+        return None
+    return blocks, (group, None), _addable(blocks, p_max)
+
+
 def walk_with_groups(k, p_max):
     """Every node of the search tree with the generators of the automorphism
     group the walk carries to it, built from its record, in the order _walk
     visits them."""
-    stack = [_record((tuple(range(k)),), p_max)]
+    stack = [_root(k, p_max)]
     while stack:
         blocks, group, addable = stack.pop()
         yield blocks, canonical._group(*group)
@@ -241,7 +251,7 @@ def test_least_children_match_the_test_on_the_k4_cap_7_tree(monkeypatch):
         return least_children(blocks, group, cands)
 
     monkeypatch.setattr(search, "_least_children", recording)
-    assert search._walk([_record(((0, 1, 2, 3),), 7)], [], 0, 4, 7, None) == 182
+    assert search._walk([_root(4, 7)], [], 0, 4, 7, None) == 182
     monkeypatch.setattr(search, "_least_children", least_children)
     assert len(calls) == 35
     for blocks, group, cands in calls:
@@ -402,7 +412,7 @@ def test_groups_are_built_only_for_expanded_nodes(monkeypatch):
     assert enumerate_mifs(3, 9).nodes == 192
     assert sifts[0] == expanded[0] - 1 == 58
     sifts[0] = expanded[0] = 0
-    assert search._walk([_record(((0, 1, 2, 3),), 7)], [], 0, 4, 7, None) == 182
+    assert search._walk([_root(4, 7)], [], 0, 4, 7, None) == 182
     assert sifts[0] == expanded[0] - 1 == 34
 
 
@@ -412,7 +422,7 @@ def test_k4_cap_7_finds_only_the_complete_family(monkeypatch):
     # seeded test per child)
     found = []
     nodes, splits = count_splits(monkeypatch, lambda: search._walk(
-        [_record(((0, 1, 2, 3),), 7)], found, 0, 4, 7, None))
+        [_root(4, 7)], found, 0, 4, 7, None))
     assert nodes == 182
     assert splits == 26398
     assert [least_block_list(f) for f in found] == [
@@ -454,7 +464,7 @@ def test_root_list_reads_only_the_k_sets_that_can_meet_the_root(monkeypatch):
             yield c
 
     monkeypatch.setattr(search, "combinations", counting_combinations)
-    record = _record(((0, 1, 2),), 182)
+    record = _root(3, 182)
     assert drawn[0] <= comb(182, 3) - comb(179, 3) + 1
     assert len(record[2]) == comb(182, 3) - comb(179, 3) - 1
 
@@ -505,7 +515,7 @@ def test_walk_derives_each_addable_list_from_the_parents(monkeypatch, k, p_max, 
     monkeypatch.setattr(search, "_addable", counting_addable)
     monkeypatch.setattr(search, "_node_step", checked_node_step)
     if k == 4:  # below enumerate_mifs's k guard
-        assert search._walk([_record(((0, 1, 2, 3),), p_max)], [], 0, k, p_max, None) == total
+        assert search._walk([_root(k, p_max)], [], 0, k, p_max, None) == total
     else:
         assert enumerate_mifs(k, p_max).nodes == total
     assert built == [tuple([tuple(range(k))])]
@@ -663,10 +673,14 @@ def test_budget_checkpoint_resume(tmp_path, search39):
         enumerate_mifs(3, 9, budget=40, checkpoint_path=ck)
     assert info.value.nodes == 40
     assert ck.exists()
-    header = ck.read_text().splitlines()[0]
+    header, *records = ck.read_text().splitlines()
     assert header.startswith("mifsearch-v1 ")
     resumed = enumerate_mifs(3, 9, resume_path=ck)
     assert resumed.to_json() == search39.to_json()
+    # empty lines and lines of spaces between the records are skipped
+    assert any(line.startswith("M ") for line in records)
+    ck.write_text("\n".join([header, ""] + [line + "\n  " for line in records]) + "\n")
+    assert enumerate_mifs(3, 9, resume_path=ck).to_json() == search39.to_json()
 
 
 def test_budget_resume_in_two_hops(tmp_path, search39):
@@ -742,10 +756,10 @@ def same_group(gens, others, w):
 
 
 def assert_built_from_scratch(records, p_max):
-    """Each record has the blocks and addable list _record builds, and a
-    group that generates the group of _record's."""
+    """Each record has the blocks and addable list of record_from_scratch,
+    and a group that generates the group of its record."""
     for blocks, group, addable in records:
-        want = _record(blocks, p_max)
+        want = record_from_scratch(blocks, p_max)
         assert (blocks, addable) == (want[0], want[2])
         w = max(b[-1] for b in blocks) + 1
         assert same_group(canonical._group(*group), canonical._group(*want[1]), w), blocks
@@ -774,6 +788,7 @@ def test_checkpoint_format_round_trip(tmp_path):
     '{"k":3,"p_max":9.0,"nodes":12}',
     '[3,9,12]',
     '{"k":3,"p_max":9,"nodes":-500}',
+    '{"k":3',  # not JSON
 ])
 def test_checkpoint_bad_header_is_format_error(tmp_path, header):
     path = tmp_path / "ck.log"
@@ -797,6 +812,8 @@ def test_checkpoint_bad_header_is_format_error(tmp_path, header):
     "M 0,1,2|0,1,4|0,1,5|0,2,4|0,2,5|0,3,4|0,3,5|1,2,3|1,4,5|2,4,5",
     "F 0,1,2|0,1,4|0,1,5|0,2,4|0,2,5|0,3,4|0,3,5|1,2,3|1,4,5|2,4,5",
     "F 0,1,2|0,3,5",    # not in least labeling: resumed as 1 node, 0 families
+    "X 0,1,2",          # an unknown tag
+    "F 0,1,a",          # a point that is no integer
 ])
 def test_checkpoint_bad_record_is_format_error(tmp_path, record):
     path = tmp_path / "ck.log"
@@ -808,10 +825,11 @@ def test_checkpoint_bad_record_is_format_error(tmp_path, record):
 def test_resume_builds_each_record_once(tmp_path, monkeypatch, search39):
     # the 23 pending (F) records of a 100-node stop share 5 parents on the
     # walk's path: reading them replays that path with one _least_children
-    # call per parent, and only the root and the 5 maximal (M) records get a
-    # seedless test and an _addable call, where building every record from
-    # scratch made 28 of each.  The walk takes the records as they are, where
-    # building the F lists again when it reached them made 51 _addable calls
+    # call per parent, the root and the 5 maximal (M) records get a seedless
+    # test, and only the root an _addable call, where building every record
+    # from scratch made 28 of each and building the M records from scratch 6
+    # _addable calls.  The walk takes the records as they are, where building
+    # the F lists again when it reached them made 51 _addable calls
     ck = tmp_path / "search.log"
     with pytest.raises(BudgetExceededError):
         enumerate_mifs(3, 9, budget=100, checkpoint_path=ck)
@@ -824,18 +842,18 @@ def test_resume_builds_each_record_once(tmp_path, monkeypatch, search39):
         monkeypatch.setattr(search, name, counting)
     _, pending, found = read_checkpoint(ck, 3, 9)
     assert (len(records), len(pending), len(found)) == (28, 23, 5)
-    assert calls == {"_addable": 6, "is_least_labeling": 6, "_least_children": 5}
+    assert calls == {"_addable": 1, "is_least_labeling": 6, "_least_children": 5}
     calls.clear()
     resumed = enumerate_mifs(3, 9, resume_path=ck)
     assert resumed.to_json() == search39.to_json()
-    assert (calls["_addable"], calls["is_least_labeling"]) == (6, 6)
+    assert (calls["_addable"], calls["is_least_labeling"]) == (1, 6)
 
 
 def test_replayed_records_match_records_built_from_scratch(tmp_path, search39):
     # every budget stop of the (3, 9) walk writes the same file with a
     # periodic write every 16 nodes as with none; its pending records read
-    # back have _record's blocks and addable lists and generate its groups,
-    # and the resumed run is the plain one
+    # back have the blocks and addable lists of record_from_scratch and
+    # generate its groups, and the resumed run is the plain one
     plain, periodic = tmp_path / "plain.log", tmp_path / "periodic.log"
     checked: set = set()
     for budget in range(1, 192):
@@ -878,7 +896,7 @@ def mutated_checkpoint(rng, lines):
         blocks = [[x + (x == top and top < 8) for x in b] for b in blocks]
     elif kind == "sibling" and len(blocks) > 1:
         parent = tuple(map(tuple, blocks[:-1]))
-        gens = canonical._group(*_record(parent, 9)[1])
+        gens = canonical._group(*record_from_scratch(parent, 9)[1])
         images = [sorted(g[x] if x < len(g) else x for x in blocks[-1]) for g in gens]
         above = [b for b in images if b > blocks[-1] and tuple(b) not in parent]
         if above:
@@ -889,8 +907,8 @@ def mutated_checkpoint(rng, lines):
 
 
 def test_mutated_checkpoints_are_read_exactly_when_every_record_is_least(tmp_path):
-    # a checkpoint is accepted iff every line parses, every F record passes
-    # _record, and no pending record repeats or lies below another
+    # a checkpoint is accepted iff every line parses, every F record is in
+    # least labeling, and no pending record repeats or lies below another
     rng = random.Random(2611)
     ck = tmp_path / "ck.log"
     stops = {}
@@ -906,7 +924,7 @@ def test_mutated_checkpoints_are_read_exactly_when_every_record_is_least(tmp_pat
         try:
             pending = [search._record_to_blocks(line[2:], 3, 9)
                        for line in lines[1:] if line.startswith("F ")]
-            want = all(_record(b, 9) is not None for b in pending) and not any(
+            want = all(canonical.is_least_labeling(b) for b in pending) and not any(
                 a[:len(b)] == b for a, b in permutations(pending, 2))
         except FormatError:
             want = False
@@ -914,7 +932,7 @@ def test_mutated_checkpoints_are_read_exactly_when_every_record_is_least(tmp_pat
         if want:
             _, records, _ = read_checkpoint(ck, 3, 9)
             assert [r[0] for r in records] == pending
-            assert [r[2] for r in records] == [_record(b, 9)[2] for b in pending]
+            assert [r[2] for r in records] == [_addable(b, 9) for b in pending]
         else:
             with pytest.raises(FormatError):
                 read_checkpoint(ck, 3, 9)
@@ -965,7 +983,7 @@ def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         write_checkpoint(path, 3, 9, 99, [((0, 1, 2), (0, 3, 4))], [])
     assert path.read_bytes() == before
-    assert read_checkpoint(path, 3, 9) == (7, [_record(((0, 1, 2),), 9)], [])
+    assert read_checkpoint(path, 3, 9) == (7, [_root(3, 9)], [])
     assert [p.name for p in tmp_path.iterdir()] == ["ck.log"]
 
 
@@ -1239,7 +1257,9 @@ def test_huge_isp_is_refused_before_allocating():
 
 @pytest.mark.parametrize("k, p_max", [(3, 183), (3, 10**9), (2, 1415)])
 def test_huge_cap_is_refused(k, p_max):
-    # the root's candidate list would hold C(p_max, k) > MAX_LIST_ENTRIES k-sets
+    # the bound is on the k-sets below the cap, not on the root's list: that
+    # list has fewer entries, C(p_max, k) - C(p_max - k, k) - 1, but each is
+    # a p_max-bit mask, and those bits number at most k^2 C(p_max, k)
     assert comb(p_max, k) > MAX_LIST_ENTRIES
     with pytest.raises(UnsupportedParamsError, match="too large"):
         enumerate_mifs(k, p_max, budget=5)
