@@ -22,8 +22,8 @@ from __future__ import annotations
 import json
 import re
 from functools import reduce
-from itertools import chain, combinations, starmap
-from operator import and_, or_
+from itertools import chain
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (FormatError, VerificationError, _check_int, _check_universe,
@@ -37,6 +37,18 @@ def mask_of(points: Iterable[int]) -> int:
     for p in points:
         m |= 1 << p
     return m
+
+
+def point_incidence(blocks: Iterable[Iterable[int]], through):
+    """OR into through[p] the bit set of the indices of the blocks through
+    point p, and return through.  Every point must read 0 at first: through
+    is a list of zeros indexed by point, or a defaultdict(int) where point
+    ids may be large."""
+    for i, b in enumerate(blocks):
+        bit = 1 << i
+        for p in b:
+            through[p] |= bit
+    return through
 
 
 def bits_of(mask: int) -> tuple[int, ...]:
@@ -149,8 +161,20 @@ class Family:
         return None
 
     def is_intersecting(self) -> bool:
-        """True iff every two blocks share a point."""
-        return all(starmap(and_, combinations(self.masks, 2)))
+        """True iff every two blocks share a point.
+
+        Block i meets every block through one of its points; with itself
+        added, those must be all the blocks (so a lone empty block is
+        intersecting)."""
+        through = point_incidence(self.blocks, [0] * self.universe_size).__getitem__
+        every = (1 << len(self.blocks)) - 1
+        for i, b in enumerate(self.blocks):
+            met = 1 << i
+            for p in b:
+                met |= through(p)
+            if met != every:
+                return False
+        return True
 
     def is_blocking_set(self, points: Iterable[int]) -> bool:
         """True iff the given point set meets every block."""

@@ -1,18 +1,33 @@
 """Intersecting set-pair systems: validation, the set-pair inequality
 certificate, and extraction of a system from a uniform family via a
-minimal subfamily with the same transversal size."""
+minimal subfamily with the same transversal size.
+
+Extraction pairs each block m of a tau-critical family E (transversal size
+t, and every block's removal lowers it) with a (t-1)-set that misses m and
+meets every other block; the pairs then satisfy the cross condition.  Such
+a set H is always T - p for a minimum transversal T and the only point p
+of T in m: H plus any point of m has t points and meets every block.
+Conversely T - p misses exactly the blocks whose only point of T is p.  So
+one pass over the minimum transversals yields every block's candidates,
+and no search per block is needed.  A block with a candidate in a family
+keeps it in every subfamily that keeps the block, since the candidate
+still meets all the other blocks; such a block is critical in all of them.
+"""
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import (EmptyBlockError, EmptyFamilyError, FormatError, InvalidIspError,
                      NotUniformError, VerificationError, _check_int, _load_json)
-from .family import Family, bits_of, mask_of
+from .family import Family, bits_of, point_incidence
 from .transversal import _hitting_sets, transversal_family
 
 
@@ -123,18 +138,19 @@ def validate_isp(system: SetPairSystem) -> IspValidation:
             return fail(i, -1, "size", f"#A_{i} = {len(a)} != declared k = {system.k}")
         if system.t is not None and len(b) != system.t:
             return fail(i, -1, "size", f"#B_{i} = {len(b)} != declared t = {system.t}")
-    # masks over each point's rank, so their size follows the point count
-    # and not the largest id
-    rank = {p: r for r, p in enumerate(points)}
-    amasks = [mask_of(map(rank.__getitem__, a)) for a, _ in pairs]
-    bmasks = [mask_of(map(rank.__getitem__, b)) for _, b in pairs]
-    for i in range(n):
-        for j in range(n):
-            meets = bool(amasks[i] & bmasks[j])
-            if i == j and meets:
+    # row i of the matrix, as the bit set of the j with A_i meeting B_j,
+    # read from the B sides through each point of A_i; it must hold every
+    # j but i, and its lowest wrong bit is the row's first violation.  The
+    # bit sets run over pair indices, so none grows with a point id.
+    b_through = point_incidence([b for _, b in pairs], defaultdict(int))
+    every = (1 << n) - 1
+    for i, (a, _) in enumerate(pairs):
+        wrong = reduce(or_, [b_through.get(p, 0) for p in a], 0) ^ every ^ (1 << i)
+        if wrong:
+            j = (wrong & -wrong).bit_length() - 1
+            if j == i:
                 return fail(i, j, "overlap", f"A_{i} intersects B_{i}")
-            if i != j and not meets:
-                return fail(i, j, "disjoint", f"A_{i} is disjoint from B_{j} with {i} != {j}")
+            return fail(i, j, "disjoint", f"A_{i} is disjoint from B_{j} with {i} != {j}")
     return IspValidation(True, n, pts, None, "valid")
 
 
@@ -158,15 +174,66 @@ def bollobas_sum(system: SetPairSystem) -> Fraction:
     return total
 
 
+def _near_transversals(blocks: Sequence[Sequence[int]], transversals: Iterable[int],
+                       universe_size: int) -> list[int | None]:
+    """For each block, as a mask, the least (t-1)-set that misses it and
+    meets every other block, or None when there is none.
+
+    The transversals are the masks of all minimum transversals of the
+    blocks, of size t.  T - p misses exactly the blocks whose only point of
+    T is p, so it belongs to a block when that block is the only one.  All
+    candidates have t - 1 points, so of two the lesser in point order holds
+    the lowest point of their symmetric difference."""
+    through = point_incidence(blocks, [0] * universe_size)
+    least: list[int | None] = [None] * len(blocks)
+    for mask in transversals:
+        seen = twice = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            inc = through[low.bit_length() - 1]
+            twice |= seen & inc
+            seen |= inc
+        lone = ~twice                   # the blocks T meets in one point
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            # the blocks whose only point of T is low
+            alone = through[low.bit_length() - 1] & lone
+            if not alone or alone & (alone - 1):
+                continue
+            i = alone.bit_length() - 1
+            near = mask ^ low
+            old = least[i]
+            if old is None:
+                least[i] = near
+            else:
+                diff = near ^ old
+                if diff & -diff & near:
+                    least[i] = near
+    return least
+
+
 def extract_isp(family: Family) -> SetPairSystem:
-    """Build an ISP(k, t-1) from a k-uniform family with transversal size t.
+    """Build an ISP(k, t-1) from a k-uniform family F with transversal size t.
 
     A minimal subfamily E with the same transversal size is found by greedy
-    deletion; dropping any single block of E lowers the transversal size to
-    exactly t-1, and pairing each block with the least transversal of the
-    rest yields the system.  Every point of the input's transversal family
-    is covered by the system's points, which is what makes it a bound
-    witness."""
+    deletion in block order, and each block of E is paired with the least
+    (t-1)-set that misses it and meets every other block of E.  Every point
+    of the input's transversal family is covered by the system's points,
+    which is what makes it a bound witness.
+
+    Both steps read minimum transversals (see the module docstring).  The
+    blocks with a candidate in F are critical in every subfamily, so the
+    deletion keeps them untested and runs its transversal-size test only on
+    the others, with the same outcome as testing every block.  The pairing
+    reads the minimum transversals of E, which are F's when nothing was
+    deleted and otherwise take one search.  Dropping a block m of E always
+    leaves transversal size at least t - 1, since any point of m completes a
+    hitting set of E - m, so E is minimal exactly when every block of E has
+    a candidate; a block without one raises VerificationError."""
     if not family.blocks:
         raise EmptyFamilyError("cannot extract a set-pair system from an empty family")
     if family.has_empty_block():
@@ -176,24 +243,31 @@ def extract_isp(family: Family) -> SetPairSystem:
         raise NotUniformError("set-pair extraction needs a uniform family")
     full_report = transversal_family(family)
     t = full_report.tau
+    near = _near_transversals(family.blocks, full_report.transversals.masks,
+                              family.universe_size)
     # current keeps tau = t, so a hitting set of current - m of < t points
     # misses m; dropping m's points empties no block of a uniform family
     current = list(family.masks)
-    for m in family.masks:
-        if _hitting_sets([x & ~m for x in current if x != m], False, t - 1)[0] == t:
-            current = [x for x in current if x != m]
+    for m, candidate in zip(family.masks, near):
+        if candidate is None and _hitting_sets(
+                [x & ~m for x in current if x != m], False, t - 1)[0] == t:
+            current.remove(m)
+    blocks = family.blocks
+    if len(current) < len(blocks):
+        kept = set(current)
+        blocks = [b for b, m in zip(blocks, family.masks) if m in kept]
+        near = _near_transversals(blocks, _hitting_sets(current, True, t)[1],
+                                  family.universe_size)
     pairs = []
-    for m in current:
-        rest_tau, found, _ = _hitting_sets([x & ~m for x in current if x != m], True, t - 1)
-        if rest_tau != t - 1:
+    for block, candidate in zip(blocks, near):
+        if candidate is None:
             raise VerificationError(
-                f"minimal subfamily violated: dropping a block gave tau {rest_tau}, want {t - 1}")
-        pairs.append((bits_of(m), min(bits_of(x) for x in found)))
+                f"minimal subfamily violated: no {t - 1}-set misses only block {list(block)}")
+        pairs.append((block, bits_of(candidate)))
     system = SetPairSystem(pairs, k=k, t=t - 1)
     verdict = validate_isp(system)
     if not verdict:
         raise VerificationError(f"extracted system invalid: {verdict.message}")
-    top_points = full_report.transversals.point_set()
-    if not top_points <= system.point_set():
+    if full_report.transversals.point_mask & ~reduce(or_, current + near):
         raise VerificationError("a transversal point escaped the extracted system")
     return system

@@ -1,9 +1,10 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
-from miflab.constructions import bg_family, projective_plane, triangle
+from miflab.constructions import bg_family, complete_family, projective_plane, triangle
 from miflab.errors import FormatError, UniverseOverflowError, VerificationError
 from miflab.family import Family, bits_of
 
@@ -33,7 +34,6 @@ def test_is_intersecting():
     assert triangle().is_intersecting()
     assert not Family([[0, 1], [2, 3]], 4).is_intersecting()
     # 3-subsets of a 5-set: sizes force intersection; cross-check by hand
-    from itertools import combinations
     blocks = list(combinations(range(5), 3))
     fam = Family(blocks, 5)
     assert fam.is_intersecting()
@@ -46,8 +46,28 @@ def test_is_intersecting():
         blocks = [rng.sample(range(v), rng.randint(1, min(3, v)))
                   for _ in range(rng.randint(1, 6))]
         fam = Family(blocks, v)
-        assert fam.is_intersecting() == all(set(a) & set(b)
-                                            for a, b in combinations(fam.blocks, 2))
+        assert fam.is_intersecting() == pairwise_intersecting(fam)
+
+
+def pairwise_intersecting(fam):
+    return all(set(a) & set(b) for a, b in combinations(fam.blocks, 2))
+
+
+def test_is_intersecting_lone_empty_block():
+    # no pair to test: the lone empty block meets no block but itself
+    assert Family([[]], 1).is_intersecting()
+    assert Family([], 1).is_intersecting()
+    assert not Family([[], [0]], 1).is_intersecting()
+
+
+def test_is_intersecting_complete_family_6():
+    fam = complete_family(6)
+    assert fam.is_intersecting() and pairwise_intersecting(fam)
+    # one block disjoint from a single block of K(6) breaks it
+    wider = Family(list(fam.blocks) + [tuple(range(11, 17))], 17)
+    assert not wider.is_intersecting() and not pairwise_intersecting(wider)
+    apart = Family(list(fam.blocks) + [(0, 1, 2, 3, 4, 11)], 12)
+    assert not apart.is_intersecting() and not pairwise_intersecting(apart)
 
 
 def test_is_blocking_set():

@@ -8,10 +8,11 @@ import pytest
 from miflab import isp
 from miflab.constructions import bg_family, complete_family, projective_plane
 from miflab.errors import (EmptyBlockError, EmptyFamilyError, FormatError,
-                           InvalidIspError, NotUniformError)
-from miflab.family import Family
+                           InvalidIspError, MiflabError, NotUniformError, VerificationError)
+from miflab.family import Family, bits_of
 from miflab.isp import SetPairSystem, bollobas_sum, extract_isp, validate_isp
-from miflab.transversal import brute_force_transversals, tau, transversal_family
+from miflab.search import enumerate_mifs
+from miflab.transversal import _hitting_sets, brute_force_transversals, tau, transversal_family
 from miflab.verify import random_uniform_family
 
 
@@ -66,6 +67,58 @@ def test_validate_large_point_ids_allocates_nothing():
     run = run_with_address_limit("-c", code)
     assert run.returncode == 0 and run.stderr == "", run.stderr
     assert run.stdout == "True 2 None\nFalse 4 (0, 1, 'disjoint')\n"
+
+
+def matrix_scan_validation(system: SetPairSystem) -> isp.IspValidation:
+    """validate_isp spelled out: sizes first, then every (i, j) in row order."""
+    n = len(system.pairs)
+    pts = system.point_count()
+    for i, (a, b) in enumerate(system.pairs):
+        if system.k is not None and len(a) != system.k:
+            return isp.IspValidation(False, n, pts, (i, -1, "size"),
+                                     f"#A_{i} = {len(a)} != declared k = {system.k}")
+        if system.t is not None and len(b) != system.t:
+            return isp.IspValidation(False, n, pts, (i, -1, "size"),
+                                     f"#B_{i} = {len(b)} != declared t = {system.t}")
+    for i, (a, _) in enumerate(system.pairs):
+        for j, (_, b) in enumerate(system.pairs):
+            meets = bool(set(a) & set(b))
+            if i == j and meets:
+                return isp.IspValidation(False, n, pts, (i, j, "overlap"),
+                                         f"A_{i} intersects B_{i}")
+            if i != j and not meets:
+                return isp.IspValidation(False, n, pts, (i, j, "disjoint"),
+                                         f"A_{i} is disjoint from B_{j} with {i} != {j}")
+    return isp.IspValidation(True, n, pts, None, "valid")
+
+
+def test_validate_matches_matrix_scan():
+    # extracted systems (valid), then each with one point moved, two pairs
+    # swapped sides or a declared size changed, and random small systems
+    rng = random.Random(77)
+    systems = [extract_isp(fam) for fam in enumerate_mifs(3).families]
+    systems += [extract_isp(complete_family(4)), extract_isp(projective_plane(3))]
+    for system in list(systems):
+        pairs = [list(map(list, pair)) for pair in system.pairs]
+        i = rng.randrange(len(pairs))
+        side = pairs[i][rng.randrange(2)]
+        side[rng.randrange(len(side))] = 40 + rng.randrange(3)
+        systems.append(SetPairSystem([(a, sorted(set(b))) for a, b in pairs]))
+        j = rng.randrange(len(pairs))
+        pairs[i], pairs[j] = [pairs[i][0], pairs[j][1]], [pairs[j][0], pairs[i][1]]
+        systems.append(SetPairSystem([(a, sorted(set(b))) for a, b in pairs]))
+        systems.append(SetPairSystem(system.pairs, k=system.k, t=(system.t or 0) + 1))
+    for _ in range(300):
+        v = rng.randint(1, 7)
+        systems.append(SetPairSystem(
+            [(rng.sample(range(v), rng.randint(0, v)), rng.sample(range(v), rng.randint(0, v)))
+             for _ in range(rng.randint(0, 5))]))
+    kinds = set()
+    for system in systems:
+        verdict = validate_isp(system)
+        assert verdict == matrix_scan_validation(system), system
+        kinds.add(verdict.violation and verdict.violation[2])
+    assert kinds == {None, "overlap", "disjoint", "size"}
 
 
 def test_bollobas_sum_tight():
@@ -211,32 +264,123 @@ def test_extract_matches_reference():
         assert extract_isp(fam).to_json() == reference_extract_isp(fam).to_json()
 
 
-def test_extract_isp_bounds_work_on_complete_family_5(monkeypatch):
-    # a deterministic work count: searching the dropped block's points too,
-    # this extraction visits 19 152 kernel nodes
-    nodes = [0]
+def per_block_extract_isp(family: Family) -> SetPairSystem:
+    """Set-pair extraction with two kernel searches per block: the greedy
+    deletion tests every block, and the pairing collects each kept block's
+    (t-1)-sets from a search of the rest without that block's points."""
+    if not family.blocks:
+        raise EmptyFamilyError("cannot extract a set-pair system from an empty family")
+    if family.has_empty_block():
+        raise EmptyBlockError("family contains the empty block")
+    k = family.uniform_block_size()
+    if k is None:
+        raise NotUniformError("set-pair extraction needs a uniform family")
+    full_report = transversal_family(family)
+    t = full_report.tau
+    current = list(family.masks)
+    for m in family.masks:
+        if _hitting_sets([x & ~m for x in current if x != m], False, t - 1)[0] == t:
+            current = [x for x in current if x != m]
+    pairs = []
+    for m in current:
+        rest_tau, found, _ = _hitting_sets([x & ~m for x in current if x != m], True, t - 1)
+        if rest_tau != t - 1:
+            raise VerificationError(
+                f"minimal subfamily violated: dropping a block gave tau {rest_tau}, want {t - 1}")
+        pairs.append((bits_of(m), min(bits_of(x) for x in found)))
+    system = SetPairSystem(pairs, k=k, t=t - 1)
+    verdict = validate_isp(system)
+    if not verdict:
+        raise VerificationError(f"extracted system invalid: {verdict.message}")
+    if not full_report.transversals.point_set() <= system.point_set():
+        raise VerificationError("a transversal point escaped the extracted system")
+    return system
+
+
+def extraction_outcome(extract, family):
+    try:
+        system = extract(family)
+    except MiflabError as exc:
+        return type(exc), str(exc)
+    return system.pairs, system.k, system.t
+
+
+def seeded_extraction_inputs(count):
+    """Random uniform families with k = 2-5; every 9th gets a block of
+    another size, every 13th an empty block and every 29th loses all its
+    blocks, so that those extractions raise."""
+    rng = random.Random(3030)
+    for i in range(count):
+        fam = random_uniform_family(rng, 2 + i % 4, max_points=11)
+        blocks = list(fam.blocks)
+        if i % 9 == 4:
+            blocks.append(blocks[0][1:])
+        if i % 13 == 6:
+            blocks.append(())
+        if i % 29 == 11:
+            blocks = []
+        yield Family(blocks, fam.universe_size)
+
+
+def test_extract_matches_per_block_extraction():
+    # beyond the subset-scan oracle's 20 points: K(6) on 11, bg(5,3) on 21
+    # and bg(5,4) on 42; then the 8 maximal families of triples, stars
+    # (tau = 1) and seeded random families
+    families = [complete_family(6), bg_family(5, 3).family, bg_family(5, 4).family]
+    families += enumerate_mifs(3).families
+    families += [Family([[0, p] for p in range(1, n + 1)], n + 1) for n in (1, 2, 5)]
+    families += [Family([[0, p, p + 1] for p in range(1, 2 * n, 2)], 2 * n + 1)
+                 for n in (1, 3)]
+    families += seeded_extraction_inputs(320)
+    raised = 0
+    for fam in families:
+        want = extraction_outcome(per_block_extract_isp, fam)
+        assert extraction_outcome(extract_isp, fam) == want, fam
+        raised += isinstance(want[0], type)
+    assert raised >= 40
+
+
+def count_extraction_work(monkeypatch, family):
+    """Calls and nodes of extract_isp(family) through isp._hitting_sets and
+    through isp.transversal_family."""
+    work = {"_hitting_sets": [0, 0], "transversal_family": [0, 0]}
     hitting_sets = isp._hitting_sets
+    report = isp.transversal_family
 
     def counting_hitting_sets(*args):
         answer = hitting_sets(*args)
-        nodes[0] += answer[2]
+        work["_hitting_sets"][0] += 1
+        work["_hitting_sets"][1] += answer[2]
+        return answer
+
+    def counting_transversal_family(fam):
+        answer = report(fam)
+        work["transversal_family"][0] += 1
+        work["transversal_family"][1] += answer.nodes
         return answer
 
     monkeypatch.setattr(isp, "_hitting_sets", counting_hitting_sets)
-    extract_isp(complete_family(5))
-    assert nodes[0] <= 2000
+    monkeypatch.setattr(isp, "transversal_family", counting_transversal_family)
+    extract_isp(family)
+    return work
+
+
+def test_extract_isp_bounds_work_on_complete_family_5(monkeypatch):
+    # a deterministic work count: the minimum transversals of K(5) take 252
+    # kernel nodes, and the 126 blocks are all critical, so nothing else is
+    # searched; two searches per block walked 1260 more nodes
+    work = count_extraction_work(monkeypatch, complete_family(5))
+    assert work["_hitting_sets"][1] + work["transversal_family"][1] <= 2000
 
 
 def test_extract_isp_kernel_nodes_on_complete_family_5(monkeypatch):
-    # the exact tree the kernel walks for this extraction
-    nodes = [0]
-    hitting_sets = isp._hitting_sets
+    # the exact work: one search for the minimum transversals and no other
+    work = count_extraction_work(monkeypatch, complete_family(5))
+    assert work == {"_hitting_sets": [0, 0], "transversal_family": [1, 252]}
 
-    def counting_hitting_sets(*args):
-        answer = hitting_sets(*args)
-        nodes[0] += answer[2]
-        return answer
 
-    monkeypatch.setattr(isp, "_hitting_sets", counting_hitting_sets)
-    extract_isp(complete_family(5))
-    assert nodes[0] == 1260
+def test_extract_isp_kernel_nodes_on_plane_of_order_3(monkeypatch):
+    # no line of PG(2,3) is critical: 13 deletion tests, then one search for
+    # the minimum transversals of the 10 lines kept
+    work = count_extraction_work(monkeypatch, projective_plane(3))
+    assert work == {"_hitting_sets": [14, 269], "transversal_family": [1, 133]}

@@ -306,9 +306,11 @@ def test_kernel_matches_reference_on_node_steps(monkeypatch, k, p_max):
 
 
 def test_kernel_matches_reference_on_extraction_and_collapse(monkeypatch):
-    # set-pair extraction's tau - 1 queries in both modes, and the
-    # transversal families behind collapse's maximality test, merges and
-    # final check, on the 8 maximal families of triples, K(4), K(5), PG(2,3)
+    # set-pair extraction's deletion tests (the tau mode, limit t - 1) and
+    # its collect call on the kept blocks (limit t), which the 8 maximal
+    # families of triples and PG(2,3) make, and the transversal families
+    # behind extraction, collapse's maximality test, merges and final check,
+    # on those families, K(4) and K(5)
     families = list(enumerate_mifs(3).families)
     families += [complete_family(4), complete_family(5), projective_plane(3)]
 
