@@ -28,7 +28,8 @@ from typing import Iterable, Sequence
 from .errors import (EmptyBlockError, EmptyFamilyError, FormatError, InvalidIspError,
                      NotUniformError, VerificationError, _check_int, _load_json)
 from .family import Family, bits_of, point_incidence
-from .transversal import _hitting_sets, transversal_family
+# transversal_family is unused here, but perfbench/tracing.py patches this lookup site
+from .transversal import _hitting_sets, _minimum_transversals, transversal_family  # noqa: F401
 
 
 class SetPairSystem:
@@ -241,10 +242,8 @@ def extract_isp(family: Family) -> SetPairSystem:
     k = family.uniform_block_size()
     if k is None:
         raise NotUniformError("set-pair extraction needs a uniform family")
-    full_report = transversal_family(family)
-    t = full_report.tau
-    near = _near_transversals(family.blocks, full_report.transversals.masks,
-                              family.universe_size)
+    t, transversals, _ = _minimum_transversals(family.masks, k)
+    near = _near_transversals(family.blocks, transversals, family.universe_size)
     # current keeps tau = t, so a hitting set of current - m of < t points
     # misses m; dropping m's points empties no block of a uniform family
     current = list(family.masks)
@@ -268,6 +267,6 @@ def extract_isp(family: Family) -> SetPairSystem:
     verdict = validate_isp(system)
     if not verdict:
         raise VerificationError(f"extracted system invalid: {verdict.message}")
-    if full_report.transversals.point_mask & ~reduce(or_, current + near):
+    if reduce(or_, transversals) & ~reduce(or_, current + near):
         raise VerificationError("a transversal point escaped the extracted system")
     return system

@@ -4,16 +4,19 @@ One iterative branch-and-bound, ``_hitting_sets``, serves ``tau``,
 ``transversal_family``, set-pair extraction and the node step of the
 orderly family search (its maximality test and threat prune).  A node is a
 partial set of chosen points plus a set of forbidden points.  Its
-uncovered blocks are kept with the forbidden points cleared; a block left
-with no point kills the node, and a node with no uncovered block is a
-hitting set.  Otherwise the node branches on its smallest uncovered block
-``p1..pr``: child ``i`` takes ``pi`` and forbids ``p1..p(i-1)``.  A
-hitting set that extends the node contains a least ``pi`` and matches
-child ``i`` only, so the children partition the hitting sets below their
-parent.  Each minimum hitting set is therefore reached exactly once, at
-the leaf where its last point is chosen, and no memo of visited sets is
-needed.  A child's uncovered list is its parent's, filtered by the new
-point; the forbidden points are cleared only when there are any.
+uncovered blocks are kept with the forbidden points cleared, and a node
+with no uncovered block is a hitting set.  Otherwise the node branches on
+its smallest uncovered block ``p1..pr``: child ``i`` takes ``pi`` and
+forbids ``p1..p(i-1)``.  A hitting set that extends the node contains a
+least ``pi`` and matches child ``i`` only, so the children partition the
+hitting sets below their parent.  Each minimum hitting set is therefore
+reached exactly once, at the leaf where its last point is chosen, and no
+memo of visited sets is needed.  A child's uncovered list is its parent's,
+filtered by the new point; the forbidden points are cleared only when
+there are any.  Clearing them never empties a block: child ``i`` forbids
+a proper subset of the branching block, so a block it empties would be
+smaller than that block, which was a smallest uncovered one, and the
+lists hold no empty block to begin with.
 
 The lower bound is a greedy packing of pairwise-disjoint uncovered blocks,
 each of which needs its own point.  The children are ordered by the key
@@ -45,8 +48,11 @@ popped or decided at its parent; the counts are those of a walk that
 pushes every child.
 
 Points, blocks and hitting sets are int bitmasks throughout the kernel.
-Its answers stay masks until ``Family._from_masks`` builds the transversal
-family, which sorts them once and does not re-validate them.
+``_minimum_transversals`` checks its answers and returns them as masks, in
+the order the kernel found them.  ``is_mif``, merge, collapse and set-pair
+extraction read only those masks; ``transversal_family`` alone turns them
+into a ``Family`` (through ``Family._from_masks``, which sorts them once)
+for the callers that get the transversals back.
 """
 
 from __future__ import annotations
@@ -97,8 +103,6 @@ def _hitting_sets(masks, collect: bool,
         if forbid:
             keep = ~forbid
             uncovered = [m & keep for m in parent if not m & bit]
-            if 0 in uncovered:  # a block lost its last point to the forbidden ones
-                continue
         else:
             uncovered = [m for m in parent if not m & bit]
         if not uncovered:
@@ -171,23 +175,29 @@ def tau_with_nodes(family: Family) -> tuple[int | float, int]:
     return t, nodes
 
 
-def _empty_family_report(family: Family) -> TransversalReport:
-    only_empty = Family([()], family.universe_size, family.labels)
-    return TransversalReport(0, only_empty, 0)
+def _minimum_transversals(masks, k: int | None) -> tuple[int, list[int], int]:
+    """Minimum blocking-set size, the masks of all minimum blocking sets in
+    the kernel's order, and the node count.
+
+    The blocks are masks with no empty one; k is their common size, if they
+    have one, and then the k^tau count bound is enforced.  An empty block
+    list has one blocking set, 0, found without a search."""
+    if not masks:
+        return 0, [0], 0
+    t, found, nodes = _hitting_sets(masks, True)
+    if k is not None and len(found) > k ** t:
+        raise VerificationError(f"{len(found)} transversals exceed the bound {k}^{t}")
+    if len(set(found)) != len(found):
+        raise VerificationError("two masks name the same block")
+    return t, found, nodes
 
 
 def transversal_family(family: Family) -> TransversalReport:
     """All minimum blocking sets, with the k^tau count bound enforced."""
     if family.has_empty_block():
         raise EmptyBlockError("family contains the empty block; no blocking set exists")
-    if not family.blocks:
-        return _empty_family_report(family)
-    t, solutions, nodes = _hitting_sets(family.masks, True)
-    k = family.uniform_block_size()
-    if k is not None and len(solutions) > k ** t:
-        raise VerificationError(
-            f"{len(solutions)} transversals exceed the bound {k}^{t}")
-    transversals = Family._from_masks(solutions, family.universe_size, family.labels)
+    t, found, nodes = _minimum_transversals(family.masks, family.uniform_block_size())
+    transversals = Family._from_masks(found, family.universe_size, family.labels)
     return TransversalReport(t, transversals, nodes)
 
 
@@ -196,7 +206,7 @@ def brute_force_transversals(family: Family) -> TransversalReport:
     if family.has_empty_block():
         raise EmptyBlockError("family contains the empty block; no blocking set exists")
     if not family.blocks:
-        return _empty_family_report(family)
+        return TransversalReport(0, Family([()], family.universe_size, family.labels), 0)
     points = sorted(family.point_set())
     if len(points) > ORACLE_POINT_LIMIT:
         raise OracleTooLargeError(

@@ -342,10 +342,10 @@ def test_extract_matches_per_block_extraction():
 
 def count_extraction_work(monkeypatch, family):
     """Calls and nodes of extract_isp(family) through isp._hitting_sets and
-    through isp.transversal_family."""
-    work = {"_hitting_sets": [0, 0], "transversal_family": [0, 0]}
+    through isp._minimum_transversals."""
+    work = {"_hitting_sets": [0, 0], "_minimum_transversals": [0, 0]}
     hitting_sets = isp._hitting_sets
-    report = isp.transversal_family
+    minimum_transversals = isp._minimum_transversals
 
     def counting_hitting_sets(*args):
         answer = hitting_sets(*args)
@@ -353,14 +353,14 @@ def count_extraction_work(monkeypatch, family):
         work["_hitting_sets"][1] += answer[2]
         return answer
 
-    def counting_transversal_family(fam):
-        answer = report(fam)
-        work["transversal_family"][0] += 1
-        work["transversal_family"][1] += answer.nodes
+    def counting_minimum_transversals(*args):
+        answer = minimum_transversals(*args)
+        work["_minimum_transversals"][0] += 1
+        work["_minimum_transversals"][1] += answer[2]
         return answer
 
     monkeypatch.setattr(isp, "_hitting_sets", counting_hitting_sets)
-    monkeypatch.setattr(isp, "transversal_family", counting_transversal_family)
+    monkeypatch.setattr(isp, "_minimum_transversals", counting_minimum_transversals)
     extract_isp(family)
     return work
 
@@ -370,17 +370,17 @@ def test_extract_isp_bounds_work_on_complete_family_5(monkeypatch):
     # kernel nodes, and the 126 blocks are all critical, so nothing else is
     # searched; two searches per block walked 1260 more nodes
     work = count_extraction_work(monkeypatch, complete_family(5))
-    assert work["_hitting_sets"][1] + work["transversal_family"][1] <= 2000
+    assert work["_hitting_sets"][1] + work["_minimum_transversals"][1] <= 2000
 
 
 def test_extract_isp_kernel_nodes_on_complete_family_5(monkeypatch):
     # the exact work: one search for the minimum transversals and no other
     work = count_extraction_work(monkeypatch, complete_family(5))
-    assert work == {"_hitting_sets": [0, 0], "transversal_family": [1, 252]}
+    assert work == {"_hitting_sets": [0, 0], "_minimum_transversals": [1, 252]}
 
 
 def test_extract_isp_kernel_nodes_on_plane_of_order_3(monkeypatch):
     # no line of PG(2,3) is critical: 13 deletion tests, then one search for
     # the minimum transversals of the 10 lines kept
     work = count_extraction_work(monkeypatch, projective_plane(3))
-    assert work == {"_hitting_sets": [14, 269], "transversal_family": [1, 133]}
+    assert work == {"_hitting_sets": [14, 269], "_minimum_transversals": [1, 133]}

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from miflab import transversal
 from miflab.bounds import (bollobas_pair_bound, el_lower, eval_bounds, half_central_binomial,
                            tuza_conjecture_value, tuza_nkt_upper)
 from miflab.canonical import least_block_list
@@ -14,9 +15,11 @@ from miflab.errors import (CoveredPairError, EmptyBlockError, EmptyFamilyError,
                            ParameterOutOfRangeError, SamePointError, VerificationError)
 from miflab.family import Family
 from miflab.isp import SetPairSystem, bollobas_sum, validate_isp
-from miflab.mif import chromatic_class, collapse, is_mif, is_one_critical, merge
+from miflab.mif import (MifCertificate, _merge, chromatic_class, collapse, is_mif,
+                        is_one_critical, merge)
 from miflab.search import enumerate_mifs
-from miflab.transversal import TransversalReport, brute_force_transversals
+from miflab.transversal import _hitting_sets as hitting_sets
+from miflab.transversal import brute_force_transversals
 from miflab.verify import random_uniform_family
 
 # a maximal family of triples on 6 points whose pair {4,5} lies in no block;
@@ -56,6 +59,26 @@ def test_is_mif_mixed_sizes_is_a_negative_verdict():
     assert not cert.ok and cert.k is None and "mixed" in cert.reason
 
 
+def test_is_mif_negative_when_the_transversals_are_not_the_blocks():
+    # Fano minus one line keeps tau = 3, but the removed line is a minimum
+    # transversal that is no block
+    fano = projective_plane(2)
+    cert = is_mif(Family(fano.blocks[:-1], fano.universe_size))
+    assert cert == MifCertificate(False, 3, 3, False,
+                                  "transversal family differs from the blocks")
+
+
+def test_is_mif_raises_on_a_repeated_kernel_answer(monkeypatch):
+    # a faulty kernel that finds one minimum transversal twice
+    def repeating_kernel(masks, collect, limit=None):
+        t, found, nodes = hitting_sets(masks, collect, limit)
+        return t, found + found[:1], nodes
+
+    monkeypatch.setattr(transversal, "_hitting_sets", repeating_kernel)
+    with pytest.raises(VerificationError, match="^two masks name the same block$"):
+        is_mif(projective_plane(2))
+
+
 def test_cross_check_raises_on_a_missing_blocking_set(monkeypatch):
     # a faulty kernel that reports a family as its own transversal family:
     # Fano minus one line then passes tau = k and the comparison, and only
@@ -63,8 +86,8 @@ def test_cross_check_raises_on_a_missing_blocking_set(monkeypatch):
     # removed line is one, and (0, 1, 2) comes first)
     fano = projective_plane(2)
     fam = Family(fano.blocks[:-1], fano.universe_size)
-    monkeypatch.setattr("miflab.mif.transversal_family",
-                        lambda family: TransversalReport(3, family, 0))
+    monkeypatch.setattr("miflab.mif._minimum_transversals",
+                        lambda masks, k: (3, list(masks), 0))
     with pytest.raises(VerificationError,
                        match=r"^blocking 3-subset \(0, 1, 2\) missing"):
         is_mif(fam)
@@ -225,6 +248,22 @@ def test_merge_keeps_beta_free_blocks_and_rewrites_beta_blocks():
         else:
             rewritten = tuple(sorted(set(b) - {beta} | {alpha}))
             assert rewritten in result.blocks
+
+
+def test_merge_step_faults_on_families_that_are_not_maximal():
+    # the step's own checks, reached past merge's maximality test: the
+    # kernel finds the transversals (5, 8) and (3, 5) of the blocks
+    # avoiding {0, 4} in that order, both meet every transversal, and the
+    # error names the first in block order
+    fam = Family([(0, 1, 7), (0, 2, 7), (0, 2, 8), (0, 4, 5), (0, 5, 7), (0, 5, 8),
+                  (1, 3, 8), (2, 3, 5), (2, 4, 8), (2, 5, 7), (2, 5, 8), (3, 4, 6),
+                  (3, 5, 6), (3, 7, 8), (4, 5, 7), (4, 6, 8), (5, 6, 8), (5, 7, 8)], 9)
+    with pytest.raises(VerificationError,
+                       match=r"^transversal \(3, 5\) of the reduced family meets all others$"):
+        _merge(fam, 3, 0, 4)
+    with pytest.raises(VerificationError,
+                       match="^blocks avoiding the pair have transversal size 0, want 1$"):
+        _merge(Family([(0, 1), (2, 3)], 4), 2, 1, 2)
 
 
 def test_collapse_triangle():
