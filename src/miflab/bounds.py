@@ -7,11 +7,10 @@ exactly (central binomial coefficients are even from C(2,1) on).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ParameterOutOfRangeError, VerificationError, _check_int
+from .errors import ParameterOutOfRangeError, VerificationError, _check_int, _JsonOut
 
 
 def binom(n: int, k: int) -> int:
@@ -112,7 +111,7 @@ def tuza_conjecture_value(k: int, t: int) -> int:
 
 
 @dataclass(frozen=True)
-class BoundsTable:
+class BoundsTable(_JsonOut):
     """All per-k values, plus the symbolic form of the main upper bound
     (its set-pair term has no closed form, so it stays a slot)."""
     k: int
@@ -142,9 +141,6 @@ class BoundsTable:
                 "n_params": list(self.main_upper_n_params),
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
 def eval_bounds(k: int) -> BoundsTable:

@@ -130,10 +130,12 @@ every candidate's last point: points in no block stay in the last cell,
 named w - 1, and change no label and no order of keys, so F's tree is
 the same for every w and F + b's tree is its own.  _least_children
 walks F's tree once, in test mode and pruned by G's generators alone,
-with observers: for each candidate least in its G-orbit (one that G maps
-below itself is skipped, see search.py), every block x of the orbit,
-with a member g_x of G that maps b onto x.  Observers follow every split
-but never tie and are never emitted.
+with observers: for each candidate least in its G-orbit, every block x
+of the orbit, with a member g_x of G that maps b onto x.  Observers
+follow every split but never tie and are never emitted.  A candidate
+that some g in G maps onto a smaller block is rejected without a walk:
+g relabels F + b as F + g(b), whose sorted list is smaller, as g(b) is
+no block of F and b follows every block of F.
 
 Why one walk decides them all.  F + b is least iff no state of its tree
 whose entries match best's has a top key above its level's target.  Such
@@ -187,6 +189,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import FormatError, NotUniformError, VerificationError
+from .family import point_incidence
 
 
 def _split(cell: list[int], size: list[int], key: list[int], weight: list[int],
@@ -276,21 +279,22 @@ def _block_images(members: tuple[tuple[int, ...], ...],
         raise VerificationError("a generator of a search node is no automorphism") from None
 
 
+def _swap(w: int, p: int, q: int) -> list[int]:
+    """The transposition of the points p and q of 0..w-1."""
+    g = list(range(w))
+    g[p], g[q] = q, p
+    return g
+
+
 def _twin_swaps(members: tuple[tuple[int, ...], ...], v: int) -> list[list[int]]:
     """One transposition per pair of adjacent points that lie in exactly
     the same blocks."""
-    where = [0] * v
-    for bi, b in enumerate(members):
-        for p in b:
-            where[p] |= 1 << bi
     swaps: list[list[int]] = []
     last: dict[int, int] = {}
-    for p, blocks_of_p in enumerate(where):
+    for p, blocks_of_p in enumerate(point_incidence(members, [0] * v)):
         q = last.get(blocks_of_p)
         if q is not None:
-            g = list(range(v))
-            g[p], g[q] = q, p
-            swaps.append(g)
+            swaps.append(_swap(v, p, q))
         last[blocks_of_p] = p
     return swaps
 
@@ -696,11 +700,7 @@ def _least_children(blocks: Sequence[tuple[int, ...]], group: Sequence[Sequence[
             # automorphisms; twins of F that b does not separate are
             # swapped by the stabiliser
             wb = max(v, cands[ci][-1] + 1)
-            swaps = []
-            for p in range(v + 1, wb):
-                swap = list(range(wb))
-                swap[p - 1], swap[p] = p, p - 1
-                swaps.append(swap)
+            swaps = [_swap(wb, p - 1, p) for p in range(v + 1, wb)]
             verdicts[ci] = ([a[:wb] for a in found[ci]] + swaps,
                             (carry_b, steps, parents, gens, wb))
     return verdicts

@@ -10,13 +10,12 @@ raises a MiflabError, reported here with exit code 2.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
 from .errors import (BudgetExceededError, CoveredPairError, InvalidIspError,
-                     MiflabError, NotMifError, VerificationError)
+                     MiflabError, NotMifError, VerificationError, _dump_json)
 from .family import DEFAULT_MAX_UNIVERSE, Family
 from .constructions import bg_family, complete_family, projective_plane
 from .isp import SetPairSystem, bollobas_sum, extract_isp, validate_isp
@@ -287,7 +286,7 @@ def main(argv=None) -> int:
     try:
         code, obj, text = args.handler(args)
         if getattr(args, "format", "json") == "json":
-            text = json.dumps(obj, separators=(",", ":")) + "\n"
+            text = _dump_json(obj) + "\n"
         out = getattr(args, "out", None)
         if out and out != "-":
             Path(out).write_text(text)

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the input checks that
-more than one layer applies: an integer parameter, an optional count, a
-universe size against its cap, and a JSON document.
+"""Exception types shared across the package, the input checks that more
+than one layer applies (an integer parameter, an optional count, a
+universe size against its cap, a JSON document), and the package's JSON
+output bytes.
 
 Exit-code mapping used by the CLI:
   * math-negative verdicts (1): NotMifError, CoveredPairError, InvalidIspError
@@ -118,3 +119,18 @@ def _load_json(text: str):
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def _dump_json(obj) -> str:
+    """The package's JSON bytes: compact, keys in insertion order."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
+class _JsonOut:
+    """to_json for a class with to_json_obj: the compact bytes of that
+    object."""
+
+    __slots__ = ()
+
+    def to_json(self) -> str:
+        return _dump_json(self.to_json_obj())

@@ -9,17 +9,17 @@ tuple of bitmasks supports fast intersection arithmetic.
 ``Family(...)`` validates and normalises whatever it is given, and is the
 constructor for input (``from_json``, ``from_text``) and for oracles.
 ``Family._from_masks`` skips the type checks, the normalisation of each
-block and the mask rebuild: it is for callers inside the package whose
-masks already name distinct in-range blocks (the transversal layer,
-``blocks_avoiding`` and ``merge``): there the masks come from a family
-that was validated once, and turning them into tuples and back was a
-visible share of the transversal and merge time.  It still refuses a
-duplicate or an out-of-range mask, as an internal error.
+block and the mask rebuild: it is for the two callers inside the package
+whose masks already name distinct in-range blocks,
+``transversal.transversal_family`` and the merge step, ``mif._merge``.
+There the masks come from a family that was validated once, and turning
+them into tuples and back was a visible share of the transversal and
+merge time.  It still refuses a duplicate or an out-of-range mask, as an
+internal error.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from functools import reduce
 from itertools import chain
@@ -27,7 +27,7 @@ from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (FormatError, VerificationError, _check_int, _check_universe,
-                     _load_json)
+                     _JsonOut, _load_json)
 
 DEFAULT_MAX_UNIVERSE = 128
 
@@ -60,7 +60,7 @@ def bits_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Family:
+class Family(_JsonOut):
     """Immutable family of distinct blocks.  Treat instances as frozen."""
 
     __slots__ = ("universe_size", "blocks", "masks", "labels", "point_mask")
@@ -84,10 +84,7 @@ class Family:
         self.universe_size = universe_size
         self.blocks = tuple(normalized)
         self.masks = tuple(mask_of(b) for b in self.blocks)
-        pm = 0
-        for m in self.masks:
-            pm |= m
-        self.point_mask = pm
+        self.point_mask = reduce(or_, self.masks, 0)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != universe_size:
@@ -189,12 +186,6 @@ class Family:
             out += [(a, b) for b in bits_of(self.point_mask & ~together & -bit)]
         return out
 
-    def blocks_avoiding(self, points: Iterable[int]) -> "Family":
-        """Subfamily of blocks disjoint from the given points."""
-        avoid = mask_of(points)
-        kept = [m for m in self.masks if not m & avoid]
-        return Family._from_masks(kept, self.universe_size, self.labels)
-
     # -- serialization ----------------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -203,9 +194,6 @@ class Family:
             obj["labels"] = list(self.labels)
         obj["blocks"] = [list(b) for b in self.blocks]
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
     @classmethod
     def from_json_obj(cls, obj, max_universe: int | None = DEFAULT_MAX_UNIVERSE) -> "Family":

@@ -16,7 +16,6 @@ still meets all the other blocks; such a block is critical in all of them.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,13 +25,14 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import (EmptyBlockError, EmptyFamilyError, FormatError, InvalidIspError,
-                     NotUniformError, VerificationError, _check_int, _load_json)
+                     NotUniformError, VerificationError, _check_int, _JsonOut,
+                     _load_json)
 from .family import Family, bits_of, point_incidence
 # transversal_family is unused here, but perfbench/tracing.py patches this lookup site
 from .transversal import _hitting_sets, _minimum_transversals, transversal_family  # noqa: F401
 
 
-class SetPairSystem:
+class SetPairSystem(_JsonOut):
     """A sequence of pairs (A_i, B_i) meant to satisfy: A_i and B_j are
     disjoint exactly when i = j.  Pair order is preserved; declared
     parameters (k, t) are optional size annotations."""
@@ -83,9 +83,6 @@ class SetPairSystem:
         if self.t is not None:
             obj["t"] = self.t
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
     @classmethod
     def from_json_obj(cls, obj) -> "SetPairSystem":
@@ -255,7 +252,7 @@ def extract_isp(family: Family) -> SetPairSystem:
     if len(current) < len(blocks):
         kept = set(current)
         blocks = [b for b, m in zip(blocks, family.masks) if m in kept]
-        near = _near_transversals(blocks, _hitting_sets(current, True, t)[1],
+        near = _near_transversals(blocks, _minimum_transversals(current, k)[1],
                                   family.universe_size)
     pairs = []
     for block, candidate in zip(blocks, near):

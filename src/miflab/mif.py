@@ -12,7 +12,6 @@ than return a wrong object.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -22,7 +21,7 @@ from operator import or_
 from .errors import (CoveredPairError, EmptyBlockError, EmptyFamilyError,
                      NotIntersectingError, NotMifError, NotUniformError,
                      ParameterOutOfRangeError, SamePointError, VerificationError,
-                     _check_int)
+                     _check_int, _JsonOut)
 from .family import Family, bits_of
 from .isp import SetPairSystem, bollobas_sum, validate_isp
 # transversal_family is unused here, but perfbench/tracing.py patches this lookup site
@@ -168,7 +167,7 @@ def _merge(family: Family, k: int, alpha: int, beta: int) -> Family:
 
 
 @dataclass(frozen=True)
-class CollapseTrace:
+class CollapseTrace(_JsonOut):
     """Record of the merge chain toward alpha.
 
     betas[0] is alpha itself; betas[1:] are the points merged away, so the
@@ -198,9 +197,6 @@ class CollapseTrace:
             "isp": self.isp.to_json_obj(),
             "g_top_points": self.g_top_points,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
 def _witness_pair(fam: Family, point: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

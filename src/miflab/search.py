@@ -33,25 +33,15 @@ If T has fewer than k points, or is a non-block k-set that can no longer
 be added (it precedes the last block), no descendant is maximal and the
 node is pruned.
 
-The walk carries each node's automorphism group, as generators of
-permutations of its points, and one call per node
-(``canonical._least_children``) decides every candidate block b whose
-fresh points are the next unused ids, with the node's automorphisms
-extended by fixing the points from v on.  If some automorphism g maps b
-onto a block that sorts below b, b is skipped: g relabels F + b as
-F + g(b), whose sorted list is smaller, as g(b) is no block of F and b
-follows every block of F, so F + b is not least whatever F is.  The
-other candidates are decided in one walk of F's tie tree, pruned by the
-node's group, with each candidate's orbit riding along, and sub-walks
-only below the states where a member of an orbit ties with the entry
-of F's least list; the call returns, for each accepted child, what its
-whole group is built from: b's orbit data under the node's group, for
-b's stabiliser, and the automorphisms the sub-walks find.  The group is
-built only when the child is expanded, that is when its own node step
-gets past the maximality test and the threat prune, so a child that is
-a leaf never pays for it.  The verdicts are those of the canonical
-test, so the tree and its node count are those of a walk without
-groups.  Only the root gets its group from a seedless canonical test.
+The walk carries each node's automorphism group, and one call per node,
+``canonical._least_children`` (see canonical.py's module docstring),
+decides every candidate block whose fresh points are the next unused
+ids.  Its verdicts are those of the canonical test, so the tree and its
+node count are those of a walk without groups.  A child's group is built
+(``canonical._group``) only when the child is expanded, that is when its
+own node step gets past the maximality test and the threat prune, so a
+child that is a leaf never pays for it.  Only the root gets its group
+from a seedless canonical test.
 
 Set-pair systems are searched directly over pair sequences: the pair count
 is capped by C(k+t, k), fresh points are introduced in first-use order,
@@ -100,7 +90,8 @@ from math import comb
 from .bounds import proven_point_cap
 from .canonical import _group, _least_children, is_least_labeling
 from .errors import (BudgetExceededError, FormatError, ParameterOutOfRangeError,
-                     UnsupportedKError, UnsupportedParamsError, _check_count, _check_int)
+                     UnsupportedKError, UnsupportedParamsError, VerificationError,
+                     _check_count, _check_int, _dump_json, _JsonOut)
 from .family import Family, bits_of, mask_of
 from .isp import SetPairSystem
 from .transversal import _hitting_sets
@@ -246,7 +237,7 @@ def _walk(stack: list[Record], found: list[Blocks], nodes: int, k: int, p_max: i
 
 
 @dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_JsonOut):
     k: int
     universe_bound: int
     families: tuple[Family, ...]
@@ -271,9 +262,6 @@ class SearchResult:
             "nodes": self.nodes,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
 
 def _blocks_to_record(blocks: Blocks) -> str:
     return "|".join(",".join(map(str, b)) for b in blocks)
@@ -295,8 +283,7 @@ def _record_to_blocks(record: str, k: int, p_max: int) -> Blocks:
         raise FormatError(
             f"bad checkpoint record {record!r}: want increasing {k}-sets of points "
             f"below {p_max} in increasing order, starting with {list(range(k))}")
-    masks = [mask_of(b) for b in blocks]
-    if not all(a & b for a, b in combinations(masks, 2)):
+    if not Family(blocks, p_max).is_intersecting():
         raise FormatError(f"bad checkpoint record {record!r}: two blocks are disjoint")
     return blocks
 
@@ -309,7 +296,7 @@ def write_checkpoint(path, k: int, p_max: int, nodes: int,
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(f"{CHECKPOINT_MAGIC} {json.dumps(header, separators=(',', ':'))}\n")
+            fh.write(f"{CHECKPOINT_MAGIC} {_dump_json(header)}\n")
             for blocks in pending:
                 fh.write("F " + _blocks_to_record(blocks) + "\n")
             for blocks in found:
@@ -347,10 +334,10 @@ def read_checkpoint(path, k: int, p_max: int) -> tuple[int, list[Record], list[B
     """The node count, the records of the pending nodes, built by
     _pending_records, and the maximal families of a checkpoint.  Every
     record must be in least labeling, as the walk writes no other, an M
-    record must be a maximal family, and no pending record may repeat or
-    extend another, as no node of the walk is pending twice or below a
-    pending one.  The first record line that fails, in file order, is
-    reported."""
+    record must be a maximal family, and no record may repeat, extend or
+    be extended by another, as the walk meets each node once, has met
+    nothing below a pending node and finds nothing below a maximal one.
+    The first record line that fails, in file order, is reported."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -393,25 +380,25 @@ def read_checkpoint(path, k: int, p_max: int) -> tuple[int, list[Record], list[B
     replayed = iter(_pending_records(pending_blocks, k, p_max) if pending_blocks else [])
     pending: list[Record] = []
     found: list[Blocks] = []
-    ends: set[Blocks] = set()  # the pending records so far
+    ends: set[Blocks] = set()  # the records so far
     paths: set[Blocks] = set()  # and their prefixes
     for tag, rest, blocks in parsed:
         # an F line's replayed record, or an M line's seedless canonical test
         record = next(replayed) if tag == "F" else is_least_labeling(blocks)
         if not record:
             raise FormatError(f"bad checkpoint record {rest!r}: not in least labeling")
-        if tag == "M":
-            # a maximal family has no addable block, so the leaf test needs
-            # no list, and no group as it builds no child
-            if not _node_step(blocks, k, ((), None), [])[0]:
-                raise FormatError(f"bad checkpoint record {rest!r}: not a maximal family")
-            found.append(blocks)
-        elif blocks in paths or any(blocks[:j] in ends for j in range(1, len(blocks))):
+        # a maximal family has no addable block, so the leaf test needs no
+        # list, and no group as it builds no child
+        if tag == "M" and not _node_step(blocks, k, ((), None), [])[0]:
+            raise FormatError(f"bad checkpoint record {rest!r}: not a maximal family")
+        if blocks in paths or any(blocks[:j] in ends for j in range(1, len(blocks))):
             raise FormatError(f"bad checkpoint record {rest!r}: it repeats, extends or is "
-                              "extended by another pending record")
+                              "extended by another pending record or a maximal one")
+        ends.add(blocks)
+        paths.update(blocks[:j] for j in range(1, len(blocks) + 1))
+        if tag == "M":
+            found.append(blocks)
         else:
-            ends.add(blocks)
-            paths.update(blocks[:j] for j in range(1, len(blocks) + 1))
             pending.append(record)
     if unparsed is not None:
         raise unparsed
@@ -461,7 +448,9 @@ def enumerate_mifs(k: int, p_max: int | None = None, *, budget: int | None = Non
 
     nodes = _walk(stack, found, nodes, k, p_max, budget, checkpoint_path, checkpoint_every)
 
-    families = sorted((Family(b, p_max) for b in set(found)),
+    if len(set(found)) != len(found):
+        raise VerificationError("the search found a maximal family twice")
+    families = sorted((Family(b, p_max) for b in found),
                       key=lambda f: (f.point_count(), f.blocks))
     return SearchResult(k, p_max, tuple(families), nodes)
 
@@ -478,7 +467,7 @@ ISP_WHITELIST = {(2, 1), (3, 1), (2, 2)}
 
 
 @dataclass(frozen=True)
-class IspSearchResult:
+class IspSearchResult(_JsonOut):
     k: int
     t: int
     max_points: int
@@ -488,9 +477,6 @@ class IspSearchResult:
     def to_json_obj(self) -> dict:
         return {"k": self.k, "t": self.t, "max_points": self.max_points,
                 "witness": self.witness.to_json_obj(), "nodes": self.nodes}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
 def _isp_children(k: int, t: int, pairs, u: int, ha, hb):
@@ -543,14 +529,14 @@ def search_isp(k: int, t: int, *, budget: int | None = None) -> IspSearchResult:
                     f"candidate lists may hold more than {MAX_LIST_ENTRIES} subsets")
     n_max = comb(k + t, k)
     per_pair_gain = k + t - 2  # later pairs must reuse a point on each side
-    a, b = tuple(range(k)), tuple(range(k, k + t))
-    root = (((a, b),), mask_of(a), mask_of(b), k + t)
-    best_points, best_pairs = k + t, root[0]
+    best_points, best_pairs = 0, ()
     nodes = 0
     # per depth, a lazy iterator of children and the u, ha and hb of their
-    # parent; the root's parent is the empty system, which spans no points
-    stack = [(iter([root]), 0, [[((), 0)]] + [[] for _ in range(k)],
-              [[((), 0)]] + [[] for _ in range(t)])]
+    # parent; the root is the only child of the empty system, which spans
+    # no points
+    ha = [[((), 0)]] + [[] for _ in range(k)]
+    hb = [[((), 0)]] + [[] for _ in range(t)]
+    stack = [(_isp_children(k, t, (), 0, ha, hb), 0, ha, hb)]
     while stack:
         children, pu, pha, phb = stack[-1]
         node = next(children, None)

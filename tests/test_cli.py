@@ -517,6 +517,25 @@ PINNED = [
       '"main_upper":{"expr":"1 + n(2,0)","half_term":1,"n_params":[2,0]},'
       '"t_section":{"t":1,"bollobas_pair_bound":3,"tuza_nkt_upper":3,'
       '"boundary_witness_points":4}}\n')),
+    # the one t-section here with the conjectured value: k >= t + 2
+    (("bounds", "--k", "4", "--t", "2"), 0,
+     ('k = 4\n'
+      '  el_lower                 16\n'
+      '  tuza_Nk_upper            42\n'
+      '  improved_upper           32\n'
+      '  half_central_binomial    10\n'
+      '  conjectured_N            16\n'
+      '  main_upper               10 + n(4,2)\n'
+      't = 2\n'
+      '  bollobas_pair_bound      15\n'
+      '  tuza_nkt_upper           22\n'
+      '  tuza_conjecture          16\n')),
+    (("bounds", "--k", "4", "--t", "2", "--format", "json"), 0,
+     ('{"k":4,"el_lower":16,"tuza_Nk_upper":42,"improved_upper":32,'
+      '"half_central_binomial":10,"conjectured_N":16,'
+      '"main_upper":{"expr":"10 + n(4,2)","half_term":10,"n_params":[4,2]},'
+      '"t_section":{"t":2,"bollobas_pair_bound":15,"tuza_nkt_upper":22,'
+      '"tuza_conjecture":16}}\n')),
     (("search", "mif", "--k", "2"), 0,
      ('{"k":2,"universe_bound":3,"max_points":3,'
       '"counts_by_point_count":{"3":1},"mifs":[[[0,1],[0,2],[1,2]]],"nodes":3}\n')),

@@ -127,6 +127,16 @@ def test_normalization_and_equality():
     assert hash(a) == hash(b)
 
 
+def test_iteration_membership_and_repr():
+    fam = Family([[2, 1], [0, 1]], 3)
+    assert list(fam) == [(0, 1), (1, 2)]
+    # membership reads a block's points in any order
+    assert (1, 0) in fam and [2, 1] in fam
+    assert (0, 2) not in fam and (0, 1, 2) not in fam
+    assert repr(fam) == "Family([[0, 1], [1, 2]], universe_size=3)"
+    assert repr(Family([], 0)) == "Family([], universe_size=0)"
+
+
 def test_point_set_invariant_under_block_order():
     rng = random.Random(3)
     blocks = [[0, 2, 4], [1, 3], [2, 5]]
@@ -234,13 +244,6 @@ def test_universe_cap():
         Family.from_json(big)
     assert Family.from_json(big, max_universe=256).universe_size == 200
     assert Family.from_json(big, max_universe=None).universe_size == 200
-
-
-def test_blocks_avoiding():
-    fano = projective_plane(2)
-    sub = fano.blocks_avoiding({0})
-    assert len(sub) == 4
-    assert all(0 not in b for b in sub.blocks)
 
 
 def test_from_masks_matches_the_validating_constructor():

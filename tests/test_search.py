@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -767,7 +768,8 @@ def assert_built_from_scratch(records, p_max):
 
 def test_checkpoint_format_round_trip(tmp_path):
     path = tmp_path / "ck.log"
-    pending = [((0, 1, 2), (0, 1, 3)), ((0, 1, 2), (0, 3, 4))]
+    # no record repeats or extends another, as in a file the walk writes
+    pending = [((0, 1, 2), (0, 1, 3), (0, 2, 4)), ((0, 1, 2), (0, 3, 4))]
     found = [complete_family(3).blocks]
     write_checkpoint(path, 3, 9, 123, pending, found)
     nodes, got_pending, got_found = read_checkpoint(path, 3, 9)
@@ -908,7 +910,7 @@ def mutated_checkpoint(rng, lines):
 
 def test_mutated_checkpoints_are_read_exactly_when_every_record_is_least(tmp_path):
     # a checkpoint is accepted iff every line parses, every F record is in
-    # least labeling, and no pending record repeats or lies below another
+    # least labeling, and no record, F or M, repeats or lies below another
     rng = random.Random(2611)
     ck = tmp_path / "ck.log"
     stops = {}
@@ -922,10 +924,10 @@ def test_mutated_checkpoints_are_read_exactly_when_every_record_is_least(tmp_pat
         lines, kind = mutated_checkpoint(rng, stops[budget])
         ck.write_text("\n".join(lines) + "\n")
         try:
-            pending = [search._record_to_blocks(line[2:], 3, 9)
-                       for line in lines[1:] if line.startswith("F ")]
+            records = [search._record_to_blocks(line[2:], 3, 9) for line in lines[1:]]
+            pending = [b for b, line in zip(records, lines[1:]) if line.startswith("F ")]
             want = all(canonical.is_least_labeling(b) for b in pending) and not any(
-                a[:len(b)] == b for a, b in permutations(pending, 2))
+                a[:len(b)] == b for a, b in permutations(records, 2))
         except FormatError:
             want = False
         verdicts[kind, want] += 1
@@ -961,6 +963,47 @@ def test_repeated_or_nested_pending_records_are_format_errors(tmp_path):
     write_checkpoint(ck, 3, 9, 0, [((0, 1, 2),), ((0, 1, 2), (0, 3, 4))], [])
     with pytest.raises(FormatError, match="another pending record"):
         read_checkpoint(ck, 3, 9)
+
+
+def test_repeated_or_nested_maximal_records_are_format_errors(tmp_path, search39):
+    # the walk writes each maximal family once and none below a pending
+    # node; resumed, a 100-node stop with an M line repeated, or with a
+    # maximal family below a pending record added, gave the plain run's
+    # result only because the results were deduplicated.  The later of
+    # the two lines is reported
+    ck = tmp_path / "ck.log"
+    with pytest.raises(BudgetExceededError):
+        enumerate_mifs(3, 9, budget=100, checkpoint_path=ck)
+    lines = ck.read_text().splitlines()
+    pending = [r[0] for r in read_checkpoint(ck, 3, 9)[1]]
+    below = next(f.blocks for f in search39.families
+                 if any(f.blocks[:len(p)] == p for p in pending))
+    parent = next(p for p in pending if below[:len(p)] == p)
+    m = next(i for i, line in enumerate(lines) if line.startswith("M "))
+    below_line = "M " + search._blocks_to_record(below)
+    for at, extra, reported in ((m, lines[m], lines[m]), (len(lines), lines[m], lines[m]),
+                                (len(lines), below_line, below_line),
+                                (1, below_line, "F " + search._blocks_to_record(parent))):
+        ck.write_text("\n".join(lines[:at] + [extra] + lines[at:]) + "\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"bad checkpoint record {reported[2:]!r}: it repeats, extends or is "
+                "extended by another pending record or a maximal one")):
+            enumerate_mifs(3, 9, resume_path=ck)
+
+
+def test_a_maximal_family_found_twice_is_a_verification_error(monkeypatch, tmp_path):
+    # the search finds each class once; a repeat is a fault, not merged
+    ck = tmp_path / "ck.log"
+    with pytest.raises(BudgetExceededError):
+        enumerate_mifs(3, 9, budget=100, checkpoint_path=ck)
+
+    def repeating_read_checkpoint(*args):
+        nodes, pending, found = read_checkpoint(*args)
+        return nodes, pending, found + found[:1]
+
+    monkeypatch.setattr(search, "read_checkpoint", repeating_read_checkpoint)
+    with pytest.raises(VerificationError, match="found a maximal family twice"):
+        enumerate_mifs(3, 9, resume_path=ck)
 
 
 def test_non_utf8_checkpoint_is_format_error(tmp_path):
@@ -1164,8 +1207,8 @@ def test_isp_children_match_subset_scan(monkeypatch, k, t, budget):
         assert nodes == budget + 1
     else:
         assert (k, t, nodes) == (1, 4, 741)  # the one tree within its budget
-    # each node after the root is a child the walk took
-    assert nodes == seen[0] + 1
+    # each node, the root included, is a child the walk took
+    assert nodes == seen[0]
 
 
 def test_isp_lists_are_built_only_at_the_root(monkeypatch):
