@@ -196,7 +196,7 @@ def test_length_repr_and_equality():
     assert sys_ != SetPairSystem([((0, 2), (1,)), ((1,), (0,))])
     # another type is not equal, and is left to decide for itself
     assert sys_.__eq__(sys_.pairs) is NotImplemented
-    assert sys_ != sys_.pairs and sys_ != sys_.to_json_obj() and sys_ != None  # noqa: E711
+    assert sys_ != sys_.pairs and sys_ != sys_.to_json_obj()
 
 
 def test_json_round_trip():
