@@ -7,10 +7,10 @@ exactly (central binomial coefficients are even from C(2,1) on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
-from .errors import ParameterOutOfRangeError, VerificationError, _check_int, _JsonOut
+from .errors import (ParameterOutOfRangeError, VerificationError, _check_int, _JsonOut,
+                     _Record)
 
 
 def binom(n: int, k: int) -> int:
@@ -110,8 +110,7 @@ def tuza_conjecture_value(k: int, t: int) -> int:
     return q * comb(f + t, t) + f + t
 
 
-@dataclass(frozen=True)
-class BoundsTable(_JsonOut):
+class BoundsTable(_Record, _JsonOut):
     """All per-k values, plus the symbolic form of the main upper bound
     (its set-pair term has no closed form, so it stays a slot)."""
     k: int

@@ -4,12 +4,11 @@ from cyclic difference sets, and the complete k-subsets family."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .errors import (ParameterOutOfRangeError, UnsupportedOrderError, _check_count,
-                     _check_int, _check_universe)
+                     _check_int, _check_universe, _Record)
 from .family import DEFAULT_MAX_UNIVERSE, Family
 
 # order q -> (modulus q^2+q+1, difference set)
@@ -19,8 +18,7 @@ _DIFFERENCE_SETS = {
 }
 
 
-@dataclass(frozen=True)
-class BgFamily:
+class BgFamily(_Record):
     """bg(k,t): k-subsets of a (k+t-2)-set S plus one block {x_A} | A per
     (k-1)-subset A of S.  Its transversal family has a closed form and
     witnesses the lower bound k+t-2+C(k+t-2,t-1) on transversal points."""

@@ -1,7 +1,7 @@
 """Exception types shared across the package, the input checks that more
 than one layer applies (an integer parameter, an optional count, a
-universe size against its cap, a JSON document), and the package's JSON
-output bytes.
+universe size against its cap, a JSON document), the package's JSON
+output bytes, and the base of its result records.
 
 Exit-code mapping used by the CLI:
   * math-negative verdicts (1): NotMifError, CoveredPairError, InvalidIspError
@@ -134,3 +134,79 @@ class _JsonOut:
 
     def to_json(self) -> str:
         return _dump_json(self.to_json_obj())
+
+
+class _Record:
+    """Base of the package's immutable result records.
+
+    The fields are the names the class annotates, in order; a class
+    attribute of the same name is that field's default.  Like a frozen
+    dataclass, a record is built from its fields by position or keyword,
+    compares equal to a record of the same class with equal fields, hashes
+    and prints as the tuple of its fields (``Name(field=value, ...)``), and
+    refuses assignment and deletion.  A class declared with frozen=False
+    takes assignment and has no hash, like a plain dataclass."""
+
+    __slots__ = ()
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields
+                         if name in cls.__dict__}
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call, in order, the defaults filled in; a
+        call that a function with these parameters would refuse raises
+        TypeError."""
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in cls._defaults:
+                values.append(cls._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing required argument: {field!r}")
+        if kwargs:
+            key = next(iter(kwargs))
+            raise TypeError(f"{name}() got multiple values for argument {key!r}"
+                            if key in fields else
+                            f"{name}() got an unexpected keyword argument {key!r}")
+        return values
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, field) for field in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{field}={getattr(self, field)!r}" for field in self._fields) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

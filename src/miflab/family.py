@@ -122,7 +122,8 @@ class Family(_JsonOut):
         return iter(self.blocks)
 
     def __contains__(self, block) -> bool:
-        return tuple(sorted(block)) in self.blocks
+        # a set of points, read as the constructor reads a block
+        return tuple(sorted(set(block))) in self.blocks
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Family):

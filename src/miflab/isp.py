@@ -17,7 +17,6 @@ still meets all the other blocks; such a block is critical in all of them.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb
@@ -26,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .errors import (EmptyBlockError, EmptyFamilyError, FormatError, InvalidIspError,
                      NotUniformError, VerificationError, _check_int, _JsonOut,
-                     _load_json)
+                     _load_json, _Record)
 from .family import Family, bits_of, point_incidence
 # transversal_family is unused here, but perfbench/tracing.py patches this lookup site
 from .transversal import _hitting_sets, _minimum_transversals, transversal_family  # noqa: F401
@@ -105,8 +104,7 @@ class SetPairSystem(_JsonOut):
         return cls.from_json_obj(_load_json(text))
 
 
-@dataclass(frozen=True)
-class IspValidation:
+class IspValidation(_Record):
     ok: bool
     n_pairs: int
     point_count: int

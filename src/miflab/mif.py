@@ -12,7 +12,6 @@ than return a wrong object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import comb
@@ -21,15 +20,14 @@ from operator import or_
 from .errors import (CoveredPairError, EmptyBlockError, EmptyFamilyError,
                      NotIntersectingError, NotMifError, NotUniformError,
                      ParameterOutOfRangeError, SamePointError, VerificationError,
-                     _check_int, _JsonOut)
+                     _check_int, _JsonOut, _Record)
 from .family import Family, bits_of
 from .isp import SetPairSystem, bollobas_sum, validate_isp
 # transversal_family is unused here, but perfbench/tracing.py patches this lookup site
 from .transversal import _minimum_transversals, transversal_family  # noqa: F401
 
 
-@dataclass(frozen=True)
-class MifCertificate:
+class MifCertificate(_Record):
     """Verdict of the maximality check.  ok=True certifies that the family
     is uniform of size k, its minimum blocking sets have size k, and they
     are exactly the blocks."""
@@ -166,8 +164,7 @@ def _merge(family: Family, k: int, alpha: int, beta: int) -> Family:
     return result
 
 
-@dataclass(frozen=True)
-class CollapseTrace(_JsonOut):
+class CollapseTrace(_Record, _JsonOut):
     """Record of the merge chain toward alpha.
 
     betas[0] is alpha itself; betas[1:] are the points merged away, so the

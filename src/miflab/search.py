@@ -83,7 +83,6 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, takewhile
 from math import comb
 
@@ -91,7 +90,7 @@ from .bounds import proven_point_cap
 from .canonical import _group, _least_children, is_least_labeling
 from .errors import (BudgetExceededError, FormatError, ParameterOutOfRangeError,
                      UnsupportedKError, UnsupportedParamsError, VerificationError,
-                     _check_count, _check_int, _dump_json, _JsonOut)
+                     _check_count, _check_int, _dump_json, _JsonOut, _Record)
 from .family import Family, bits_of, mask_of
 from .isp import SetPairSystem
 from .transversal import _hitting_sets
@@ -236,8 +235,7 @@ def _walk(stack: list[Record], found: list[Blocks], nodes: int, k: int, p_max: i
     return nodes
 
 
-@dataclass(frozen=True)
-class SearchResult(_JsonOut):
+class SearchResult(_Record, _JsonOut):
     k: int
     universe_bound: int
     families: tuple[Family, ...]
@@ -466,8 +464,7 @@ def compute_N(k: int) -> int:
 ISP_WHITELIST = {(2, 1), (3, 1), (2, 2)}
 
 
-@dataclass(frozen=True)
-class IspSearchResult(_JsonOut):
+class IspSearchResult(_Record, _JsonOut):
     k: int
     t: int
     max_points: int

@@ -58,20 +58,18 @@ for the callers that get the transversals back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_
 
-from .errors import EmptyBlockError, OracleTooLargeError, VerificationError
+from .errors import EmptyBlockError, OracleTooLargeError, VerificationError, _Record
 from .family import Family, mask_of
 
 INFINITE_TAU = math.inf
 ORACLE_POINT_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class TransversalReport:
+class TransversalReport(_Record):
     """Minimum blocking-set size, all minimum blocking sets, node count."""
     tau: int | float
     transversals: Family

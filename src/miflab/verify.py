@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import tempfile
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 from .bounds import (el_lower, eval_bounds, half_central_binomial, tuza_conjecture_value,
                      tuza_nkt_upper)
 from .constructions import bg_family, complete_family, projective_plane
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _Record
 from .family import Family
 from .isp import bollobas_sum, validate_isp
 from .mif import chromatic_class, collapse, is_mif, merge
@@ -41,17 +40,18 @@ FIXTURE_EXPECTATIONS = [
 ]
 
 
-@dataclass
-class VerifyItem:
+class VerifyItem(_Record, frozen=False):
     index: int
     name: str
     status: str  # PASS / FAIL / SKIPPED
     detail: str
 
 
-@dataclass
-class VerifyReport:
-    items: list[VerifyItem] = field(default_factory=list)
+class VerifyReport(_Record, frozen=False):
+    items: list[VerifyItem]
+
+    def __init__(self, items: list[VerifyItem] | None = None) -> None:
+        super().__init__([] if items is None else items)
 
     @property
     def all_pass(self) -> bool:

@@ -130,8 +130,10 @@ def test_normalization_and_equality():
 def test_iteration_membership_and_repr():
     fam = Family([[2, 1], [0, 1]], 3)
     assert list(fam) == [(0, 1), (1, 2)]
-    # membership reads a block's points in any order
+    # membership reads a block's points in any order, repeats ignored, as
+    # the constructor does
     assert (1, 0) in fam and [2, 1] in fam
+    assert (0, 0, 1) in Family([[0, 0, 1], [1, 2]], 3)
     assert (0, 2) not in fam and (0, 1, 2) not in fam
     assert repr(fam) == "Family([[0, 1], [1, 2]], universe_size=3)"
     assert repr(Family([], 0)) == "Family([], universe_size=0)"
