@@ -144,22 +144,17 @@ class _Record:
     dataclass, a record is built from its fields by position or keyword,
     compares equal to a record of the same class with equal fields, hashes
     and prints as the tuple of its fields (``Name(field=value, ...)``), and
-    refuses assignment and deletion.  A class declared with frozen=False
-    takes assignment and has no hash, like a plain dataclass."""
+    refuses assignment and deletion."""
 
     __slots__ = ()
     _fields = ()
     _defaults = {}
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields
                          if name in cls.__dict__}
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs) -> None:
         if kwargs or len(args) != len(self._fields):
@@ -168,27 +163,16 @@ class _Record:
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The field values of a call, in order, the defaults filled in; a
-        call that a function with these parameters would refuse raises
-        TypeError."""
-        fields, name = cls._fields, cls.__name__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} positional arguments "
-                            f"but {len(args)} were given")
-        values = list(args)
-        for field in fields[len(args):]:
-            if field in kwargs:
-                values.append(kwargs.pop(field))
-            elif field in cls._defaults:
-                values.append(cls._defaults[field])
-            else:
-                raise TypeError(f"{name}() missing required argument: {field!r}")
-        if kwargs:
-            key = next(iter(kwargs))
-            raise TypeError(f"{name}() got multiple values for argument {key!r}"
-                            if key in fields else
-                            f"{name}() got an unexpected keyword argument {key!r}")
-        return values
+        """The field values of a call, in order, the defaults filled in;
+        TypeError unless the call gives every field without a default and
+        no field twice."""
+        fields = cls._fields
+        values = {**cls._defaults, **dict(zip(fields, args)), **kwargs}
+        if (len(args) > len(fields) or kwargs.keys() - fields[len(args):]
+                or len(values) != len(fields)):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}, "
+                            "each given once by position or keyword")
+        return [values[field] for field in fields]
 
     def _values(self) -> tuple:
         return tuple([getattr(self, field) for field in self._fields])

@@ -40,14 +40,14 @@ FIXTURE_EXPECTATIONS = [
 ]
 
 
-class VerifyItem(_Record, frozen=False):
+class VerifyItem(_Record):
     index: int
     name: str
     status: str  # PASS / FAIL / SKIPPED
     detail: str
 
 
-class VerifyReport(_Record, frozen=False):
+class VerifyReport(_Record):
     items: list[VerifyItem]
 
     def __init__(self, items: list[VerifyItem] | None = None) -> None:

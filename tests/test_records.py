@@ -1,5 +1,5 @@
-"""The result records (errors._Record) keep the contract of the frozen
-dataclasses they replace, and importing the package loads no dataclasses
+"""The result records (errors._Record) keep the contract of frozen
+dataclasses, and importing the package loads no dataclasses
 machinery."""
 
 import os
@@ -52,7 +52,6 @@ RECORDS = [
     (VerifyReport, ("items",), ([VerifyItem(2, "bg", "FAIL", "x")],),
      "VerifyReport(items=[VerifyItem(index=2, name='bg', status='FAIL', detail='x')])"),
 ]
-MUTABLE = {VerifyItem, VerifyReport}
 IDS = [cls.__name__ for cls, *_ in RECORDS]
 
 
@@ -76,8 +75,8 @@ def test_equality_and_hash_follow_type_and_fields(cls, names, values, text):
     assert record != values and record != dict(zip(names, values))
     others = [other(*vals) for other, _, vals, _ in RECORDS if other is not cls]
     assert all(record != other for other in others)
-    if cls in MUTABLE:
-        with pytest.raises(TypeError, match="unhashable"):
+    if cls is VerifyReport:
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
             hash(record)
     elif cls in (CollapseTrace, IspSearchResult):
         # a SetPairSystem has no hash, so neither has a record that holds one
@@ -89,12 +88,8 @@ def test_equality_and_hash_follow_type_and_fields(cls, names, values, text):
 
 
 @pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=IDS)
-def test_frozen_records_refuse_assignment_and_deletion(cls, names, values, text):
+def test_records_refuse_assignment_and_deletion(cls, names, values, text):
     record = cls(*values)
-    if cls in MUTABLE:
-        setattr(record, names[0], "new")
-        assert getattr(record, names[0]) == "new"
-        return
     for name in (*names, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
@@ -105,15 +100,15 @@ def test_frozen_records_refuse_assignment_and_deletion(cls, names, values, text)
 
 @pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=IDS)
 def test_bad_calls_raise_type_error(cls, names, values, text):
-    with pytest.raises(TypeError, match="positional"):
-        cls(*values, None)
-    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
-        cls(*values, extra=1)
-    with pytest.raises(TypeError, match=f"multiple values for argument '{names[0]}'"):
-        cls(*values, **{names[0]: values[0]})
+    # too many positional values, an unknown keyword, a field given twice;
+    # and, but for VerifyReport whose one field has a default, no fields
+    # and a field given twice while another is missing
+    calls = [((*values, None), {}), (values, {"extra": 1}), (values, {names[0]: values[0]})]
     if cls is not VerifyReport:
-        with pytest.raises(TypeError, match=f"missing .*argument.*'{names[0]}'"):
-            cls()
+        calls += [((), {}), (values[1:], {names[0]: values[0]})]
+    for args, kwargs in calls:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
 
 
 def test_defaults():
